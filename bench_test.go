@@ -255,8 +255,9 @@ func BenchmarkEngineUnplannedConv(b *testing.B) {
 }
 
 // BenchmarkEnginePlannedConv is the compiled path: weights quantized and
-// sign-split once, kernel spectra latched, fused signed grouped sweep,
-// pooled psum buffers. Output is bit-identical to the unplanned baseline.
+// sign-split once, kernel spectra latched, one signed sweep over padded
+// planes, pooled psum buffers. Output is bit-identical to the unplanned
+// baseline.
 func BenchmarkEnginePlannedConv(b *testing.B) {
 	for _, wl := range plannedConvWorkloads() {
 		b.Run(wl.name, func(b *testing.B) {

@@ -11,9 +11,33 @@ import (
 	"math/rand"
 	"testing"
 
+	"photofourier/internal/fault"
 	"photofourier/internal/jtc"
 	"photofourier/internal/tensor"
 )
+
+// percentileCalib and shotFaults are the batch tables' engine tunings for
+// the two settings a channel range refuses but a full-range run keeps.
+func percentileCalib(e *Engine) { e.ADCCalibPercentile = 0.95 }
+
+func shotFaults(e *Engine) {
+	inj, err := fault.Parse("shot:0.1", 13)
+	if err != nil {
+		panic(err)
+	}
+	e.Faults = inj
+}
+
+// nonNegSample0 replaces sample 0 by its absolute values, so that sample
+// lacks the negative part the rest of the batch carries.
+func nonNegSample0(x *tensor.Tensor) {
+	per := x.Size() / x.Shape[0]
+	for i, v := range x.Data[:per] {
+		if v < 0 {
+			x.Data[i] = -v
+		}
+	}
+}
 
 func TestForwardBatchCallsDirectBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -21,15 +45,23 @@ func TestForwardBatchCallsDirectBitIdentity(t *testing.T) {
 		n, cin, cout, h, w, k, stride int
 		pad                           tensor.PadMode
 		noise                         float64
+		nonNeg0                       bool
+		tune                          func(e *Engine)
 	}{
-		{3, 3, 8, 16, 16, 3, 1, tensor.Same, 0},
-		{8, 5, 4, 12, 10, 3, 1, tensor.Valid, 0},
-		{4, 3, 6, 9, 9, 5, 2, tensor.Same, 0.01},
-		{1, 2, 3, 8, 8, 1, 1, tensor.Same, 0.005},
-		{3, 2, 4, 12, 12, 7, 1, tensor.Same, 0}, // k > 5: heap tap scratch per worker
+		{3, 3, 8, 16, 16, 3, 1, tensor.Same, 0, false, nil},
+		{8, 5, 4, 12, 10, 3, 1, tensor.Valid, 0, false, nil},
+		{4, 3, 6, 9, 9, 5, 2, tensor.Same, 0.01, false, nil},
+		{1, 2, 3, 8, 8, 1, 1, tensor.Same, 0.005, false, nil},
+		{3, 2, 4, 12, 12, 7, 1, tensor.Same, 0, false, nil},             // k > 5: heap tap scratch per worker
+		{2, 3, 5, 10, 10, 3, 1, tensor.Same, 0.01, true, nil},           // sample 0 lacks the negative part
+		{3, 4, 6, 10, 10, 3, 1, tensor.Same, 0, false, percentileCalib}, // quantile ADC calibration
+		{4, 4, 5, 10, 10, 3, 2, tensor.Same, 0.005, false, shotFaults},  // guarded, retried misfires
 	} {
 		x := tensor.New(tc.n, tc.cin, tc.h, tc.w)
 		x.RandN(rng, 1)
+		if tc.nonNeg0 {
+			nonNegSample0(x)
+		}
 		w := tensor.New(tc.cout, tc.cin, tc.k, tc.k)
 		w.RandN(rng, 0.5)
 		bias := make([]float64, tc.cout)
@@ -40,6 +72,9 @@ func TestForwardBatchCallsDirectBitIdentity(t *testing.T) {
 			e := NewEngine()
 			e.ReadoutNoise = tc.noise
 			e.Parallelism = 4 // exercise the worker pool even on 1-CPU hosts
+			if tc.tune != nil {
+				tc.tune(e)
+			}
 			return e
 		}
 		eA, eB := mk(), mk()
@@ -86,15 +121,23 @@ func TestForwardBatchCallsTiledBitIdentityAndPacking(t *testing.T) {
 		pad                          tensor.PadMode
 		noise                        float64
 		packs                        bool
+		nonNeg0                      bool
+		tune                         func(e *Engine)
 	}{
-		{3, 3, 4, 16, 16, 3, 256, tensor.Same, 0, true},     // row tiling; leftover chunks pack
-		{4, 2, 3, 12, 12, 3, 128, tensor.Valid, 0, true},    // row tiling; flexible chunking packs
-		{4, 2, 3, 10, 16, 3, 40, tensor.Valid, 0.01, true},  // partial row tiling packs short passes
-		{2, 2, 2, 6, 20, 3, 12, tensor.Valid, 0, false},     // row partitioning: no slack
-		{8, 3, 4, 16, 16, 3, 64, tensor.Same, 0.005, false}, // full-aperture chunks: nothing to pack
+		{3, 3, 4, 16, 16, 3, 256, tensor.Same, 0, true, false, nil},              // row tiling; leftover chunks pack
+		{4, 2, 3, 12, 12, 3, 128, tensor.Valid, 0, true, false, nil},             // row tiling; flexible chunking packs
+		{4, 2, 3, 10, 16, 3, 40, tensor.Valid, 0.01, true, false, nil},           // partial row tiling packs short passes
+		{2, 2, 2, 6, 20, 3, 12, tensor.Valid, 0, false, false, nil},              // row partitioning: no slack
+		{8, 3, 4, 16, 16, 3, 64, tensor.Same, 0.005, false, false, nil},          // full-aperture chunks: nothing to pack
+		{2, 3, 4, 12, 12, 3, 128, tensor.Valid, 0.01, true, true, nil},           // sample 0 lacks the negative part
+		{3, 4, 3, 12, 12, 3, 128, tensor.Valid, 0, true, false, percentileCalib}, // quantile ADC calibration
+		{4, 4, 3, 12, 12, 3, 128, tensor.Valid, 0.005, true, false, shotFaults},  // guarded, retried misfires
 	} {
 		x := tensor.New(tc.n, tc.cin, tc.h, tc.w)
 		x.RandN(rng, 1)
+		if tc.nonNeg0 {
+			nonNegSample0(x)
+		}
 		w := tensor.New(tc.cout, tc.cin, tc.k, tc.k)
 		w.RandN(rng, 0.5)
 		mk := func() *Engine {
@@ -102,6 +145,9 @@ func TestForwardBatchCallsTiledBitIdentityAndPacking(t *testing.T) {
 			e.UseTiledPath = true
 			e.NConv = tc.nconv
 			e.ReadoutNoise = tc.noise
+			if tc.tune != nil {
+				tc.tune(e)
+			}
 			return e
 		}
 		eA, eB := mk(), mk()

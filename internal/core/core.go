@@ -261,8 +261,8 @@ func mix64(x uint64) uint64 {
 
 // readoutStream returns the deterministic readout-noise RNG for one
 // (Conv2D call, cross term, group) readout. Substreams are independent of
-// readout execution order, so parallel group readout is bit-identical to
-// serial, and the planned path reproduces the unplanned path exactly.
+// readout execution order, so the planned path reproduces the unplanned
+// path exactly, whatever order either reads its groups out in.
 // ReadoutSeed is consumed as-is: construction (NewEngine or backend.Open)
 // already resolved a zero seed to DefaultReadoutSeed, so no runtime
 // re-fallback happens here.
@@ -556,56 +556,53 @@ func groupedConv2D(x, wt *tensor.Tensor, groups [][2]int, pad tensor.PadMode, wo
 // (the paper's chosen depth), independent of the operating depth.
 const hardwareAccumulationDepth = 16
 
+// hardwareChunk merges operating groups into hardware accumulation groups:
+// the design depth — at least the operating depth, at most cin — spans per
+// operating groups, and nGroups operating groups make count hardware ones.
+func (e *Engine) hardwareChunk(cin, nGroups int) (per, count int) {
+	hwDepth := min(max(hardwareAccumulationDepth, e.NTA), cin)
+	per = max((hwDepth+e.NTA-1)/e.NTA, 1)
+	return per, (nGroups + per - 1) / per
+}
+
+// hardwareGroups calls fn with the charge of every hardware accumulation
+// group: its operating-group planes summed elementwise into pooled scratch,
+// or the one operating group's own plane when it stands alone (summing a
+// single plane into zeroed scratch would give the same values).
+func (e *Engine) hardwareGroups(psums [][]float64, cin int, fn func(c int, charge []float64)) {
+	per, count := e.hardwareChunk(cin, len(psums))
+	var acc []float64
+	if per > 1 && len(psums) > 1 {
+		acc = getFloats(len(psums[0]))
+		defer putFloats(acc)
+	}
+	for c := 0; c < count; c++ {
+		lo, hi := c*per, min((c+1)*per, len(psums))
+		if hi-lo == 1 {
+			fn(c, psums[lo])
+			continue
+		}
+		clear(acc)
+		for _, p := range psums[lo:hi] {
+			for i, v := range p {
+				acc[i] += v
+			}
+		}
+		fn(c, acc)
+	}
+}
+
 // hardwareScale derives the fixed per-layer ADC full scale: the largest
 // charge a design-depth accumulation would deposit. Operating depths below
 // the design depth read out fractional charges against this same scale —
-// the root of the Fig. 7 accuracy loss at shallow accumulation. Consecutive
-// operating groups are merged to design depth to measure that charge.
+// the root of the Fig. 7 accuracy loss at shallow accumulation.
 func (e *Engine) hardwareScale(psums [][]float64, cin int) float64 {
-	if len(psums) == 0 {
-		return 1
-	}
-	if len(psums) == 1 {
-		// Single operating group: the merged design-depth charge IS the one
-		// group's charge, so calibrate on it directly instead of summing it
-		// into a zeroed scratch buffer first (0 + v == v exactly, so the
-		// derived scale is bit-identical).
-		return calibScale(psums[0], e.ADCCalibPercentile)
-	}
-	hwDepth := hardwareAccumulationDepth
-	if e.NTA > hwDepth {
-		hwDepth = e.NTA
-	}
-	if hwDepth > cin {
-		hwDepth = cin
-	}
-	per := (hwDepth + e.NTA - 1) / e.NTA // operating groups per hardware group
-	if per < 1 {
-		per = 1
-	}
 	scale := 0.0
-	acc := getFloatsZeroed(len(psums[0]))
-	defer putFloats(acc)
-	count := 0
-	flush := func() {
-		s := calibScale(acc, e.ADCCalibPercentile)
-		if s > scale {
+	e.hardwareGroups(psums, cin, func(_ int, charge []float64) {
+		if s := calibScale(charge, e.ADCCalibPercentile); s > scale {
 			scale = s
 		}
-		for i := range acc {
-			acc[i] = 0
-		}
-		count = 0
-	}
-	for gi, p := range psums {
-		for i, v := range p {
-			acc[i] += v
-		}
-		count++
-		if count == per || gi == len(psums)-1 {
-			flush()
-		}
-	}
+	})
 	if scale <= 0 {
 		return 1
 	}
@@ -850,19 +847,10 @@ func convOutHW(h, w, k int, pad tensor.PadMode) (int, int) {
 // fully sort the distribution on every readout-scale calibration.
 func calibScale(data []float64, percentile float64) float64 {
 	if percentile <= 0 || percentile >= 1 {
-		m := 0.0
-		for _, v := range data {
-			if v < 0 {
-				v = -v
-			}
-			if v > m {
-				m = v
-			}
+		if m := maxAbs(data); m > 0 {
+			return m
 		}
-		if m <= 0 {
-			return 1
-		}
-		return m
+		return 1
 	}
 	abs := getFloats(len(data))
 	defer putFloats(abs)
@@ -881,4 +869,18 @@ func calibScale(data []float64, percentile float64) float64 {
 		return 1
 	}
 	return v
+}
+
+// maxAbs returns the largest magnitude in data (0 when empty).
+func maxAbs(data []float64) float64 {
+	m := 0.0
+	for _, v := range data {
+		if v < 0 {
+			v = -v
+		}
+		if v > m {
+			m = v
+		}
+	}
+	return m
 }

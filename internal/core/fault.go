@@ -1,7 +1,7 @@
 // Fault hooks of the accelerator engine: the detection and mitigation half
-// of the internal/fault substrate model. Every readout path — unplanned
-// Conv2D, planned LayerPlan execution, and the batch-major executors —
-// funnels through applyGroupFaults with the same (call, term, group)
+// of the internal/fault substrate model. Both readout paths — the unplanned
+// Engine.Conv2D oracle and the planned run behind every LayerPlan entry
+// point — funnel through applyGroupFaults with the same (call, term, group)
 // coordinates that key the readout-noise substreams, so fault behavior is
 // deterministic and identical across paths for a matching call sequence.
 //

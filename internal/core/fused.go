@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sync"
-
-	"photofourier/internal/tensor"
-)
+import "sync"
 
 // Cross-term indices in canonical order. The four pseudo-negative cross
 // terms recombine digitally as pp - pn - np + nn.
@@ -21,169 +16,49 @@ const (
 var termSign = [numTerms]float64{1, -1, -1, 1}
 
 // psumSet holds the pooled per-(term, group) partial-sum buffers of one
-// fused sweep. Buffers for absent terms are nil.
+// sweep. Buffers for absent terms are nil.
 type psumSet struct {
 	terms [numTerms][][]float64
 }
 
-func newPsumSet(present [numTerms]bool, groups, size int) *psumSet {
-	ps := newPsumSetUncleared(present, groups, size)
-	for _, bufs := range ps.terms {
-		for _, b := range bufs {
-			clear(b)
+// psumSetPool recycles the set structs; the buffers and view tables inside
+// cycle through floatPool/viewsPool.
+var psumSetPool sync.Pool
+
+// newPsumSet draws size-element buffers for every group of each present
+// term. zeroed clears them for sweeps that accumulate from the start; the
+// store-first direct sweep writes every element it reads first.
+func newPsumSet(present [numTerms]bool, groups, size int, zeroed bool) *psumSet {
+	ps, _ := psumSetPool.Get().(*psumSet)
+	if ps == nil {
+		ps = &psumSet{}
+	}
+	for t := range ps.terms {
+		if !present[t] {
+			ps.terms[t] = nil
+			continue
 		}
+		bufs := getViews(groups)
+		for g := range bufs {
+			if zeroed {
+				bufs[g] = getFloatsZeroed(size)
+			} else {
+				bufs[g] = getFloats(size)
+			}
+		}
+		ps.terms[t] = bufs
 	}
 	return ps
 }
 
 func (ps *psumSet) release() {
 	for t, bufs := range ps.terms {
-		if bufs == nil {
-			continue
+		if bufs != nil {
+			releaseViewBuffers(bufs)
+			ps.terms[t] = nil
 		}
-		for i, b := range bufs {
-			putFloats(b)
-			bufs[i] = nil
-		}
-		putViews(bufs)
-		ps.terms[t] = nil
 	}
 	psumSetPool.Put(ps)
-}
-
-// fusedSignedGroupedConv2D computes, for each channel group and each present
-// pseudo-negative cross term, the unit-stride convolution partial sums in a
-// SINGLE shift-and-add sweep. Where the unplanned path runs four
-// independent grouped convolutions — each re-walking the group/tap/row loop
-// nest over its own operand pair — this sweep walks the nest once: at every
-// non-zero weight tap the sign of the cached quantized weight selects the
-// destination pair, and both activation parts' rows accumulate into their
-// cross-term buffers in one branch-free pass. The partial sums stay
-// separate up to the detector/ADC boundary, so downstream noise and
-// quantization semantics are untouched.
-//
-// Bit-identity with the unplanned path holds because every accumulator
-// receives exactly the additions the corresponding sign-split sweep would
-// produce, in the same (channel, tap, row, column) order; only the
-// interleaving BETWEEN independent accumulators differs.
-//
-// xpos/xneg are the sign-split quantized activations (NCHW, n x cin x h x
-// w; either may be nil when that part is absent); wq the signed quantized
-// weights (cout x cin x k x k). dst indexes [term][group] partial-sum
-// buffers of n*cout*oh*ow elements (nil for absent terms). Work items (one
-// per batch sample and output channel) run on up to workers goroutines;
-// items write disjoint output regions, so the result is bit-identical at
-// any worker count.
-func fusedSignedGroupedConv2D(xpos, xneg []float64, n, cin, h, w int, wq []float64, cout, k int, groups [][2]int, pad tensor.PadMode, workers int, dst *psumSet) error {
-	padT, padL := 0, 0
-	oh, ow := h-k+1, w-k+1
-	if pad == tensor.Same {
-		padT, padL = tensor.SamePad(k), tensor.SamePad(k)
-		oh, ow = h, w
-	}
-	if oh < 1 || ow < 1 {
-		return fmt.Errorf("core: fused conv empty output for %dx%d k=%d", h, w, k)
-	}
-	return parallelFor(n*cout, workers, func(item int) error {
-		b, oc := item/cout, item%cout
-		off := (b*cout + oc) * oh * ow
-		for gi, g := range groups {
-			var tPP, tPN, tNP, tNN []float64
-			if bufs := dst.terms[termPosPos]; bufs != nil {
-				tPP = bufs[gi][off : off+oh*ow]
-			}
-			if bufs := dst.terms[termPosNeg]; bufs != nil {
-				tPN = bufs[gi][off : off+oh*ow]
-			}
-			if bufs := dst.terms[termNegPos]; bufs != nil {
-				tNP = bufs[gi][off : off+oh*ow]
-			}
-			if bufs := dst.terms[termNegNeg]; bufs != nil {
-				tNN = bufs[gi][off : off+oh*ow]
-			}
-			for ic := g[0]; ic < g[1]; ic++ {
-				inBase := (b*cin + ic) * h * w
-				wBase := (oc*cin + ic) * k * k
-				for ky := 0; ky < k; ky++ {
-					dy := ky - padT
-					oy0, oy1 := 0, oh
-					if dy < 0 {
-						oy0 = -dy
-					}
-					if dy+oy1 > h {
-						oy1 = h - dy
-					}
-					for kx := 0; kx < k; kx++ {
-						wv := wq[wBase+ky*k+kx]
-						if wv == 0 {
-							continue
-						}
-						// The weight sign selects the destination pair;
-						// the activation part selects within the pair.
-						a := wv
-						dp, dn := tPP, tNP
-						if wv < 0 {
-							a = -wv
-							dp, dn = tPN, tNN
-						}
-						dx := kx - padL
-						ox0, ox1 := 0, ow
-						if dx < 0 {
-							ox0 = -dx
-						}
-						if dx+ox1 > w {
-							ox1 = w - dx
-						}
-						// The part-presence branch is hoisted out of the row
-						// loop; re-slicing every operand row to the source
-						// row's length lets the compiler drop the
-						// per-element bounds checks.
-						switch {
-						case xpos != nil && xneg != nil:
-							// Mixed-sign activations: both parts' rows
-							// accumulate in one fused pass.
-							for oy := oy0; oy < oy1; oy++ {
-								rowBase := inBase + (oy+dy)*w + dx
-								dst0 := oy*ow + ox0
-								srcP := xpos[rowBase+ox0 : rowBase+ox1]
-								srcN := xneg[rowBase+ox0 : rowBase+ox1]
-								dpRow := dp[dst0:]
-								dnRow := dn[dst0:]
-								srcN = srcN[:len(srcP)]
-								dpRow = dpRow[:len(srcP)]
-								dnRow = dnRow[:len(srcP)]
-								for i, v := range srcP {
-									dpRow[i] += a * v
-									dnRow[i] += a * srcN[i]
-								}
-							}
-						case xpos != nil:
-							for oy := oy0; oy < oy1; oy++ {
-								rowBase := inBase + (oy+dy)*w + dx
-								srcP := xpos[rowBase+ox0 : rowBase+ox1]
-								dpRow := dp[oy*ow+ox0:]
-								dpRow = dpRow[:len(srcP)]
-								for i, v := range srcP {
-									dpRow[i] += a * v
-								}
-							}
-						default:
-							for oy := oy0; oy < oy1; oy++ {
-								rowBase := inBase + (oy+dy)*w + dx
-								srcN := xneg[rowBase+ox0 : rowBase+ox1]
-								dnRow := dn[oy*ow+ox0:]
-								dnRow = dnRow[:len(srcN)]
-								for i, v := range srcN {
-									dnRow[i] += a * v
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-		return nil
-	})
 }
 
 // sweepTap is one compacted sweep tap: coefficient (the weight magnitude)
@@ -464,29 +339,4 @@ func axpy3MixedZ(dp, dn, p0, p1, p2, n0, n1, n2 []float64, c0, c1, c2 float64) {
 		u += c2 * n2[i]
 		dp[i], dn[i] = v, u
 	}
-}
-
-// psumSetPool recycles the set structs; the buffers and view tables inside
-// cycle through floatPool/viewsPool.
-var psumSetPool sync.Pool
-
-// newPsumSetUncleared is newPsumSet without the zero fill, for sweeps whose
-// first pass stores instead of accumulating (store-first batch sweep).
-func newPsumSetUncleared(present [numTerms]bool, groups, size int) *psumSet {
-	ps, _ := psumSetPool.Get().(*psumSet)
-	if ps == nil {
-		ps = &psumSet{}
-	}
-	for t := range ps.terms {
-		if !present[t] {
-			ps.terms[t] = nil
-			continue
-		}
-		bufs := getViews(groups)
-		for g := range bufs {
-			bufs[g] = getFloats(size)
-		}
-		ps.terms[t] = bufs
-	}
-	return ps
 }

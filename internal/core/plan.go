@@ -31,11 +31,14 @@ type planConfig struct {
 // cost. That is the software mirror of the hardware story: weights stay in
 // the DACs while only activations stream.
 //
-// Conv2D output is bit-identical to the owning Engine's unplanned Conv2D on
-// the same operands, at every worker count, for a fixed seed and matching
-// call sequence. A LayerPlan is safe for concurrent Conv2D calls (runs with
-// a noisy detector stay race-free but interleave the detector's shared
-// noise stream nondeterministically, as with any shared noisy engine).
+// Every entry point — Conv2D, ForwardBatchCalls and BeginBatchRange/Finish —
+// is a thin wrapper over one run (convRun, run.go) and differs only in the
+// calibration domain it picks. Conv2D output is bit-identical to the owning
+// Engine's unplanned Conv2D on the same operands, at every worker count,
+// for a fixed seed and matching call sequence. A LayerPlan is safe for
+// concurrent calls (runs with a noisy detector stay race-free but
+// interleave the detector's shared noise stream nondeterministically, as
+// with any shared noisy engine).
 type LayerPlan struct {
 	engine *Engine
 	cfg    planConfig
@@ -50,7 +53,7 @@ type LayerPlan struct {
 
 	cout, cin, k int
 
-	// wq is the signed quantized weight tensor driving the fused sweep;
+	// wq is the signed quantized weight tensor driving the direct sweep;
 	// wpos/wneg are its cached pseudo-negative parts (nil when absent),
 	// driving term presence and the tiled path.
 	wq         []float64
@@ -130,7 +133,7 @@ func (e *Engine) PlanConv(weight *tensor.Tensor, bias []float64, stride int, pad
 		wneg:   wq.neg,
 		geos:   map[geoKey]*layerGeo{},
 	}
-	// Recombine the cached parts into the signed quantized tensor the fused
+	// Recombine the cached parts into the signed quantized tensor the direct
 	// sweep consumes (parts are disjoint, so this is exact).
 	lp.wq = make([]float64, weight.Size())
 	if wq.pos != nil {
@@ -160,232 +163,14 @@ func (lp *LayerPlan) Stale() bool {
 }
 
 // Conv2D implements nn.LayerPlan: one planned forward pass over an NCHW
-// batch, bit-identical to Engine.Conv2D(input, weight, bias, stride, pad).
+// batch in the whole-call calibration domain, bit-identical to
+// Engine.Conv2D(input, weight, bias, stride, pad).
 func (lp *LayerPlan) Conv2D(input *tensor.Tensor) (*tensor.Tensor, error) {
-	e := lp.engine
-	if lp.Stale() {
-		return nil, fmt.Errorf("core: %w: engine DAC/tiling config changed since PlanConv", nn.ErrStalePlan)
-	}
-	if e.NTA < 1 {
-		return nil, fmt.Errorf("core: NTA %d must be >= 1", e.NTA)
-	}
-	if input.Rank() != 4 {
-		return nil, fmt.Errorf("core: planned Conv2D wants NCHW input, got %v", input.Shape)
-	}
-	n, cin, h, w := input.Shape[0], input.Shape[1], input.Shape[2], input.Shape[3]
-	if cin != lp.cin {
-		return nil, fmt.Errorf("core: %w: channel mismatch %d vs %d", nn.ErrShapeMismatch, lp.cin, cin)
-	}
-	oh, ow := convOutHW(h, w, lp.k, lp.pad)
-	if oh < 1 || ow < 1 {
-		return nil, fmt.Errorf("core: planned conv empty output for %v k=%d", input.Shape, lp.k)
-	}
-	out := tensor.New(n, lp.cout, oh, ow)
-	callIdx := e.calls.Add(1)
-	if err := e.checkOutage(callIdx); err != nil {
+	var r convRun
+	if err := r.begin(lp, input, 0, lp.cout, 0, 0, true); err != nil {
 		return nil, err
 	}
-	var err error
-	if lp.cfg.tiled {
-		err = lp.runTiled(input, out, callIdx)
-	} else {
-		err = lp.runDirect(input, out, callIdx)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if lp.bias != nil {
-		strideC := oh * ow
-		for b := 0; b < n; b++ {
-			for oc := 0; oc < lp.cout; oc++ {
-				base := (b*lp.cout + oc) * strideC
-				for i := 0; i < strideC; i++ {
-					out.Data[base+i] += lp.bias[oc]
-				}
-			}
-		}
-	}
-	if lp.stride > 1 {
-		return tensor.Decimate2D(out, lp.stride)
-	}
-	return out, nil
-}
-
-// runDirect is the planned fast path: one fused signed grouped sweep over
-// the signed quantized operands, then per-term detect / calibrate / readout
-// / accumulate through pooled buffers.
-func (lp *LayerPlan) runDirect(x, out *tensor.Tensor, callIdx uint64) error {
-	e := lp.engine
-	n, cin, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow := out.Shape[2], out.Shape[3]
-	size := n * lp.cout * oh * ow
-	parts, release, err := quantizePartsPooled(x, lp.cfg.dacBits)
-	if err != nil {
-		return err
-	}
-	defer release()
-	var xpos, xneg []float64
-	if parts.pos != nil {
-		xpos = parts.pos.Data
-	}
-	if parts.neg != nil {
-		xneg = parts.neg.Data
-	}
-	var present [numTerms]bool
-	present[termPosPos] = xpos != nil && lp.wpos != nil
-	present[termPosNeg] = xpos != nil && lp.wneg != nil
-	present[termNegPos] = xneg != nil && lp.wpos != nil
-	present[termNegNeg] = xneg != nil && lp.wneg != nil
-
-	groups := lp.cachedGroups(e.NTA)
-	detGroups := groups
-	perChannel := e.Detector.PerChannel()
-	if perChannel {
-		// One sweep group per channel so Detect sees each channel.
-		detGroups = lp.channelGroups()
-	}
-	workers := resolveWorkers(e.Parallelism)
-	ps := newPsumSet(present, len(detGroups), size)
-	defer ps.release()
-	if err := fusedSignedGroupedConv2D(xpos, xneg, n, cin, h, w, lp.wq, lp.cout, lp.k, detGroups, lp.pad, workers, ps); err != nil {
-		return err
-	}
-	for term := 0; term < numTerms; term++ {
-		bufs := ps.terms[term]
-		if bufs == nil {
-			continue
-		}
-		if err := e.detectBuffers(bufs, workers); err != nil {
-			return err
-		}
-		merged := bufs
-		var pooled [][]float64
-		if perChannel {
-			pooled = mergeGroups(bufs, groups)
-			merged = pooled
-		}
-		err := e.readoutAccumulate(callIdx, term, merged, out.Data, cin, workers)
-		if pooled != nil {
-			for i, b := range pooled {
-				putFloats(b)
-				pooled[i] = nil
-			}
-			putViews(pooled)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runTiled is the planned full-fidelity path: every plane convolution runs
-// through exact 1D row-tiled shots against the plan's latched kernel
-// spectra, with each shot's input signal transformed once and reused across
-// every output channel of a work item's chunk.
-func (lp *LayerPlan) runTiled(x, out *tensor.Tensor, callIdx uint64) error {
-	e := lp.engine
-	n, cin, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow := out.Shape[2], out.Shape[3]
-	size := n * lp.cout * oh * ow
-	parts, release, err := quantizePartsPooled(x, lp.cfg.dacBits)
-	if err != nil {
-		return err
-	}
-	defer release()
-	geo, err := lp.geometry(h, w)
-	if err != nil {
-		return err
-	}
-	groups := lp.cachedGroups(e.NTA)
-	workers := resolveWorkers(e.Parallelism)
-	specs := [numTerms]struct {
-		x   *tensor.Tensor
-		kps []*tiling.KernelPlan
-	}{
-		{parts.pos, geo.kpos},
-		{parts.pos, geo.kneg},
-		{parts.neg, geo.kpos},
-		{parts.neg, geo.kneg},
-	}
-	for term, ts := range specs {
-		if ts.x == nil || ts.kps == nil {
-			continue
-		}
-		psums := make([][]float64, len(groups))
-		for gi := range psums {
-			psums[gi] = getFloatsZeroed(size)
-		}
-		err := func() error {
-			for gi, g := range groups {
-				if err := lp.tiledGroupConv(ts.x, ts.kps, g, geo.tp, psums[gi], n, oh, ow, workers); err != nil {
-					return err
-				}
-			}
-			// The tiled path detects per accumulation group (matching the
-			// unplanned groupPsumsTiled semantics; see DESIGN.md).
-			if err := e.detectBuffers(psums, workers); err != nil {
-				return err
-			}
-			return e.readoutAccumulate(callIdx, term, psums, out.Data, cin, workers)
-		}()
-		for _, b := range psums {
-			putFloats(b)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// tiledGroupConv accumulates one group's partial sums for every (batch,
-// output channel) through the many-kernel planned conv. Output channels are
-// chunked so a work item transforms each shot signal once for its whole
-// chunk; chunking does not change any accumulator's addition order, so the
-// result is bit-identical at any worker count.
-func (lp *LayerPlan) tiledGroupConv(xp *tensor.Tensor, kps []*tiling.KernelPlan, g [2]int, tp *tiling.Plan, psum []float64, n, oh, ow, workers int) error {
-	cout, cin := lp.cout, lp.cin
-	h, w := xp.Shape[2], xp.Shape[3]
-	chunks := workers
-	if chunks > cout {
-		chunks = cout
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	per := (cout + chunks - 1) / chunks
-	return parallelFor(n*chunks, workers, func(item int) error {
-		b, ci := item/chunks, item%chunks
-		oc0 := ci * per
-		oc1 := oc0 + per
-		if oc1 > cout {
-			oc1 = cout
-		}
-		if oc0 >= oc1 {
-			return nil
-		}
-		rows := make([][]float64, h)
-		kbuf := make([]*tiling.KernelPlan, oc1-oc0)
-		accs := make([][]float64, oc1-oc0)
-		for j := range accs {
-			oc := oc0 + j
-			accs[j] = psum[((b*cout)+oc)*oh*ow : ((b*cout)+oc+1)*oh*ow]
-		}
-		for ic := g[0]; ic < g[1]; ic++ {
-			base := (b*cin + ic) * h * w
-			for r := 0; r < h; r++ {
-				rows[r] = xp.Data[base+r*w : base+(r+1)*w]
-			}
-			for j := range kbuf {
-				kbuf[j] = kps[(oc0+j)*cin+ic]
-			}
-			if err := tp.Conv2DPlannedAccumMany(rows, kbuf, accs); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	return r.finish(nil)
 }
 
 // geometry returns the cached tiled-path artifacts for one input geometry,
@@ -482,58 +267,6 @@ func mergeGroups(per [][]float64, groups [][2]int) [][]float64 {
 	return out
 }
 
-// readoutAccumulate calibrates the ADC full scale for one cross term, reads
-// every group out on the worker pool — each group drawing from its own
-// (call, term, group) noise substream, so parallel readout is bit-identical
-// to serial — and accumulates the signed results into the layer output in
-// canonical group order.
-func (e *Engine) readoutAccumulate(callIdx uint64, term int, psums [][]float64, out []float64, cin, workers int) error {
-	scale := e.hardwareScale(psums, cin)
-	if e.Faults != nil {
-		// Apply the fault model (drift, guarded misfires, stuck bits) to every
-		// group before readout — the same (call, term, group) coordinates the
-		// unplanned path uses, so both paths misbehave identically.
-		for gi, p := range psums {
-			if err := e.applyGroupFaults(callIdx, term, gi, p, scale); err != nil {
-				return err
-			}
-		}
-	}
-	noise := e.ReadoutNoise > 0 && e.ADCBits > 0
-	sgn := termSign[term]
-	if workers <= 1 || len(psums) == 1 {
-		// Serial fast path: readout and signed accumulation fuse into one
-		// pass per group. The per-element operations and the group order are
-		// exactly the parallel path's, so the output bits are identical —
-		// one full sweep over the partial-sum buffers is simply skipped.
-		for gi, p := range psums {
-			var rng *rand.Rand
-			if noise {
-				rng = e.readoutStream(callIdx, term, gi)
-			}
-			if err := e.readoutAccum(p, scale, rng, sgn, out); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := parallelFor(len(psums), workers, func(gi int) error {
-		var rng *rand.Rand
-		if noise {
-			rng = e.readoutStream(callIdx, term, gi)
-		}
-		return e.readout(psums[gi], scale, rng)
-	}); err != nil {
-		return err
-	}
-	for _, p := range psums {
-		for i, v := range p {
-			out[i] += sgn * v
-		}
-	}
-	return nil
-}
-
 // readoutAccum is readout with the signed accumulation into out fused into
 // the same pass: every element undergoes the identical noise / clamp /
 // quantize / post-readout sequence, and the rounded value is added to out
@@ -602,59 +335,6 @@ func (e *Engine) readoutAccum(psum []float64, scale float64, rng *rand.Rand, sgn
 		out[i] += sgn * det.PostReadout(v)
 	}
 	return nil
-}
-
-// pooledParts is quantizeParts backed by pooled buffers: the sign-split
-// activation tensors of one planned call.
-type pooledParts struct {
-	pos, neg *tensor.Tensor
-	bufs     [][]float64
-}
-
-// quantizePartsPooled quantizes t to DAC precision and splits it into
-// non-negative sign parts in a single fused pass over the data (where the
-// unpooled quantizeParts path quantizes, sign-scans, and fills each part in
-// separate passes). The per-element rule is identical — quant.Linear
-// rounding, then v>0 to the positive part and -v for v<0 to the negative
-// part, with the shared partPresence presence rule — so the two paths
-// produce the same parts and cannot drift.
-func quantizePartsPooled(t *tensor.Tensor, bits int) (*pooledParts, func(), error) {
-	src := t.Data
-	var q *quant.Linear
-	if bits > 0 {
-		maxAbs := t.MaxAbs()
-		if maxAbs == 0 {
-			maxAbs = 1
-		}
-		var err error
-		q, err = quant.NewLinear(bits, maxAbs)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	posBuf, negBuf := getFloats(len(src)), getFloats(len(src))
-	hasPos, hasNeg := quantizeSplitInto(posBuf, negBuf, src, q)
-	posPresent, negPresent := partPresence(hasPos, hasNeg)
-	pp := &pooledParts{}
-	shape := append([]int(nil), t.Shape...)
-	if posPresent {
-		pp.pos = &tensor.Tensor{Shape: shape, Data: posBuf}
-		pp.bufs = append(pp.bufs, posBuf)
-	} else {
-		putFloats(posBuf)
-	}
-	if negPresent {
-		pp.neg = &tensor.Tensor{Shape: shape, Data: negBuf}
-		pp.bufs = append(pp.bufs, negBuf)
-	} else {
-		putFloats(negBuf)
-	}
-	release := func() {
-		for _, b := range pp.bufs {
-			putFloats(b)
-		}
-	}
-	return pp, release, nil
 }
 
 // quantizeSplitInto performs the fused quantize + sign-split pass over src

@@ -101,34 +101,50 @@ func TestPlannedMatchesUnplanned(t *testing.T) {
 }
 
 // TestPlannedNonNegativeActivations covers the post-ReLU fast path (no
-// negative activations → fewer cross terms, branch-free row adds).
+// negative activations → fewer cross terms, branch-free row adds), and the
+// whole-call domain's edge case: in a batch whose sample 0 is non-negative
+// and whose sample 1 has both signs, sample 0 still carries (zero) planes
+// for the negative part, read out with noise from the whole-call stream.
 func TestPlannedNonNegativeActivations(t *testing.T) {
 	in := tensor.New(1, 6, 9, 9)
 	w := tensor.New(3, 6, 3, 3)
 	fillDeterministic(in, 71, 0) // non-negative
 	fillDeterministic(w, 31, 0.5)
-	for _, tiled := range []bool{false, true} {
-		e := NewEngine()
-		e.NTA = 4
-		e.NConv = 64
-		e.UseTiledPath = tiled
-		want, err := e.Conv2D(in, w, nil, 1, tensor.Same)
-		if err != nil {
-			t.Fatal(err)
+	mixed := tensor.New(2, 6, 9, 9)
+	copy(mixed.Data, in.Data)
+	fillDeterministic(&tensor.Tensor{Shape: []int{1, 6, 9, 9}, Data: mixed.Data[in.Size():]}, 71, 0.4)
+	for _, tc := range []struct {
+		in    *tensor.Tensor
+		noise float64
+	}{
+		{in, 0},
+		{mixed, 0.01},
+	} {
+		for _, tiled := range []bool{false, true} {
+			e := NewEngine()
+			e.NTA = 4
+			e.NConv = 64
+			e.UseTiledPath = tiled
+			e.ReadoutNoise = tc.noise
+			want, err := e.Conv2D(tc.in, w, nil, 1, tensor.Same)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e2 := NewEngine()
+			e2.NTA = 4
+			e2.NConv = 64
+			e2.UseTiledPath = tiled
+			e2.ReadoutNoise = tc.noise
+			plan, err := e2.PlanConv(w, nil, 1, tensor.Same)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := plan.Conv2D(tc.in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBitIdentical(t, want, got, "non-negative")
 		}
-		e2 := NewEngine()
-		e2.NTA = 4
-		e2.NConv = 64
-		e2.UseTiledPath = tiled
-		plan, err := e2.PlanConv(w, nil, 1, tensor.Same)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := plan.Conv2D(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitIdentical(t, want, got, "non-negative")
 	}
 }
 

@@ -1,25 +1,23 @@
 package core
 
 import (
-	"fmt"
-	"math/rand"
 	"sync"
 
-	"photofourier/internal/nn"
 	"photofourier/internal/quant"
 	"photofourier/internal/tensor"
 )
 
-// This file is the batch-major execution path of a LayerPlan: one
-// ForwardBatchCalls call runs a whole batch through the layer with
-// PER-SAMPLE semantics — each sample gets its own DAC quantization scale,
-// its own ADC full-scale calibration, and its own readout-noise substreams —
-// so the result is bit-identical to looping the planned single-sample path
-// over the batch, while the machine work is organized batch-major: weights
-// are walked once per output channel (not once per sample), every
-// activation plane is zero-padded once so the shift-and-add sweep runs as
-// chained full-plane register-tiled passes with no boundary clipping, and
-// the whole batch stays resident between pipeline stages.
+// This file holds the batch-major machinery every planned run shares:
+// quantization into zero-padded sign-part planes and the direct path's
+// weight-stationary sweep. One ForwardBatchCalls call runs a whole batch
+// through the layer with PER-SAMPLE semantics — each sample gets its own
+// DAC quantization scale, its own ADC full-scale calibration, and its own
+// readout-noise substreams — so the result is bit-identical to looping the
+// planned single-sample path over the batch, while the machine work is
+// organized batch-major: weights are walked once per output channel (not
+// once per sample), every activation plane is zero-padded once so the
+// shift-and-add sweep runs as chained full-plane register-tiled passes with
+// no boundary clipping, and the whole batch stays resident between stages.
 //
 // The zero padding is exact, not approximate: a tap reading a padding cell
 // contributes c*0 == +0, and adding +0 to a non-negative partial sum is an
@@ -54,10 +52,10 @@ func newPadGeom(h, w, k int, pad tensor.PadMode) padGeom {
 	return g
 }
 
-// batchParts holds the per-sample sign-split quantized activations of one
-// batch in padded layout, with per-sample presence flags (the same
-// partPresence rule the single-sample path applies per call). The struct
-// and every slice it owns are pooled; callers release() when done.
+// batchParts holds the sign-split quantized activations of one batch in
+// padded layout, with per-sample presence flags (the partPresence rule
+// applied per calibration domain). The struct and every slice it owns are
+// pooled; callers release() when done.
 type batchParts struct {
 	pos, neg       []float64 // nil when absent in every sample; alias posBuf/negBuf
 	posBuf, negBuf []float64 // n*cin*srcPlane padded planes (owned backing)
@@ -76,63 +74,57 @@ func (bp *batchParts) release() {
 	batchPartsPool.Put(bp)
 }
 
-// quantizeBatchPadded quantizes every sample independently (per-sample
-// MaxAbs and quantizer, exactly like quantizePartsPooled on a single-sample
-// tensor) and writes the sign parts into zero-padded planes.
-func quantizeBatchPadded(x *tensor.Tensor, bits int, g padGeom) (*batchParts, error) {
+// quantizeBatchPadded quantizes x into zero-padded sign-part planes. Each
+// sample is its own DAC domain (its own MaxAbs quantizer and part presence)
+// unless whole is set, which makes the tensor one domain: one quantizer,
+// and batch-wide presence, so a sample lacking a part the batch has carries
+// zero planes for it, exactly like the unplanned Engine.Conv2D.
+func quantizeBatchPadded(x *tensor.Tensor, bits int, g padGeom, whole bool) (*batchParts, error) {
 	n, cin, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	total := n * cin * g.srcPlane
 	bp, _ := batchPartsPool.Get().(*batchParts)
 	if bp == nil {
 		bp = &batchParts{}
 	}
+	total := n * cin * g.srcPlane
 	posBuf, negBuf := getFloatsZeroed(total), getFloatsZeroed(total)
 	bp.posBuf, bp.negBuf = posBuf, negBuf
 	bp.hasPos, bp.hasNeg = boolPool.Get(n), boolPool.Get(n)
+	per, units := 1, n // samples per domain, domains
+	if whole {
+		per, units = n, 1
+	}
 	anyPos, anyNeg := false, false
-	per := cin * h * w
-	var ql quant.Linear // stack-resident; one value reused across samples
-	for b := 0; b < n; b++ {
-		sample := x.Data[b*per : (b+1)*per]
+	var ql quant.Linear // stack-resident; one value reused across domains
+	for u := 0; u < units; u++ {
+		lo, hi := u*per, (u+1)*per
 		var q *quant.Linear
 		if bits > 0 {
-			maxAbs := 0.0
-			for _, v := range sample {
-				if v < 0 {
-					v = -v
-				}
-				if v > maxAbs {
-					maxAbs = v
-				}
-			}
-			if maxAbs == 0 {
-				maxAbs = 1
+			m := maxAbs(x.Data[lo*cin*h*w : hi*cin*h*w])
+			if m == 0 {
+				m = 1
 			}
 			var err error
-			ql, err = quant.LinearOf(bits, maxAbs)
-			if err != nil {
+			if ql, err = quant.LinearOf(bits, m); err != nil {
 				bp.release()
 				return nil, err
 			}
 			q = &ql
 		}
 		hasPos, hasNeg := false, false
-		for ic := 0; ic < cin; ic++ {
-			srcPlane := sample[ic*h*w : (ic+1)*h*w]
-			dstBase := (b*cin+ic)*g.srcPlane + g.padT*g.sd + g.padL
+		for p := lo * cin; p < hi*cin; p++ {
+			src := x.Data[p*h*w : (p+1)*h*w]
+			dstBase := p*g.srcPlane + g.padT*g.sd + g.padL
 			for y := 0; y < h; y++ {
-				row := srcPlane[y*w : (y+1)*w]
 				off := dstBase + y*g.sd
-				hp, hn := quantizeSplitInto(posBuf[off:off+w], negBuf[off:off+w], row, q)
-				hasPos = hasPos || hp
-				hasNeg = hasNeg || hn
+				hp, hn := quantizeSplitInto(posBuf[off:off+w], negBuf[off:off+w], src[y*w:(y+1)*w], q)
+				hasPos, hasNeg = hasPos || hp, hasNeg || hn
 			}
 		}
 		posPresent, negPresent := partPresence(hasPos, hasNeg)
-		bp.hasPos[b] = posPresent
-		bp.hasNeg[b] = negPresent
-		anyPos = anyPos || posPresent
-		anyNeg = anyNeg || negPresent
+		for b := lo; b < hi; b++ {
+			bp.hasPos[b], bp.hasNeg[b] = posPresent, negPresent
+		}
+		anyPos, anyNeg = anyPos || posPresent, anyNeg || negPresent
 	}
 	if anyPos {
 		bp.pos = posBuf
@@ -141,6 +133,17 @@ func quantizeBatchPadded(x *tensor.Tensor, bits int, g padGeom) (*batchParts, er
 		bp.neg = negBuf
 	}
 	return bp, nil
+}
+
+// presentTerms reports which cross terms a run carries: the batch has the
+// term's activation part and the layer has weights of its sign.
+func (lp *LayerPlan) presentTerms(bp *batchParts) (present [numTerms]bool) {
+	x := [2]bool{bp.pos != nil, bp.neg != nil}
+	w := [2]bool{lp.wpos != nil, lp.wneg != nil}
+	for t := range present {
+		present[t] = x[t/2] && w[t%2]
+	}
+	return present
 }
 
 // BatchExact reports whether ForwardBatchCalls reproduces the per-sample
@@ -174,216 +177,20 @@ func (e *Engine) Calls() uint64 { return e.calls.Load() }
 func (e *Engine) AlignCalls(next uint64) { e.calls.Store(next) }
 
 // ForwardBatchCalls implements nn.BatchLayerPlan: one batch-major planned
-// forward pass with per-sample semantics. Sample i draws its readout-noise
-// substreams from call index first + i*stride; with indices reserved
-// through ReserveCalls to mirror a per-sample call sequence, the output is
-// bit-identical to running the planned single-sample path on each sample in
-// order. The caller must check BatchExact first; a sequentially-noisy
-// detector cannot run batch-major.
+// forward pass in the per-sample calibration domain. Sample i draws its
+// readout-noise substreams from call index first + i*stride; with indices
+// reserved through ReserveCalls to mirror a per-sample call sequence, the
+// output is bit-identical to running the planned single-sample path on each
+// sample in order. The caller must check BatchExact first; a
+// sequentially-noisy detector cannot run batch-major. The output is a
+// pooled scratch tensor; release-aware callers (the nn batch runner) return
+// it with tensor.PutScratch.
 func (lp *LayerPlan) ForwardBatchCalls(x *tensor.Tensor, first, stride uint64) (*tensor.Tensor, error) {
-	e := lp.engine
-	if lp.Stale() {
-		return nil, fmt.Errorf("core: %w: engine DAC/tiling config changed since PlanConv", nn.ErrStalePlan)
-	}
-	if !lp.BatchExact() {
-		return nil, fmt.Errorf("core: batch-major forward with a sequentially-noisy detector; run samples through Conv2D instead")
-	}
-	if e.NTA < 1 {
-		return nil, fmt.Errorf("core: NTA %d must be >= 1", e.NTA)
-	}
-	if x.Rank() != 4 {
-		return nil, fmt.Errorf("core: batch forward wants NCHW input, got %v", x.Shape)
-	}
-	n, cin, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	if cin != lp.cin {
-		return nil, fmt.Errorf("core: %w: channel mismatch %d vs %d", nn.ErrShapeMismatch, lp.cin, cin)
-	}
-	oh, ow := convOutHW(h, w, lp.k, lp.pad)
-	if oh < 1 || ow < 1 {
-		return nil, fmt.Errorf("core: batch conv empty output for %v k=%d", x.Shape, lp.k)
-	}
-	// Pooled and zeroed: the readout paths ACCUMULATE signed terms into the
-	// output, so recycled contents must not leak in. The caller owns the
-	// tensor; release-aware callers (the nn batch runner) return it with
-	// tensor.PutScratch.
-	out := tensor.GetScratchZeroed(n, lp.cout, oh, ow)
-	// Outage is monotonic in the call index, so the batch's largest reserved
-	// call decides for every sample at once.
-	if n > 0 {
-		if err := e.checkOutage(first + uint64(n-1)*stride); err != nil {
-			return nil, err
-		}
-	}
-	var err error
-	if lp.cfg.tiled {
-		err = lp.runTiledBatch(x, out, first, stride)
-	} else {
-		err = lp.runDirectBatch(x, out, first, stride)
-	}
-	if err != nil {
+	var r convRun
+	if err := r.begin(lp, x, 0, lp.cout, first, stride, false); err != nil {
 		return nil, err
 	}
-	if lp.bias != nil {
-		strideC := oh * ow
-		for b := 0; b < n; b++ {
-			for oc := 0; oc < lp.cout; oc++ {
-				base := (b*lp.cout + oc) * strideC
-				for i := 0; i < strideC; i++ {
-					out.Data[base+i] += lp.bias[oc]
-				}
-			}
-		}
-	}
-	if lp.stride > 1 {
-		s := lp.stride
-		dec := tensor.GetScratch(n, lp.cout, (oh+s-1)/s, (ow+s-1)/s)
-		if err := tensor.Decimate2DInto(dec, out, s); err != nil {
-			tensor.PutScratch(dec)
-			tensor.PutScratch(out)
-			return nil, err
-		}
-		tensor.PutScratch(out)
-		return dec, nil
-	}
-	return out, nil
-}
-
-// runDirectBatch is the batch-major direct fast path: padded per-sample
-// quantization, one weight-stationary chained-stencil sweep, then
-// per-sample calibration and fused readout+accumulation.
-func (lp *LayerPlan) runDirectBatch(x, out *tensor.Tensor, first, stride uint64) error {
-	e := lp.engine
-	n, cin := x.Shape[0], x.Shape[1]
-	oh, ow := out.Shape[2], out.Shape[3]
-	g := newPadGeom(x.Shape[2], x.Shape[3], lp.k, lp.pad)
-	bp, err := quantizeBatchPadded(x, lp.cfg.dacBits, g)
-	if err != nil {
-		return err
-	}
-	defer bp.release()
-
-	var present [numTerms]bool
-	present[termPosPos] = bp.pos != nil && lp.wpos != nil
-	present[termPosNeg] = bp.pos != nil && lp.wneg != nil
-	present[termNegPos] = bp.neg != nil && lp.wpos != nil
-	present[termNegNeg] = bp.neg != nil && lp.wneg != nil
-
-	groups := lp.cachedGroups(e.NTA)
-	detGroups := groups
-	perChannel := e.Detector.PerChannel()
-	if perChannel {
-		detGroups = lp.channelGroups()
-	}
-	workers := resolveWorkers(e.Parallelism)
-	size := n * lp.cout * g.dstPlane
-	ps := newPsumSetUncleared(present, len(detGroups), size)
-	defer ps.release()
-	if err := lp.sweepBatchDirect(bp, g, n, detGroups, ps, workers); err != nil {
-		return err
-	}
-
-	noise := e.ReadoutNoise > 0 && e.ADCBits > 0
-	cviews := getViews(len(groups))
-	for gi := range cviews {
-		cviews[gi] = getFloats(lp.cout * oh * ow)
-	}
-	defer releaseViewBuffers(cviews)
-	for term := 0; term < numTerms; term++ {
-		bufs := ps.terms[term]
-		if bufs == nil {
-			continue
-		}
-		if err := e.detectBuffers(bufs, workers); err != nil {
-			return err
-		}
-		merged := bufs
-		var pooled [][]float64
-		if perChannel {
-			pooled = mergeGroups(bufs, groups)
-			merged = pooled
-		}
-		// Per-sample activity mirrors the single-sample path's term
-		// presence: a sample without the term's activation part performs no
-		// calibration, readout, or noise draw for it.
-		partHas := bp.hasPos
-		if term == termNegPos || term == termNegNeg {
-			partHas = bp.hasNeg
-		}
-		sgn := termSign[term]
-		// Max-based calibration over a single operating group folds into the
-		// compaction pass (the scan visits the same values hardwareScale's
-		// calibScale would).
-		maxCalib := len(merged) == 1 && (e.ADCCalibPercentile <= 0 || e.ADCCalibPercentile >= 1)
-		for b := 0; b < n; b++ {
-			if !partHas[b] {
-				continue
-			}
-			var scale float64
-			if maxCalib {
-				m := compactPlanesMax(cviews[0], merged[0][b*lp.cout*g.dstPlane:], lp.cout, oh, g.sd, ow)
-				scale = m
-				if scale <= 0 {
-					scale = 1
-				}
-			} else {
-				for gi := range merged {
-					compactPlanes(cviews[gi], merged[gi][b*lp.cout*g.dstPlane:], lp.cout, oh, g.sd, ow)
-				}
-				scale = e.hardwareScale(cviews, cin)
-			}
-			outSample := out.Data[b*lp.cout*oh*ow : (b+1)*lp.cout*oh*ow]
-			callIdx := first + uint64(b)*stride
-			if e.Faults != nil {
-				for gi := range cviews {
-					if err := e.applyGroupFaults(callIdx, term, gi, cviews[gi], scale); err != nil {
-						return err
-					}
-				}
-			}
-			for gi := range cviews {
-				var rng *rand.Rand
-				if noise {
-					rng = e.readoutStream(callIdx, term, gi)
-				}
-				if err := e.readoutAccum(cviews[gi], scale, rng, sgn, outSample); err != nil {
-					return err
-				}
-			}
-		}
-		if pooled != nil {
-			for i, buf := range pooled {
-				putFloats(buf)
-				pooled[i] = nil
-			}
-			putViews(pooled)
-		}
-	}
-	return nil
-}
-
-// compactPlanesMax is compactPlanes with the max-magnitude scan of
-// max-based ADC calibration folded into the copy, sparing a separate pass.
-func compactPlanesMax(dst, src []float64, planes, rows, sd, ow int) float64 {
-	m := 0.0
-	di := 0
-	for p := 0; p < planes; p++ {
-		base := p * rows * sd
-		for r := 0; r < rows; r++ {
-			row := src[base+r*sd:][:ow]
-			d := dst[di:][:ow]
-			for i, v := range row {
-				d[i] = v
-				if v < 0 {
-					v = -v
-				}
-				if v > m {
-					m = v
-				}
-			}
-			di += ow
-		}
-	}
-	return m
+	return r.finish(nil)
 }
 
 // compactPlanes copies the real columns of `planes` padded output planes
@@ -400,24 +207,18 @@ func compactPlanes(dst, src []float64, planes, rows, sd, ow int) {
 	}
 }
 
-// sweepBatchDirect is the weight-stationary batched sweep: output channels
-// are the parallel work items; for each (output channel, input channel) the
-// signed quantized kernel is compacted once into positive and negative tap
-// chains, and each chain of up to three taps sweeps every sample's padded
-// plane in one register-tiled full-span pass. Per accumulator element the
-// additions arrive in (input channel, ky, kx) order with sign-matching taps
-// only (padding contributes exact +0), so each (sample, channel) output
-// plane is bit-identical to the single-sample fused sweep's.
-func (lp *LayerPlan) sweepBatchDirect(bp *batchParts, g padGeom, n int, groups [][2]int, ps *psumSet, workers int) error {
-	return lp.sweepBatchDirectRange(bp, g, n, groups, ps, workers, 0, lp.cout, lp.cout)
-}
-
-// sweepBatchDirectRange is sweepBatchDirect restricted to output channels
-// [ocLo, ocHi): channel oc lands at destination plane index oc-ocLo of
-// partial-sum buffers holding dstCout planes per sample. The full sweep is
-// the ocLo=0, ocHi=dstCout=cout case; a channel-sharded range sweep
-// produces, per in-range channel, exactly the stripes the full sweep would
-// (per-channel work items are independent).
+// sweepBatchDirectRange is the weight-stationary batched sweep over output
+// channels [ocLo, ocHi): output channels are the parallel work items; for
+// each (output channel, input channel) the signed quantized kernel is
+// compacted once into positive and negative tap chains, and each chain of
+// up to three taps sweeps every sample's padded plane in one
+// register-tiled full-span pass. Per accumulator element the additions
+// arrive in (input channel, ky, kx) order with sign-matching taps only
+// (padding contributes exact +0), so each (sample, channel) output plane is
+// bit-identical to the boundary-clipped sweep of the unplanned path.
+// Channel oc lands at destination plane index oc-ocLo of partial-sum
+// buffers holding dstCout planes per sample; per-channel work items are
+// independent, so a range produces exactly the full sweep's stripes.
 func (lp *LayerPlan) sweepBatchDirectRange(bp *batchParts, g padGeom, n int, groups [][2]int, ps *psumSet, workers, ocLo, ocHi, dstCout int) error {
 	cin, k := lp.cin, lp.k
 	return parallelFor(ocHi-ocLo, workers, func(item int) error {
@@ -543,8 +344,6 @@ func (lp *LayerPlan) sweepTapChains(bp *batchParts, g padGeom, n, dstOC, dstCout
 		}
 	}
 }
-
-// runTiledBatch is implemented in planbatchtiled.go.
 
 // sweepSingle dispatches one chain over a single activation part.
 func (lp *LayerPlan) sweepSingle(d, part []float64, ch []sweepTap, z bool) {

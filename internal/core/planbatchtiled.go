@@ -1,11 +1,9 @@
 package core
 
 import (
-	"math/rand"
 	"sync"
 
 	"photofourier/internal/buf"
-	"photofourier/internal/tensor"
 	"photofourier/internal/tiling"
 )
 
@@ -17,31 +15,6 @@ var (
 	rowTabPool        buf.Pool[[][]float64]
 	batchOperandsPool sync.Pool
 )
-
-// accTableFor builds one term's (sample, kernel) → accumulator-plane table
-// over group gi; absent samples stay nil (skipped by the executor). The
-// table comes from the views pool; callers release it with putViews.
-func accTableFor(ps *psumSet, bp *batchParts, term, gi, n, cout, plane int) [][]float64 {
-	bufs := ps.terms[term]
-	if bufs == nil {
-		return nil
-	}
-	accs := getViewsZeroed(n * cout)
-	partHas := bp.hasPos
-	if term == termNegPos || term == termNegNeg {
-		partHas = bp.hasNeg
-	}
-	for b := 0; b < n; b++ {
-		if !partHas[b] {
-			continue
-		}
-		for oc := 0; oc < cout; oc++ {
-			off := (b*cout + oc) * plane
-			accs[b*cout+oc] = bufs[gi][off : off+plane]
-		}
-	}
-	return accs
-}
 
 // rowTableFor builds the per-sample row-view tables of one activation part:
 // all[b] is an h-row window into the flat pooled backing, nil when the
@@ -79,40 +52,69 @@ func bindSampleRows(all [][][]float64, part []float64, ic, n, cin, h, w int) [][
 	return all
 }
 
-// tiledBatchGroup runs one operating group's full batch-major sweep: pooled
-// row/kernel/accumulator tables are bound, every input channel of the group
-// walks the batched executor, and the scratch returns to its pools
-// (abandoned to the GC on the exceptional error paths).
-func (lp *LayerPlan) tiledBatchGroup(bp *batchParts, geo *layerGeo, ps *psumSet, g [2]int, gi, n, cin, h, w, oh, ow int) error {
+// accTableForRange builds one term's (sample, kernel) → accumulator-plane
+// table over group gi for output channels [ocLo, ocHi), whose rc planes per
+// sample the psum buffers hold; samples without the term's activation part
+// stay nil (skipped by the executor). The table comes from the views pool;
+// callers release it with putViews.
+func accTableForRange(ps *psumSet, bp *batchParts, term, gi, n, rc, plane int) [][]float64 {
+	bufs := ps.terms[term]
+	if bufs == nil {
+		return nil
+	}
+	accs := getViewsZeroed(n * rc)
+	has := partFlags(term, bp.hasPos, bp.hasNeg)
+	for b := 0; b < n; b++ {
+		if !has[b] {
+			continue
+		}
+		for j := 0; j < rc; j++ {
+			off := (b*rc + j) * plane
+			accs[b*rc+j] = bufs[gi][off : off+plane]
+		}
+	}
+	return accs
+}
+
+// tiledBatchGroupRange runs one operating group's batch-major sweep over
+// output channels [ocLo, ocHi): pooled row/kernel/accumulator tables are
+// bound, every input channel of the group walks the packed executor, and
+// the scratch returns to its pools (abandoned to the GC on the exceptional
+// error paths). Only the range's kernels are correlated (and counted as
+// shots), and each accumulator receives exactly the additions the
+// full-plane executor would deliver to that (sample, channel) plane, in the
+// same shot order.
+func (lp *LayerPlan) tiledBatchGroupRange(bp *batchParts, geo *layerGeo, ps *psumSet, g [2]int, gi, n, cin, h, w, oh, ow, ocLo, ocHi int) error {
+	rc := ocHi - ocLo
 	rowsPos, rowsPosFlat := rowTableFor(bp.pos, bp.hasPos, n, h)
 	rowsNeg, rowsNegFlat := rowTableFor(bp.neg, bp.hasNeg, n, h)
 	var kbufPos, kbufNeg []*tiling.KernelPlan
 	if geo.kpos != nil {
-		kbufPos = kernelPlanPool.Get(lp.cout)
+		kbufPos = kernelPlanPool.Get(rc)
 	}
 	if geo.kneg != nil {
-		kbufNeg = kernelPlanPool.Get(lp.cout)
+		kbufNeg = kernelPlanPool.Get(rc)
 	}
 	op, _ := batchOperandsPool.Get().(*tiling.BatchConvOperands)
 	if op == nil {
 		op = &tiling.BatchConvOperands{}
 	}
 	op.KPos, op.KNeg = kbufPos, kbufNeg
-	op.Accs[0] = accTableFor(ps, bp, termPosPos, gi, n, lp.cout, oh*ow)
-	op.Accs[1] = accTableFor(ps, bp, termPosNeg, gi, n, lp.cout, oh*ow)
-	op.Accs[2] = accTableFor(ps, bp, termNegPos, gi, n, lp.cout, oh*ow)
-	op.Accs[3] = accTableFor(ps, bp, termNegNeg, gi, n, lp.cout, oh*ow)
+	op.Accs[0] = accTableForRange(ps, bp, termPosPos, gi, n, rc, oh*ow)
+	op.Accs[1] = accTableForRange(ps, bp, termPosNeg, gi, n, rc, oh*ow)
+	op.Accs[2] = accTableForRange(ps, bp, termNegPos, gi, n, rc, oh*ow)
+	op.Accs[3] = accTableForRange(ps, bp, termNegNeg, gi, n, rc, oh*ow)
 	for ic := g[0]; ic < g[1]; ic++ {
 		op.Pos = bindSampleRows(rowsPos, bp.pos, ic, n, cin, h, w)
 		op.Neg = bindSampleRows(rowsNeg, bp.neg, ic, n, cin, h, w)
 		if kbufPos != nil {
-			for oc := 0; oc < lp.cout; oc++ {
-				kbufPos[oc] = geo.kpos[oc*cin+ic]
+			for j := 0; j < rc; j++ {
+				kbufPos[j] = geo.kpos[(ocLo+j)*cin+ic]
 			}
 		}
 		if kbufNeg != nil {
-			for oc := 0; oc < lp.cout; oc++ {
-				kbufNeg[oc] = geo.kneg[oc*cin+ic]
+			for j := 0; j < rc; j++ {
+				kbufNeg[j] = geo.kneg[(ocLo+j)*cin+ic]
 			}
 		}
 		if err := geo.tp.Conv2DPlannedAccumBatch(op); err != nil {
@@ -151,106 +153,51 @@ func (lp *LayerPlan) tiledBatchGroup(bp *batchParts, geo *layerGeo, ps *psumSet,
 	return nil
 }
 
-// runTiledBatch is the batch-major full-fidelity path: every distinct
-// (sample, channel, shot, activation part) signal is transformed to the
-// frequency domain exactly once into the tiling executor's spectrum arena
-// and reused across every output channel and both weight signs — where the
-// per-sample path re-transforms per weight sign (and per worker chunk).
-// Shot accounting runs on the packed BatchPlan schedule, so batches advance
-// jtc.Shots by strictly less than per-sample execution whenever the
-// aperture has slack to pack.
-//
-// Per-sample semantics match runTiled exactly: per-sample quantization
-// scales, per-group detection in canonical order (noise-free detectors
-// only; ForwardBatchCalls gates on BatchExact), per-sample ADC calibration,
-// and per-sample keyed readout substreams.
-func (lp *LayerPlan) runTiledBatch(x, out *tensor.Tensor, first, stride uint64) error {
-	e := lp.engine
-	n, cin, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow := out.Shape[2], out.Shape[3]
-	flat := padGeom{h: h, w: w, sd: w, srcRows: h, srcPlane: h * w}
-	bp, err := quantizeBatchPadded(x, lp.cfg.dacBits, flat)
-	if err != nil {
-		return err
+// tiledGroupConv is the unpacked sweep of whole-call runs: it accumulates
+// one group's partial sums of activation part xp (n x cin x h x w) for
+// every (batch, output channel) through the many-kernel planned conv. Output channels are
+// chunked so a work item transforms each shot signal once for its whole
+// chunk; chunking does not change any accumulator's addition order, so the
+// result is bit-identical at any worker count.
+func (lp *LayerPlan) tiledGroupConv(xp []float64, h, w int, kps []*tiling.KernelPlan, g [2]int, tp *tiling.Plan, psum []float64, n, oh, ow, workers int) error {
+	cout, cin := lp.cout, lp.cin
+	chunks := workers
+	if chunks > cout {
+		chunks = cout
 	}
-	defer bp.release()
-	geo, err := lp.geometry(h, w)
-	if err != nil {
-		return err
+	if chunks < 1 {
+		chunks = 1
 	}
-	groups := lp.cachedGroups(e.NTA)
-	workers := resolveWorkers(e.Parallelism)
-	size := n * lp.cout * oh * ow
-
-	var present [numTerms]bool
-	present[termPosPos] = bp.pos != nil && geo.kpos != nil
-	present[termPosNeg] = bp.pos != nil && geo.kneg != nil
-	present[termNegPos] = bp.neg != nil && geo.kpos != nil
-	present[termNegNeg] = bp.neg != nil && geo.kneg != nil
-	ps := newPsumSet(present, len(groups), size)
-	defer ps.release()
-
-	// Groups are the sweep's parallel axis: each group's partial-sum
-	// buffers are disjoint, and the shot→kernel→sample arena reuse inside
-	// Conv2DPlannedAccumBatch stays intact per group (chunking output
-	// channels instead would re-transform signals per chunk). Row and
-	// kernel scratch is per work item, drawn from pools. The serial case
-	// loops directly so the dispatch closure never materializes.
-	if workers <= 1 || len(groups) == 1 {
-		for gi := range groups {
-			if err := lp.tiledBatchGroup(bp, geo, ps, groups[gi], gi, n, cin, h, w, oh, ow); err != nil {
+	per := (cout + chunks - 1) / chunks
+	return parallelFor(n*chunks, workers, func(item int) error {
+		b, ci := item/chunks, item%chunks
+		oc0 := ci * per
+		oc1 := oc0 + per
+		if oc1 > cout {
+			oc1 = cout
+		}
+		if oc0 >= oc1 {
+			return nil
+		}
+		rows := make([][]float64, h)
+		kbuf := make([]*tiling.KernelPlan, oc1-oc0)
+		accs := make([][]float64, oc1-oc0)
+		for j := range accs {
+			oc := oc0 + j
+			accs[j] = psum[((b*cout)+oc)*oh*ow : ((b*cout)+oc+1)*oh*ow]
+		}
+		for ic := g[0]; ic < g[1]; ic++ {
+			base := (b*cin + ic) * h * w
+			for r := 0; r < h; r++ {
+				rows[r] = xp[base+r*w : base+(r+1)*w]
+			}
+			for j := range kbuf {
+				kbuf[j] = kps[(oc0+j)*cin+ic]
+			}
+			if err := tp.Conv2DPlannedAccumMany(rows, kbuf, accs); err != nil {
 				return err
 			}
 		}
-	} else if err := parallelFor(len(groups), workers, func(gi int) error {
-		return lp.tiledBatchGroup(bp, geo, ps, groups[gi], gi, n, cin, h, w, oh, ow)
-	}); err != nil {
-		return err
-	}
-
-	noise := e.ReadoutNoise > 0 && e.ADCBits > 0
-	views := getViews(len(groups))
-	defer putViews(views)
-	for term := 0; term < numTerms; term++ {
-		bufs := ps.terms[term]
-		if bufs == nil {
-			continue
-		}
-		if err := e.detectBuffers(bufs, workers); err != nil {
-			return err
-		}
-		partHas := bp.hasPos
-		if term == termNegPos || term == termNegNeg {
-			partHas = bp.hasNeg
-		}
-		sgn := termSign[term]
-		for b := 0; b < n; b++ {
-			if !partHas[b] {
-				continue
-			}
-			for gi := range bufs {
-				views[gi] = bufs[gi][b*lp.cout*oh*ow : (b+1)*lp.cout*oh*ow]
-			}
-			scale := e.hardwareScale(views, cin)
-			outSample := out.Data[b*lp.cout*oh*ow : (b+1)*lp.cout*oh*ow]
-			callIdx := first + uint64(b)*stride
-			if e.Faults != nil {
-				for gi := range views {
-					if err := e.applyGroupFaults(callIdx, term, gi, views[gi], scale); err != nil {
-						return err
-					}
-				}
-			}
-			for gi := range views {
-				var rng *rand.Rand
-				if noise {
-					rng = e.readoutStream(callIdx, term, gi)
-				}
-				if err := e.readoutAccum(views[gi], scale, rng, sgn, outSample); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
+		return nil
+	})
 }

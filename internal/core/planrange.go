@@ -1,10 +1,10 @@
-// Channel-range batch execution: the core half of output-channel sharding
-// (nn.ChannelRangePlan). One BeginBatchRange/Finish pair runs a layer's
-// batch forward restricted to output channels [ocLo, ocHi) in two phases —
-// sweep/detect first, readout second — so a multi-device scheduler can
-// exchange the per-(term, sample, hardware-group) calibration maxima
-// between the phases and read every range out against the SAME ADC full
-// scale a single engine would have derived from the whole plane.
+// Channel-range execution: the core half of output-channel sharding
+// (nn.ChannelRangePlan). BeginBatchRange runs the per-sample run's first
+// stage restricted to output channels [ocLo, ocHi) and publishes the raw
+// per-(term, sample, hardware-group) calibration maxima; a multi-device
+// scheduler combines the maxima of every range (nn.CombineRangeScales) so
+// that Finish reads every range out against the SAME ADC full scale a
+// single engine would have derived from the whole plane.
 //
 // Everything that keys noise or faults stays position-derived: the readout
 // substream of (call, term, group) is the full plane's substream, and a
@@ -20,11 +20,9 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"photofourier/internal/nn"
 	"photofourier/internal/tensor"
-	"photofourier/internal/tiling"
 )
 
 // The cross-term count is part of the exchange format with nn.
@@ -35,540 +33,81 @@ var _ nn.ChannelRangePlan = (*LayerPlan)(nil)
 // OutChannels implements nn.ChannelRangePlan.
 func (lp *LayerPlan) OutChannels() int { return lp.cout }
 
-// batchRangeRun is the in-flight state between the two phases: the range's
-// detected, compacted partial sums per (term, merged group), the batch
-// activity flags, and the exported maxima. All buffers are pooled.
-type batchRangeRun struct {
-	lp             *LayerPlan
-	n              int
-	ocLo, ocHi     int
-	oh, ow         int
-	first, stride  uint64
-	hasPos, hasNeg []bool
-	// views[term][gi] holds n*(ocHi-ocLo)*oh*ow compacted plane values
-	// (sample-major); nil for absent terms. For the tiled path these alias
-	// ps's buffers; for the direct path they are owned compact copies.
-	views [numTerms][][]float64
-	ps    *psumSet // non-nil on the tiled path (views alias it)
-	mx    nn.RangeMaxima
-	done  bool
-}
-
-// BeginBatchRange implements nn.ChannelRangePlan: phase one of a
+// BeginBatchRange implements nn.ChannelRangePlan: the first stage of a
 // channel-sharded batch forward over output channels [ocLo, ocHi), keyed
 // exactly like ForwardBatchCalls(x, first, stride). The returned run holds
 // the range's calibration maxima; readout completes in Finish once the
 // scheduler has combined the maxima of every range.
 func (lp *LayerPlan) BeginBatchRange(x *tensor.Tensor, ocLo, ocHi int, first, stride uint64) (nn.ChannelRangeRun, error) {
 	e := lp.engine
-	if lp.Stale() {
-		return nil, fmt.Errorf("core: %w: engine DAC/tiling config changed since PlanConv", nn.ErrStalePlan)
-	}
-	if !lp.BatchExact() {
-		return nil, fmt.Errorf("core: channel-range forward with a sequentially-noisy detector")
-	}
-	if e.NTA < 1 {
-		return nil, fmt.Errorf("core: NTA %d must be >= 1", e.NTA)
-	}
 	if p := e.ADCCalibPercentile; p > 0 && p < 1 {
 		return nil, fmt.Errorf("core: percentile ADC calibration (%.3f) does not decompose over channel ranges", p)
 	}
 	if e.Faults != nil && e.Faults.ShotRate > 0 {
 		return nil, fmt.Errorf("core: transient-misfire guard needs whole readout planes; cannot channel-shard with shot faults")
 	}
-	if x.Rank() != 4 {
-		return nil, fmt.Errorf("core: channel-range forward wants NCHW input, got %v", x.Shape)
-	}
 	if ocLo < 0 || ocHi <= ocLo || ocHi > lp.cout {
 		return nil, fmt.Errorf("core: channel range [%d,%d) out of [0,%d)", ocLo, ocHi, lp.cout)
 	}
-	n, cin := x.Shape[0], x.Shape[1]
-	if cin != lp.cin {
-		return nil, fmt.Errorf("core: %w: channel mismatch %d vs %d", nn.ErrShapeMismatch, lp.cin, cin)
-	}
-	oh, ow := convOutHW(x.Shape[2], x.Shape[3], lp.k, lp.pad)
-	if oh < 1 || ow < 1 {
-		return nil, fmt.Errorf("core: channel-range conv empty output for %v k=%d", x.Shape, lp.k)
-	}
-	if n > 0 {
-		if err := e.checkOutage(first + uint64(n-1)*stride); err != nil {
-			return nil, err
-		}
-	}
-	r := &batchRangeRun{lp: lp, n: n, ocLo: ocLo, ocHi: ocHi, oh: oh, ow: ow, first: first, stride: stride}
-	var err error
-	if lp.cfg.tiled {
-		err = r.beginTiled(x)
-	} else {
-		err = r.beginDirect(x)
-	}
-	if err != nil {
-		r.Release()
+	r := &convRun{}
+	if err := r.begin(lp, x, ocLo, ocHi, first, stride, false); err != nil {
 		return nil, err
 	}
+	r.exportMaxima()
 	return r, nil
 }
 
-// hardwareChunk mirrors hardwareScale's merge of operating groups into
-// hardware accumulation groups: per operating groups per chunk, count
-// chunks total.
-func (lp *LayerPlan) hardwareChunk(nGroups int) (per, count int) {
-	e := lp.engine
-	hwDepth := hardwareAccumulationDepth
-	if e.NTA > hwDepth {
-		hwDepth = e.NTA
-	}
-	if hwDepth > lp.cin {
-		hwDepth = lp.cin
-	}
-	per = (hwDepth + e.NTA - 1) / e.NTA
-	if per < 1 {
-		per = 1
-	}
-	return per, (nGroups + per - 1) / per
-}
-
-// retain copies the batch activity flags out of bp (which is released at
-// the end of phase one) into pooled slices the run owns.
-func (r *batchRangeRun) retain(bp *batchParts) {
-	r.hasPos = boolPool.Get(r.n)
-	r.hasNeg = boolPool.Get(r.n)
-	copy(r.hasPos, bp.hasPos)
-	copy(r.hasNeg, bp.hasNeg)
-}
-
-// exportMaxima scans the compacted range views into the run's raw
-// calibration maxima: for every present term and active sample, the
-// maximum absolute accumulated charge of each hardware group over the
-// range. Summing the chunk's operating-group planes elementwise before the
-// scan reproduces hardwareScale's accumulation exactly (restricted to the
-// range's elements, over which the per-element sums are identical).
-func (r *batchRangeRun) exportMaxima() {
-	lp := r.lp
-	rc := r.ocHi - r.ocLo
-	plane := rc * r.oh * r.ow
-	nGroups := len(lp.cachedGroups(lp.engine.NTA))
-	per, hw := lp.hardwareChunk(nGroups)
+// exportMaxima scans the range's compacted views into its raw calibration
+// maxima: for every present term and active sample, the maximum absolute
+// charge of each hardware accumulation group over the range — the charge
+// hardwareScale calibrates on, restricted to the range's elements.
+func (r *convRun) exportMaxima() {
+	lp, e := r.lp, r.lp.engine
+	plane := (r.ocHi - r.ocLo) * r.oh * r.ow
+	nGroups := len(lp.cachedGroups(e.NTA))
+	_, hw := e.hardwareChunk(lp.cin, nGroups)
 	r.mx = nn.RangeMaxima{Samples: r.n, Groups: hw}
-	var acc []float64
-	if per > 1 && nGroups > 1 {
-		acc = getFloatsZeroed(plane)
-		defer putFloats(acc)
-	}
-	for term := 0; term < numTerms; term++ {
-		views := r.views[term]
+	unit := getViews(nGroups)
+	defer putViews(unit)
+	for term, views := range r.views {
 		if views == nil {
 			continue
 		}
 		maxima := make([]float64, r.n*hw)
-		partHas := r.hasPos
-		if term == termNegPos || term == termNegNeg {
-			partHas = r.hasNeg
-		}
+		has := partFlags(term, r.hasPos, r.hasNeg)
 		for b := 0; b < r.n; b++ {
-			if !partHas[b] {
+			if !has[b] {
 				continue
 			}
-			for c := 0; c < hw; c++ {
-				lo, hi := c*per, (c+1)*per
-				if hi > nGroups {
-					hi = nGroups
-				}
-				m := 0.0
-				if hi-lo == 1 || nGroups == 1 {
-					m = maxAbs(views[lo][b*plane : (b+1)*plane])
-				} else {
-					clear(acc)
-					for gi := lo; gi < hi; gi++ {
-						src := views[gi][b*plane : (b+1)*plane]
-						for i, v := range src {
-							acc[i] += v
-						}
-					}
-					m = maxAbs(acc)
-				}
-				maxima[b*hw+c] = m
+			for gi, v := range views {
+				unit[gi] = v[b*plane : (b+1)*plane]
 			}
+			e.hardwareGroups(unit[:len(views)], lp.cin, func(c int, charge []float64) {
+				maxima[b*hw+c] = maxAbs(charge)
+			})
 		}
 		r.mx.Terms[term] = maxima
 	}
 }
 
-func maxAbs(data []float64) float64 {
-	m := 0.0
-	for _, v := range data {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// beginDirect is phase one on the direct path: padded quantization of the
-// FULL input (per-sample scales and activity are range-independent), a
-// range-restricted store-first sweep, detection, per-channel merge where
-// the detector wants it, and compaction into owned buffers.
-func (r *batchRangeRun) beginDirect(x *tensor.Tensor) error {
-	lp, e := r.lp, r.lp.engine
-	n, rc := r.n, r.ocHi-r.ocLo
-	g := newPadGeom(x.Shape[2], x.Shape[3], lp.k, lp.pad)
-	bp, err := quantizeBatchPadded(x, lp.cfg.dacBits, g)
-	if err != nil {
-		return err
-	}
-	defer bp.release()
-	r.retain(bp)
-
-	var present [numTerms]bool
-	present[termPosPos] = bp.pos != nil && lp.wpos != nil
-	present[termPosNeg] = bp.pos != nil && lp.wneg != nil
-	present[termNegPos] = bp.neg != nil && lp.wpos != nil
-	present[termNegNeg] = bp.neg != nil && lp.wneg != nil
-
-	groups := lp.cachedGroups(e.NTA)
-	detGroups := groups
-	perChannel := e.Detector.PerChannel()
-	if perChannel {
-		detGroups = lp.channelGroups()
-	}
-	workers := resolveWorkers(e.Parallelism)
-	size := n * rc * g.dstPlane
-	ps := newPsumSetUncleared(present, len(detGroups), size)
-	defer ps.release()
-	if err := lp.sweepBatchDirectRange(bp, g, n, detGroups, ps, workers, r.ocLo, r.ocHi, rc); err != nil {
-		return err
-	}
-
-	plane := rc * r.oh * r.ow
-	for term := 0; term < numTerms; term++ {
-		bufs := ps.terms[term]
-		if bufs == nil {
-			continue
-		}
-		if err := e.detectBuffers(bufs, workers); err != nil {
-			return err
-		}
-		merged := bufs
-		var pooled [][]float64
-		if perChannel {
-			pooled = mergeGroups(bufs, groups)
-			merged = pooled
-		}
-		partHas := bp.hasPos
-		if term == termNegPos || term == termNegNeg {
-			partHas = bp.hasNeg
-		}
-		views := getViews(len(merged))
-		for gi := range merged {
-			views[gi] = getFloats(n * plane)
-			for b := 0; b < n; b++ {
-				if !partHas[b] {
-					continue
-				}
-				compactPlanes(views[gi][b*plane:], merged[gi][b*rc*g.dstPlane:], rc, r.oh, g.sd, r.ow)
-			}
-		}
-		r.views[term] = views
-		if pooled != nil {
-			for i, buf := range pooled {
-				putFloats(buf)
-				pooled[i] = nil
-			}
-			putViews(pooled)
-		}
-	}
-	r.exportMaxima()
-	return nil
-}
-
-// accTableForRange is accTableFor over output channels [ocLo, ocHi): the
-// (sample, kernel) table addresses rc-channel range planes.
-func accTableForRange(ps *psumSet, bp *batchParts, term, gi, n, rc, plane int) [][]float64 {
-	bufs := ps.terms[term]
-	if bufs == nil {
-		return nil
-	}
-	accs := getViewsZeroed(n * rc)
-	partHas := bp.hasPos
-	if term == termNegPos || term == termNegNeg {
-		partHas = bp.hasNeg
-	}
-	for b := 0; b < n; b++ {
-		if !partHas[b] {
-			continue
-		}
-		for j := 0; j < rc; j++ {
-			off := (b*rc + j) * plane
-			accs[b*rc+j] = bufs[gi][off : off+plane]
-		}
-	}
-	return accs
-}
-
-// tiledBatchGroupRange is tiledBatchGroup with the kernel and accumulator
-// tables restricted to output channels [ocLo, ocHi): only the range's
-// kernels are correlated (and counted as shots), and each accumulator
-// receives exactly the additions the full-plane executor would deliver to
-// that (sample, channel) plane, in the same shot order.
-func (lp *LayerPlan) tiledBatchGroupRange(bp *batchParts, geo *layerGeo, ps *psumSet, g [2]int, gi, n, cin, h, w, oh, ow, ocLo, ocHi int) error {
-	rc := ocHi - ocLo
-	rowsPos, rowsPosFlat := rowTableFor(bp.pos, bp.hasPos, n, h)
-	rowsNeg, rowsNegFlat := rowTableFor(bp.neg, bp.hasNeg, n, h)
-	var kbufPos, kbufNeg []*tiling.KernelPlan
-	if geo.kpos != nil {
-		kbufPos = kernelPlanPool.Get(rc)
-	}
-	if geo.kneg != nil {
-		kbufNeg = kernelPlanPool.Get(rc)
-	}
-	op, _ := batchOperandsPool.Get().(*tiling.BatchConvOperands)
-	if op == nil {
-		op = &tiling.BatchConvOperands{}
-	}
-	op.KPos, op.KNeg = kbufPos, kbufNeg
-	op.Accs[0] = accTableForRange(ps, bp, termPosPos, gi, n, rc, oh*ow)
-	op.Accs[1] = accTableForRange(ps, bp, termPosNeg, gi, n, rc, oh*ow)
-	op.Accs[2] = accTableForRange(ps, bp, termNegPos, gi, n, rc, oh*ow)
-	op.Accs[3] = accTableForRange(ps, bp, termNegNeg, gi, n, rc, oh*ow)
-	for ic := g[0]; ic < g[1]; ic++ {
-		op.Pos = bindSampleRows(rowsPos, bp.pos, ic, n, cin, h, w)
-		op.Neg = bindSampleRows(rowsNeg, bp.neg, ic, n, cin, h, w)
-		if kbufPos != nil {
-			for j := 0; j < rc; j++ {
-				kbufPos[j] = geo.kpos[(ocLo+j)*cin+ic]
-			}
-		}
-		if kbufNeg != nil {
-			for j := 0; j < rc; j++ {
-				kbufNeg[j] = geo.kneg[(ocLo+j)*cin+ic]
-			}
-		}
-		if err := geo.tp.Conv2DPlannedAccumBatch(op); err != nil {
-			return err
-		}
-	}
-	for i, accs := range op.Accs {
-		if accs != nil {
-			clear(accs)
-			putViews(accs)
-			op.Accs[i] = nil
-		}
-	}
-	if rowsPosFlat != nil {
-		clear(rowsPosFlat)
-		putViews(rowsPosFlat)
-		clear(rowsPos)
-		rowTabPool.Put(rowsPos)
-	}
-	if rowsNegFlat != nil {
-		clear(rowsNegFlat)
-		putViews(rowsNegFlat)
-		clear(rowsNeg)
-		rowTabPool.Put(rowsNeg)
-	}
-	if kbufPos != nil {
-		clear(kbufPos)
-		kernelPlanPool.Put(kbufPos)
-	}
-	if kbufNeg != nil {
-		clear(kbufNeg)
-		kernelPlanPool.Put(kbufNeg)
-	}
-	*op = tiling.BatchConvOperands{}
-	batchOperandsPool.Put(op)
-	return nil
-}
-
-// beginTiled is phase one on the tiled path: the range's psum buffers are
-// already compact (oh*ow planes), so the run's views alias them and the
-// set is retained until Finish.
-func (r *batchRangeRun) beginTiled(x *tensor.Tensor) error {
-	lp, e := r.lp, r.lp.engine
-	n, rc := r.n, r.ocHi-r.ocLo
-	cin, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
-	flat := padGeom{h: h, w: w, sd: w, srcRows: h, srcPlane: h * w}
-	bp, err := quantizeBatchPadded(x, lp.cfg.dacBits, flat)
-	if err != nil {
-		return err
-	}
-	defer bp.release()
-	r.retain(bp)
-	geo, err := lp.geometry(h, w)
-	if err != nil {
-		return err
-	}
-	groups := lp.cachedGroups(e.NTA)
-	workers := resolveWorkers(e.Parallelism)
-	size := n * rc * r.oh * r.ow
-
-	var present [numTerms]bool
-	present[termPosPos] = bp.pos != nil && geo.kpos != nil
-	present[termPosNeg] = bp.pos != nil && geo.kneg != nil
-	present[termNegPos] = bp.neg != nil && geo.kpos != nil
-	present[termNegNeg] = bp.neg != nil && geo.kneg != nil
-	ps := newPsumSet(present, len(groups), size)
-	r.ps = ps
-
-	run := func(gi int) error {
-		return lp.tiledBatchGroupRange(bp, geo, ps, groups[gi], gi, n, cin, h, w, r.oh, r.ow, r.ocLo, r.ocHi)
-	}
-	if workers <= 1 || len(groups) == 1 {
-		for gi := range groups {
-			if err := run(gi); err != nil {
-				return err
-			}
-		}
-	} else if err := parallelFor(len(groups), workers, run); err != nil {
-		return err
-	}
-
-	for term := 0; term < numTerms; term++ {
-		bufs := ps.terms[term]
-		if bufs == nil {
-			continue
-		}
-		if err := e.detectBuffers(bufs, workers); err != nil {
-			return err
-		}
-		r.views[term] = bufs
-	}
-	r.exportMaxima()
-	return nil
-}
-
 // Maxima implements nn.ChannelRangeRun.
-func (r *batchRangeRun) Maxima() nn.RangeMaxima { return r.mx }
+func (r *convRun) Maxima() nn.RangeMaxima { return r.mx }
 
-// Finish implements nn.ChannelRangeRun: phase two reads the range out
-// against the combined scales — elementwise faults, position-derived keyed
-// noise with the range's leading draws discarded, signed accumulation,
-// bias, and stride decimation — and consumes the run.
-func (r *batchRangeRun) Finish(scales *nn.RangeScales) (*tensor.Tensor, error) {
+// Finish implements nn.ChannelRangeRun: the run's last stage against the
+// scales combined over every range. The run is consumed.
+func (r *convRun) Finish(scales *nn.RangeScales) (*tensor.Tensor, error) {
 	if r.done {
 		return nil, fmt.Errorf("core: channel-range run already finished")
 	}
-	defer r.Release()
-	lp, e := r.lp, r.lp.engine
-	n, rc := r.n, r.ocHi-r.ocLo
-	plane := rc * r.oh * r.ow
-	if scales == nil || scales.Samples != n {
-		return nil, fmt.Errorf("core: channel-range scales missing or sized for %d samples, want %d", scalesLen(scales), n)
-	}
-	noise := e.ReadoutNoise > 0 && e.ADCBits > 0
-	skip := r.ocLo * r.oh * r.ow
-	out := tensor.GetScratchZeroed(n, rc, r.oh, r.ow)
-	for term := 0; term < numTerms; term++ {
-		views := r.views[term]
-		if views == nil {
-			continue
-		}
-		if scales.Terms[term] == nil {
-			tensor.PutScratch(out)
-			return nil, fmt.Errorf("core: combined scales lack present term %d", term)
-		}
-		partHas := r.hasPos
-		if term == termNegPos || term == termNegNeg {
-			partHas = r.hasNeg
-		}
-		sgn := termSign[term]
-		for b := 0; b < n; b++ {
-			if !partHas[b] {
-				continue
-			}
-			scale := scales.Terms[term][b]
-			callIdx := r.first + uint64(b)*r.stride
-			outSample := out.Data[b*plane : (b+1)*plane]
-			if e.Faults != nil {
-				for gi := range views {
-					if err := e.applyGroupFaults(callIdx, term, gi, views[gi][b*plane:(b+1)*plane], scale); err != nil {
-						tensor.PutScratch(out)
-						return nil, err
-					}
-				}
-			}
-			for gi := range views {
-				var rng *rand.Rand
-				if noise {
-					rng = e.readoutStream(callIdx, term, gi)
-					for i := 0; i < skip; i++ {
-						rng.NormFloat64()
-					}
-				}
-				if err := e.readoutAccum(views[gi][b*plane:(b+1)*plane], scale, rng, sgn, outSample); err != nil {
-					tensor.PutScratch(out)
-					return nil, err
-				}
-			}
-		}
-	}
-	if lp.bias != nil {
-		strideC := r.oh * r.ow
-		for b := 0; b < n; b++ {
-			for j := 0; j < rc; j++ {
-				base := (b*rc + j) * strideC
-				bias := lp.bias[r.ocLo+j]
-				for i := 0; i < strideC; i++ {
-					out.Data[base+i] += bias
-				}
-			}
-		}
-	}
-	if lp.stride > 1 {
-		s := lp.stride
-		dec := tensor.GetScratch(n, rc, (r.oh+s-1)/s, (r.ow+s-1)/s)
-		if err := tensor.Decimate2DInto(dec, out, s); err != nil {
-			tensor.PutScratch(dec)
-			tensor.PutScratch(out)
-			return nil, err
-		}
-		tensor.PutScratch(out)
-		return dec, nil
-	}
-	return out, nil
-}
-
-func scalesLen(s *nn.RangeScales) int {
-	if s == nil {
-		return 0
-	}
-	return s.Samples
-}
-
-// Release implements nn.ChannelRangeRun: every pooled buffer returns to
-// its pool; idempotent.
-func (r *batchRangeRun) Release() {
-	if r.done {
-		return
-	}
-	r.done = true
-	if r.ps != nil {
-		// Tiled path: the views alias the set's buffers.
-		r.ps.release()
-		r.ps = nil
-		for t := range r.views {
-			r.views[t] = nil
-		}
+	if scales == nil || scales.Samples != r.n {
+		r.Release()
+		return nil, fmt.Errorf("core: channel-range scales missing or not sized for %d samples", r.n)
 	}
 	for t, views := range r.views {
-		if views == nil {
-			continue
+		if views != nil && len(scales.Terms[t]) != r.n {
+			r.Release()
+			return nil, fmt.Errorf("core: combined scales lack present term %d", t)
 		}
-		for i, v := range views {
-			putFloats(v)
-			views[i] = nil
-		}
-		putViews(views)
-		r.views[t] = nil
 	}
-	if r.hasPos != nil {
-		boolPool.Put(r.hasPos)
-		r.hasPos = nil
-	}
-	if r.hasNeg != nil {
-		boolPool.Put(r.hasNeg)
-		r.hasNeg = nil
-	}
+	return r.finish(&scales.Terms)
 }

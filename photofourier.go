@@ -176,38 +176,12 @@ func Evaluate(cfg Config, network string) (NetPerf, error) {
 type (
 	// ConvEngine executes CNN convolutions on a substrate.
 	ConvEngine = nn.ConvEngine
-	// RowTiledEngine is the exact row-tiled 1D substrate (Table I).
-	//
-	// Deprecated: open it through the registry ("rowtiled?aperture=256")
-	// instead of handling the concrete type.
-	RowTiledEngine = core.RowTiledEngine
-	// AcceleratorEngine is the full quantized accelerator (Fig. 7).
-	//
-	// Deprecated: open it through the registry ("accelerator?nta=16")
-	// instead of handling the concrete type.
-	AcceleratorEngine = core.Engine
 	// LayerPlan is a compiled, reusable inference path for one convolution
 	// layer (see DESIGN.md): weights are quantized, sign-split, and
 	// spectrally latched once, and every call pays only
 	// activation-dependent work, bit-identical to the unplanned engine.
 	LayerPlan = nn.LayerPlan
 )
-
-// NewRowTiledEngine builds a row-tiled engine with the given 1D aperture
-// (256 in the paper's PFCU).
-//
-// Deprecated: use Open("rowtiled?aperture=N") or
-// OpenWith("rowtiled", WithAperture(N)); registry-opened engines are
-// immutable and carry capabilities and a canonical spec.
-func NewRowTiledEngine(nconv int) *RowTiledEngine { return core.NewRowTiledEngine(nconv) }
-
-// NewAcceleratorEngine builds the accelerator engine at the paper's default
-// operating point (NTA=16, 8-bit ADC/DAC).
-//
-// Deprecated: use Open("accelerator") or OpenWith("accelerator", ...);
-// registry-opened engines are immutable and carry capabilities and a
-// canonical spec.
-func NewAcceleratorEngine() *AcceleratorEngine { return core.NewEngine() }
 
 // Whole-network compiled inference (see DESIGN.md).
 type (

@@ -22,8 +22,13 @@ func TestEvaluateKnownNetworks(t *testing.T) {
 }
 
 func TestEnginesImplementConvEngine(t *testing.T) {
-	var _ ConvEngine = NewRowTiledEngine(256)
-	var _ ConvEngine = NewAcceleratorEngine()
+	for _, spec := range []string{"rowtiled?aperture=256", "accelerator"} {
+		e, err := Open(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var _ ConvEngine = e
+	}
 }
 
 func TestNewTilingPlan(t *testing.T) {
@@ -40,7 +45,10 @@ func TestNewTilingPlan(t *testing.T) {
 }
 
 func TestFacadeEndToEndConv(t *testing.T) {
-	e := NewRowTiledEngine(256)
+	e, err := Open("rowtiled?aperture=256")
+	if err != nil {
+		t.Fatal(err)
+	}
 	in := tensor.New(1, 1, 8, 8)
 	w := tensor.New(1, 1, 3, 3)
 	w.Set(1, 0, 0, 1, 1)
