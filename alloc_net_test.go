@@ -1,3 +1,8 @@
+//go:build !race
+
+// The race detector's sync.Pool drops pooled items at random, so the
+// steady state this file pins only exists in non-race builds.
+
 package photofourier
 
 import (

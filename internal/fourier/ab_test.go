@@ -7,71 +7,31 @@ import (
 )
 
 // TestLockstepAB is a manual A/B measurement: interleaved scalar/lockstep
-// blocks with min-of-blocks timing, robust to noisy-neighbor drift. Run
-// with FOURIER_AB=1 go test -run LockstepAB -v.
+// blocks of window lanes at AlexNetS conv1's shape (windowFixture) with
+// min-of-blocks timing, robust to noisy-neighbor drift. Run with
+// FOURIER_AB=1 go test -run LockstepAB -v.
 func TestLockstepAB(t *testing.T) {
 	if os.Getenv("FOURIER_AB") == "" {
 		t.Skip("set FOURIER_AB=1 to run")
 	}
-	const kLen = 7
-	const maxSig = 500 // m = 512: the size tiled AlexNetS actually uses
-	kernel := make([]float64, kLen)
-	for i := range kernel {
-		kernel[i] = float64(i+1) * 0.17
-	}
-	cp, err := NewConvPlan(kernel, maxSig)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const nsig = 64
-	signals := make([][]float64, nsig)
-	for s := range signals {
-		sig := make([]float64, maxSig)
-		for i := range sig {
-			sig[i] = float64(s*maxSig+i) * 1e-3
-		}
-		signals[s] = sig
-	}
-	a := NewSpectrumArena(nsig, cp.SpectrumLen())
-	for i, sig := range signals {
-		if err := cp.TransformSignalSoA(a, i, sig); err != nil {
-			t.Fatal(err)
-		}
-	}
-	outLen := cp.OutLen(maxSig)
-	dst := make([]float64, nsig*outLen)
-	slots := make([]int, nsig)
-	for i := range slots {
-		slots[i] = i
-	}
-	scalar := func() {
-		for li, slot := range slots {
-			if _, err := cp.ConvolveSoAInto(dst[li*outLen:(li+1)*outLen], a, slot, maxSig); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	lockstep := func() {
-		if err := cp.ConvolveSlotsSoAInto(dst, outLen, a, slots, maxSig); err != nil {
-			t.Fatal(err)
-		}
-	}
+	f := newWindowFixture(t, nsig)
 	const iters = 20
 	const blocks = 12
 	minS, minL := time.Duration(1<<62), time.Duration(1<<62)
-	scalar()
-	lockstep()
+	f.scalar(t)
+	f.lockstep(t)
 	for b := 0; b < blocks; b++ {
 		t0 := time.Now()
 		for i := 0; i < iters; i++ {
-			scalar()
+			f.scalar(t)
 		}
 		if d := time.Since(t0); d < minS {
 			minS = d
 		}
 		t0 = time.Now()
 		for i := 0; i < iters; i++ {
-			lockstep()
+			f.lockstep(t)
 		}
 		if d := time.Since(t0); d < minL {
 			minL = d
@@ -79,5 +39,5 @@ func TestLockstepAB(t *testing.T) {
 	}
 	perS := minS / (iters * nsig)
 	perL := minL / (iters * nsig)
-	t.Logf("m=%d scalar %v/conv lockstep %v/conv ratio %.3f", cp.m, perS, perL, float64(minS)/float64(minL))
+	t.Logf("m=%d scalar %v/conv lockstep %v/conv ratio %.3f", f.cp.m, perS, perL, float64(minS)/float64(minL))
 }

@@ -11,11 +11,12 @@
 //
 // Bit-identity: every lane executes the exact floating-point instruction
 // sequence of the scalar path — each complex op is spelled out in the split
-// form the compiler lowers it to (x*y -> xr*yr-xi*yi, xr*yi+xi*yr),
-// including the inverse normalization's full four-multiply form (so -0
-// signs survive). Interleaving lanes changes only the order BETWEEN
-// independent lanes, never the op sequence WITHIN a lane, so batched output
-// is bit-identical to per-slot transforms.
+// form the compiler lowers it to (x*y -> xr*yr-xi*yi, xr*yi+xi*yr).
+// The inverse normalization happens per accumulated window sample in the
+// same two-term form (xr*c - xi*0 or xr*0 + xi*c, so -0 signs survive).
+// Interleaving lanes changes only the order BETWEEN independent lanes, never
+// the op sequence WITHIN a lane, so batched output is bit-identical to
+// per-slot transforms.
 package fourier
 
 import (
@@ -67,9 +68,10 @@ func zeroLaneTail(p []float64, rows, w int) {
 // lockstepTransform runs the plan's radix-2 schedule over lw lanes stored
 // bin-major in split planes re/im (length n*lw). It replicates
 // Plan.transform stage by stage — bit-reversal swaps, the fused size-2/4
-// stage, fused radix-4-style stage pairs, the final odd radix-2 stage, and
-// the inverse normalization — with each complex operation expanded to the
-// exact float sequence the scalar path executes.
+// stage, fused radix-4-style stage pairs and the final odd radix-2 stage —
+// with each complex operation expanded to the exact float sequence the
+// scalar path executes. An inverse leaves out the 1/n normalization: the
+// caller applies it to the samples it reads (ConvLane.addWindow).
 func (p *Plan) lockstepTransform(re, im []float64, inverse bool) {
 	n := p.n
 	bitrevSwap(re, im, p.rev)
@@ -96,12 +98,6 @@ func (p *Plan) lockstepTransform(re, im []float64, inverse bool) {
 	if size <= n {
 		final2(re, im, tw, n)
 	}
-	if inverse {
-		// Replicates x[i] *= complex(1/n, 0) exactly: the scalar complex
-		// multiply computes xr*c - xi*0 and xr*0 + xi*c, whose zero terms
-		// matter for the sign of zero results.
-		invNormalize(re, im, n*lw, 1/float64(n))
-	}
 }
 
 // bitrevSwapGeneric is the portable bit-reversal row permutation.
@@ -115,18 +111,6 @@ func bitrevSwapGeneric(re, im []float64, rev []int) {
 				qi[s], qj[s] = qj[s], qi[s]
 			}
 		}
-	}
-}
-
-// invNormalizeGeneric is the portable inverse normalization over total
-// contiguous plane entries, preserving the scalar path's zero-sign terms.
-func invNormalizeGeneric(re, im []float64, total int, c float64) {
-	re = re[:total:total]
-	im = im[:total:total]
-	for idx := 0; idx < total; idx++ {
-		xr, xi := re[idx], im[idx]
-		re[idx] = xr*c - xi*0
-		im[idx] = xr*0 + xi*c
 	}
 }
 
@@ -354,27 +338,6 @@ func rfftRecombGeneric(sre, sim []float64, w []complex128, hm int) {
 	}
 }
 
-// lockstepIrfft reconstructs real signals from bin-major split half-
-// spectrum planes ((hm+1)*lw entries, clobbered in place), writing each
-// non-nil lane's prefix outs[s] exactly as RealPlan.irfft would.
-func (rp *RealPlan) lockstepIrfft(sre, sim []float64, outs [][]float64) {
-	hm := rp.hm
-	irfftRecomb(sre, sim, rp.w, hm)
-	rp.inner.lockstepTransform(sre[:hm*lw], sim[:hm*lw], true)
-	for s := 0; s < len(outs) && s < lw; s++ {
-		out := outs[s]
-		if out == nil {
-			continue
-		}
-		for j := 0; 2*j < len(out); j++ {
-			out[2*j] = sre[j*lw+s]
-			if 2*j+1 < len(out) {
-				out[2*j+1] = sim[j*lw+s]
-			}
-		}
-	}
-}
-
 // irfftRecombGeneric is the portable pre-transform recombination of the
 // inverse real transform (RealPlan.irfft's exact float sequence per lane).
 func irfftRecombGeneric(sre, sim []float64, w []complex128, hm int) {
@@ -413,300 +376,6 @@ func irfftRecombGeneric(sre, sim []float64, w []complex128, hm int) {
 			imid[s] = -imid[s]
 		}
 	}
-}
-
-// TransformBatch computes the forward DFT of every non-nil row in lockstep
-// groups of up to LockstepWidth. Each row must have the plan length; results
-// are bit-identical to calling Transform on each row.
-func (p *Plan) TransformBatch(rows [][]complex128) error {
-	return p.transformBatch(rows, false)
-}
-
-// InverseBatch computes the normalized inverse DFT of every non-nil row in
-// lockstep, bit-identical to per-row Inverse.
-func (p *Plan) InverseBatch(rows [][]complex128) error {
-	return p.transformBatch(rows, true)
-}
-
-func (p *Plan) transformBatch(rows [][]complex128, inverse bool) error {
-	for i, r := range rows {
-		if r != nil && len(r) != p.n {
-			return fmt.Errorf("fourier: batch row %d length %d does not match plan length %d", i, len(r), p.n)
-		}
-	}
-	var lanes [lw][]complex128
-	nl := 0
-	flush := func() {
-		w := nl
-		nl = 0
-		if w == 0 {
-			return
-		}
-		re := getLane(p.n * lw)
-		im := getLane(p.n * lw)
-		for s := 0; s < w; s++ {
-			for k, v := range lanes[s] {
-				re[k*lw+s] = real(v)
-				im[k*lw+s] = imag(v)
-			}
-		}
-		zeroLaneTail(re, p.n, w)
-		zeroLaneTail(im, p.n, w)
-		p.lockstepTransform(re, im, inverse)
-		for s := 0; s < w; s++ {
-			r := lanes[s]
-			for k := range r {
-				r[k] = complex(re[k*lw+s], im[k*lw+s])
-			}
-		}
-		putLane(re)
-		putLane(im)
-	}
-	for _, r := range rows {
-		if r == nil {
-			continue
-		}
-		lanes[nl] = r
-		nl++
-		if nl == lw {
-			flush()
-		}
-	}
-	flush()
-	return nil
-}
-
-// TransformBatch computes the forward chirp-z DFT of every non-nil row in
-// lockstep: one chirp modulation, one lockstep inner convolution, one
-// demodulation, bit-identical per row to Transform.
-func (bp *BluesteinPlan) TransformBatch(rows [][]complex128) error {
-	for i, r := range rows {
-		if r != nil && len(r) != bp.n {
-			return fmt.Errorf("fourier: batch row %d length %d does not match bluestein plan length %d", i, len(r), bp.n)
-		}
-	}
-	var lanes [lw][]complex128
-	nl := 0
-	flush := func() {
-		w := nl
-		nl = 0
-		if w == 0 {
-			return
-		}
-		re := getLane(bp.m * lw)
-		im := getLane(bp.m * lw)
-		chirp := bp.chirp
-		for s := 0; s < w; s++ {
-			for k, v := range lanes[s] {
-				c := chirp[k]
-				xr, xi := real(v), imag(v)
-				cr, ci := real(c), imag(c)
-				re[k*lw+s] = xr*cr - xi*ci
-				im[k*lw+s] = xr*ci + xi*cr
-			}
-			for k := bp.n; k < bp.m; k++ {
-				re[k*lw+s] = 0
-				im[k*lw+s] = 0
-			}
-		}
-		zeroLaneTail(re, bp.m, w)
-		zeroLaneTail(im, bp.m, w)
-		bp.inner.lockstepTransform(re, im, false)
-		fb := bp.fb
-		for k := 0; k < bp.m; k++ {
-			f := fb[k]
-			fr, fi := real(f), imag(f)
-			rr, ri := row(re, k), row(im, k)
-			for s := 0; s < lw; s++ {
-				ar, ai := rr[s], ri[s]
-				rr[s] = ar*fr - ai*fi
-				ri[s] = ar*fi + ai*fr
-			}
-		}
-		bp.inner.lockstepTransform(re, im, true)
-		for s := 0; s < w; s++ {
-			r := lanes[s]
-			for k := range r {
-				c := chirp[k]
-				cr, ci := real(c), imag(c)
-				ar, ai := re[k*lw+s], im[k*lw+s]
-				r[k] = complex(ar*cr-ai*ci, ar*ci+ai*cr)
-			}
-		}
-		putLane(re)
-		putLane(im)
-	}
-	for _, r := range rows {
-		if r == nil {
-			continue
-		}
-		lanes[nl] = r
-		nl++
-		if nl == lw {
-			flush()
-		}
-	}
-	flush()
-	return nil
-}
-
-// InverseBatch computes the normalized inverse chirp-z DFT of every non-nil
-// row in lockstep, bit-identical per row to Inverse.
-func (bp *BluesteinPlan) InverseBatch(rows [][]complex128) error {
-	for _, r := range rows {
-		for i, v := range r {
-			r[i] = complex(real(v), -imag(v))
-		}
-	}
-	if err := bp.TransformBatch(rows); err != nil {
-		return err
-	}
-	invN := 1 / float64(bp.n)
-	for _, r := range rows {
-		for i, v := range r {
-			r[i] = complex(real(v)*invN, -imag(v)*invN)
-		}
-	}
-	return nil
-}
-
-// BatchRealPlan runs a RealPlan's forward and inverse transforms over many
-// signals in lockstep. It is a stateless view over the process-wide cached
-// RealPlan (scratch comes from pools), so one BatchRealPlan may be shared
-// freely across goroutines.
-type BatchRealPlan struct {
-	rp *RealPlan
-}
-
-// NewBatchRealPlan returns the lockstep batched transform engine for even
-// power-of-two length m >= 2, backed by the process-wide cached RealPlan.
-func NewBatchRealPlan(m int) (*BatchRealPlan, error) {
-	rp, err := RealPlanFor(m)
-	if err != nil {
-		return nil, err
-	}
-	return &BatchRealPlan{rp: rp}, nil
-}
-
-// N returns the transform length.
-func (bp *BatchRealPlan) N() int { return bp.rp.m }
-
-// HalfSpectrumLen returns the number of non-redundant bins, m/2+1.
-func (bp *BatchRealPlan) HalfSpectrumLen() int { return bp.rp.hm + 1 }
-
-// Transform computes the half spectrum of every non-nil signals[i] into
-// specs[i], processing up to LockstepWidth signals per lockstep pass. Each
-// result is bit-identical to RealPlan.Transform on that signal.
-func (bp *BatchRealPlan) Transform(signals [][]float64, specs [][]complex128) error {
-	rp := bp.rp
-	if len(specs) < len(signals) {
-		return fmt.Errorf("fourier: %d spectra for %d signals", len(specs), len(signals))
-	}
-	for i, x := range signals {
-		if x == nil {
-			continue
-		}
-		if len(x) > rp.m {
-			return fmt.Errorf("fourier: batch signal %d length %d exceeds plan length %d", i, len(x), rp.m)
-		}
-		if len(specs[i]) != rp.hm+1 {
-			return fmt.Errorf("fourier: batch spectrum %d length %d, plan needs %d", i, len(specs[i]), rp.hm+1)
-		}
-	}
-	var lanes [lw][]float64
-	var dsts [lw][]complex128
-	nl := 0
-	bins := rp.hm + 1
-	flush := func() {
-		w := nl
-		nl = 0
-		if w == 0 {
-			return
-		}
-		sre := getLane(bins * lw)
-		sim := getLane(bins * lw)
-		rp.lockstepRfft(sre, sim, lanes[:w])
-		for s := 0; s < w; s++ {
-			spec := dsts[s]
-			for k := range spec {
-				spec[k] = complex(sre[k*lw+s], sim[k*lw+s])
-			}
-		}
-		putLane(sre)
-		putLane(sim)
-	}
-	for i, x := range signals {
-		if x == nil {
-			continue
-		}
-		lanes[nl] = x
-		dsts[nl] = specs[i]
-		nl++
-		if nl == lw {
-			flush()
-		}
-	}
-	flush()
-	return nil
-}
-
-// Inverse reconstructs, for every non-nil specs[i], the real signal into
-// outs[i] (length <= m: only that prefix is written), bit-identical to
-// RealPlan.Inverse. Unlike the scalar path the input spectra are left
-// untouched (the inverse recombination runs on lockstep work planes).
-func (bp *BatchRealPlan) Inverse(specs [][]complex128, outs [][]float64) error {
-	rp := bp.rp
-	if len(outs) < len(specs) {
-		return fmt.Errorf("fourier: %d outputs for %d spectra", len(outs), len(specs))
-	}
-	for i, spec := range specs {
-		if spec == nil {
-			continue
-		}
-		if len(spec) != rp.hm+1 {
-			return fmt.Errorf("fourier: batch spectrum %d length %d, plan needs %d", i, len(spec), rp.hm+1)
-		}
-		if len(outs[i]) > rp.m {
-			return fmt.Errorf("fourier: batch output %d length %d exceeds plan length %d", i, len(outs[i]), rp.m)
-		}
-	}
-	var lanes [lw][]complex128
-	var dsts [lw][]float64
-	nl := 0
-	bins := rp.hm + 1
-	flush := func() {
-		w := nl
-		nl = 0
-		if w == 0 {
-			return
-		}
-		sre := getLane(bins * lw)
-		sim := getLane(bins * lw)
-		for s := 0; s < w; s++ {
-			for k, v := range lanes[s] {
-				sre[k*lw+s] = real(v)
-				sim[k*lw+s] = imag(v)
-			}
-		}
-		zeroLaneTail(sre, bins, w)
-		zeroLaneTail(sim, bins, w)
-		rp.lockstepIrfft(sre, sim, dsts[:w])
-		putLane(sre)
-		putLane(sim)
-	}
-	for i, spec := range specs {
-		if spec == nil {
-			continue
-		}
-		lanes[nl] = spec
-		dsts[nl] = outs[i]
-		nl++
-		if nl == lw {
-			flush()
-		}
-	}
-	flush()
-	return nil
 }
 
 // TransformSlotsSoA computes the forward half-spectrum of every non-nil
@@ -777,10 +446,38 @@ func (cp *ConvPlan) TransformSlotsSoA(a *SpectrumArena, signals [][]float64) err
 	return nil
 }
 
+// Window selects the part of a lane's convolution output y that the lane
+// accumulates: Acc[t*AccStride+c] += y[Off+t*SrcStride+c] for t < Rows and
+// c < Width. A row-tiled shot, for example, reads Rows output rows of Width
+// valid columns, SrcStride apart in y and AccStride apart in the
+// accumulator, and never touches the halo between them.
+type Window struct {
+	Off, Rows, Width     int
+	SrcStride, AccStride int
+}
+
+// check reports whether the window reads inside an outLen-sample output and
+// writes inside an accLen-entry accumulator.
+func (w Window) check(outLen, accLen int) error {
+	if w.Off < 0 || w.Rows < 0 || w.Width < 0 || w.SrcStride < 0 || w.AccStride < 0 {
+		return fmt.Errorf("window %+v has a negative field", w)
+	}
+	if w.Rows == 0 || w.Width == 0 {
+		return nil
+	}
+	if end := w.Off + (w.Rows-1)*w.SrcStride + w.Width; end > outLen {
+		return fmt.Errorf("window reads up to sample %d of %d", end, outLen)
+	}
+	if end := (w.Rows-1)*w.AccStride + w.Width; end > accLen {
+		return fmt.Errorf("window writes up to entry %d of a %d-entry accumulator", end, accLen)
+	}
+	return nil
+}
+
 // ConvLane names one lane of a lockstep batched convolution: the arena slot
 // planes holding a transformed signal spectrum, the kernel plan whose
-// spectrum multiplies it, and the output buffer receiving the inverse
-// transform.
+// spectrum multiplies it, and the accumulator window that receives the
+// samples of the inverse transform the caller reads.
 type ConvLane struct {
 	// Plan supplies the kernel spectrum. All lanes of one call must share
 	// transform geometry (SharesTransform).
@@ -788,16 +485,18 @@ type ConvLane struct {
 	// SpecRe and SpecIm are the slot's split spectrum planes, e.g. from
 	// SpectrumArena.Slot — SpectrumLen entries each.
 	SpecRe, SpecIm []float64
-	// Dst receives the OutLen(sigLen) convolution samples.
-	Dst []float64
+	// Acc accumulates the Window of the OutLen(sigLen) convolution samples.
+	Acc []float64
+	Window
 }
 
 // ConvolveLanesSoA completes many independent convolutions in lockstep
 // groups of up to LockstepWidth: each lane's spectrum multiplies its plan's
-// kernel spectrum and inverse-transforms into its Dst. Lanes may mix kernels
-// and slots freely (e.g. every (kernel, sample) pair of one shot) as long as
-// all plans share transform geometry. sigLen is the original signal length
-// common to all lanes. Each lane's result is bit-identical to
+// kernel spectrum, inverse-transforms, and its window of the result adds
+// into its Acc. Lanes may mix kernels and slots freely (e.g. every (kernel,
+// sample) pair of one shot) as long as all plans share transform geometry.
+// sigLen is the original signal length common to all lanes. Lanes add in
+// lane order, and each window sample is bit-identical to the same sample of
 // ConvolveSoAInto on that (slot, kernel) pair.
 func ConvolveLanesSoA(sigLen int, lanes []ConvLane) error {
 	if len(lanes) == 0 {
@@ -819,15 +518,22 @@ func ConvolveLanesSoA(sigLen int, lanes []ConvLane) error {
 		if len(l.SpecRe) != bins || len(l.SpecIm) != bins {
 			return fmt.Errorf("fourier: conv lane %d spectrum planes %d/%d, plan needs %d bins", i, len(l.SpecRe), len(l.SpecIm), bins)
 		}
-		outLen := l.Plan.OutLen(sigLen)
-		if len(l.Dst) < outLen {
-			return fmt.Errorf("fourier: conv lane %d dst length %d < output length %d", i, len(l.Dst), outLen)
+		if err := l.Window.check(l.Plan.OutLen(sigLen), len(l.Acc)); err != nil {
+			return fmt.Errorf("fourier: conv lane %d: %w", i, err)
 		}
 	}
 	if ref.m == 1 {
+		// The output is the single sample y[0], so a checked non-empty
+		// window has Width 1 and reads y[0] on every row.
 		for i := range lanes {
 			l := &lanes[i]
-			l.Dst[0] = l.SpecRe[0] * l.Plan.k0
+			if l.Width == 0 {
+				continue
+			}
+			y0 := l.SpecRe[0] * l.Plan.k0
+			for t := 0; t < l.Rows; t++ {
+				l.Acc[t*l.AccStride] += y0
+			}
 		}
 		return nil
 	}
@@ -836,7 +542,7 @@ func ConvolveLanesSoA(sigLen int, lanes []ConvLane) error {
 		if w > lw {
 			w = lw
 		}
-		convolveLanesGroup(ref.rp, sigLen, lanes[:w])
+		convolveLanesGroup(ref.rp, lanes[:w])
 		lanes = lanes[w:]
 	}
 	return nil
@@ -844,11 +550,13 @@ func ConvolveLanesSoA(sigLen int, lanes []ConvLane) error {
 
 // convolveLanesGroup runs one lockstep group: the kernel-spectrum multiply
 // gathers each lane's slot spectrum straight into the bin-major work planes
-// (fusing what the scalar path does as sa[i] = spec[i]*kspec[i]), then one
-// lockstep inverse real transform scatters into the lane outputs.
-func convolveLanesGroup(rp *RealPlan, sigLen int, lanes []ConvLane) {
+// (fusing what the scalar path does as sa[i] = spec[i]*kspec[i]), one
+// lockstep inverse real transform runs without its normalization pass, and
+// each lane's window reads straight from the planes.
+func convolveLanesGroup(rp *RealPlan, lanes []ConvLane) {
 	w := len(lanes)
-	bins := rp.hm + 1
+	hm := rp.hm
+	bins := hm + 1
 	sre := getLane(bins * lw)
 	sim := getLane(bins * lw)
 	if w == lw {
@@ -877,13 +585,43 @@ func convolveLanesGroup(rp *RealPlan, sigLen int, lanes []ConvLane) {
 		zeroLaneTail(sre, bins, w)
 		zeroLaneTail(sim, bins, w)
 	}
-	var outs [lw][]float64
-	for s := 0; s < w; s++ {
-		outs[s] = lanes[s].Dst[:lanes[s].Plan.OutLen(sigLen)]
+	irfftRecomb(sre, sim, rp.w, hm)
+	rp.inner.lockstepTransform(sre[:hm*lw], sim[:hm*lw], true)
+	c := 1 / float64(hm)
+	for s := range lanes {
+		lanes[s].addWindow(sre, sim, s, c)
 	}
-	rp.lockstepIrfft(sre, sim, outs[:w])
 	putLane(sre)
 	putLane(sim)
+}
+
+// addWindow adds lane s's window of the unnormalized inverse planes re/im
+// into Acc. Output sample idx is the real (even idx) or imaginary (odd idx)
+// part of bin idx/2 after RealPlan.irfft's z *= complex(c, 0); each sample
+// is normalized in that multiply's exact two-term form (xr*c - xi*0 or
+// xr*0 + xi*c), whose zero terms fix the sign of a zero result.
+func (l *ConvLane) addWindow(re, im []float64, s int, c float64) {
+	if l.Width == 0 {
+		return // an empty window's strides are unchecked
+	}
+	for t := 0; t < l.Rows; t++ {
+		acc := l.Acc[t*l.AccStride:][:l.Width]
+		idx := l.Off + t*l.SrcStride
+		k := idx>>1*lw + s // plane entry of bin idx/2, lane s
+		i := 0
+		if idx&1 == 1 {
+			acc[0] += re[k]*0 + im[k]*c
+			i, k = 1, k+lw
+		}
+		for ; i+1 < len(acc); i, k = i+2, k+lw {
+			xr, xi := re[k], im[k]
+			acc[i] += xr*c - xi*0
+			acc[i+1] += xr*0 + xi*c
+		}
+		if i < len(acc) {
+			acc[i] += re[k]*c - im[k]*0
+		}
+	}
 }
 
 // gatherMulPairGeneric is the portable kernel-spectrum multiply for two
@@ -902,42 +640,4 @@ func gatherMulPairGeneric(dre, dim []float64, bins int, xr0, xi0 []float64, k0 [
 		dre[k*lw+1] = xr*kr - xi*ki
 		dim[k*lw+1] = xr*ki + xi*kr
 	}
-}
-
-// ConvolveSlotsSoAInto completes one kernel's convolution against many arena
-// slots in lockstep: slot slots[l]'s spectrum multiplies the plan's kernel
-// spectrum and inverse-transforms into dst[l*dstStride:], whose first
-// OutLen(sigLen) entries are written. Bit-identical per slot to
-// ConvolveSoAInto.
-func (cp *ConvPlan) ConvolveSlotsSoAInto(dst []float64, dstStride int, a *SpectrumArena, slots []int, sigLen int) error {
-	if a.bins != cp.SpectrumLen() {
-		return fmt.Errorf("fourier: arena bins %d, plan transform has %d bins", a.bins, cp.SpectrumLen())
-	}
-	if sigLen < 1 || sigLen > cp.maxSig {
-		return fmt.Errorf("fourier: signal length %d out of plan range [1,%d]", sigLen, cp.maxSig)
-	}
-	outLen := cp.OutLen(sigLen)
-	if dstStride < outLen {
-		return fmt.Errorf("fourier: conv plan dst stride %d < output length %d", dstStride, outLen)
-	}
-	if len(slots) > 0 && len(dst) < (len(slots)-1)*dstStride+outLen {
-		return fmt.Errorf("fourier: conv plan dst length %d < %d slots x stride %d", len(dst), len(slots), dstStride)
-	}
-	var lanes [lw]ConvLane
-	nl := 0
-	for li, slot := range slots {
-		re, im := a.Slot(slot)
-		lanes[nl] = ConvLane{Plan: cp, SpecRe: re, SpecIm: im, Dst: dst[li*dstStride : li*dstStride+outLen]}
-		nl++
-		if nl == lw {
-			if err := ConvolveLanesSoA(sigLen, lanes[:nl]); err != nil {
-				return err
-			}
-			nl = 0
-		}
-	}
-	if nl > 0 {
-		return ConvolveLanesSoA(sigLen, lanes[:nl])
-	}
-	return nil
 }

@@ -3,435 +3,301 @@ package fourier
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 )
-
-// batchSizes is the size axis of the lockstep-vs-scalar matrix: degenerate
-// 1, the n==2 special case, power-of-two radix-2 paths (with and without the
-// final odd stage), and non-power-of-two Bluestein lengths.
-var batchSizes = []int{1, 2, 4, 8, 16, 64, 128, 3, 5, 12, 100}
 
 // batchCounts is the slot-count axis: singleton, a ragged tail one short of
 // a full group, exactly one group, and several groups plus a ragged tail.
 var batchCounts = []int{1, LockstepWidth - 1, LockstepWidth, 3*LockstepWidth + 1}
 
-func randComplexRows(rng *rand.Rand, count, n int) [][]complex128 {
-	rows := make([][]complex128, count)
-	for i := range rows {
-		row := make([]complex128, n)
-		for k := range row {
-			row[k] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		rows[i] = row
-	}
-	return rows
-}
-
-func cloneComplexRows(rows [][]complex128) [][]complex128 {
-	out := make([][]complex128, len(rows))
-	for i, row := range rows {
-		if row == nil {
-			continue
-		}
-		c := make([]complex128, len(row))
-		copy(c, row)
-		out[i] = c
-	}
-	return out
-}
-
-// TestTransformBatchBitIdentity checks the batched complex transforms
-// (radix-2 and Bluestein, forward and inverse) against per-row scalar
-// transforms across the size x slot-count matrix. Comparison is bitwise:
-// lockstep must run the identical per-lane floating-point sequence.
-func TestTransformBatchBitIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, n := range batchSizes {
-		for _, count := range batchCounts {
-			for _, inverse := range []bool{false, true} {
-				rows := randComplexRows(rng, count, n)
-				if count > 2 {
-					rows[1] = nil // skipped rows must not disturb lane packing
-				}
-				want := cloneComplexRows(rows)
-				got := cloneComplexRows(rows)
-				if IsPow2(n) {
-					p, err := PlanFor(n)
-					if err != nil {
-						t.Fatalf("PlanFor(%d): %v", n, err)
-					}
-					for _, row := range want {
-						if row == nil {
-							continue
-						}
-						if inverse {
-							_ = p.Inverse(row)
-						} else {
-							_ = p.Transform(row)
-						}
-					}
-					if inverse {
-						err = p.InverseBatch(got)
-					} else {
-						err = p.TransformBatch(got)
-					}
-					if err != nil {
-						t.Fatalf("n=%d count=%d inverse=%v: %v", n, count, inverse, err)
-					}
-				} else {
-					bp, err := BluesteinPlanFor(n)
-					if err != nil {
-						t.Fatalf("BluesteinPlanFor(%d): %v", n, err)
-					}
-					for _, row := range want {
-						if row == nil {
-							continue
-						}
-						if inverse {
-							_ = bp.Inverse(row)
-						} else {
-							_ = bp.Transform(row)
-						}
-					}
-					if inverse {
-						err = bp.InverseBatch(got)
-					} else {
-						err = bp.TransformBatch(got)
-					}
-					if err != nil {
-						t.Fatalf("n=%d count=%d inverse=%v: %v", n, count, inverse, err)
-					}
-				}
-				for i := range want {
-					if (want[i] == nil) != (got[i] == nil) {
-						t.Fatalf("n=%d count=%d inverse=%v row %d nil mismatch", n, count, inverse, i)
-					}
-					for k := range want[i] {
-						wr, gr := real(want[i][k]), real(got[i][k])
-						wi, gi := imag(want[i][k]), imag(got[i][k])
-						if math.Float64bits(wr) != math.Float64bits(gr) || math.Float64bits(wi) != math.Float64bits(gi) {
-							t.Fatalf("n=%d count=%d inverse=%v row %d bin %d: scalar %v batch %v (bits %x/%x vs %x/%x)",
-								n, count, inverse, i, k, want[i][k], got[i][k],
-								math.Float64bits(wr), math.Float64bits(wi), math.Float64bits(gr), math.Float64bits(gi))
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestBatchRealPlanBitIdentity checks BatchRealPlan.Transform/Inverse
-// against RealPlan.Transform/Inverse bit-for-bit, including short (zero-
-// padded, odd-length) signals.
-func TestBatchRealPlanBitIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, m := range []int{2, 4, 16, 128, 1024} {
-		bp, err := NewBatchRealPlan(m)
-		if err != nil {
-			t.Fatalf("NewBatchRealPlan(%d): %v", m, err)
-		}
-		rp, _ := RealPlanFor(m)
-		for _, count := range batchCounts {
-			signals := make([][]float64, count)
-			for i := range signals {
-				ln := 1 + rng.Intn(m)
-				if i%3 == 0 {
-					ln = m
-				}
-				sig := make([]float64, ln)
-				for j := range sig {
-					sig[j] = rng.NormFloat64()
-				}
-				signals[i] = sig
-			}
-			if count > 2 {
-				signals[2] = nil
-			}
-			specsWant := make([][]complex128, count)
-			specsGot := make([][]complex128, count)
-			for i := range signals {
-				if signals[i] == nil {
-					continue
-				}
-				specsWant[i] = make([]complex128, rp.hm+1)
-				specsGot[i] = make([]complex128, rp.hm+1)
-				if err := rp.Transform(signals[i], specsWant[i]); err != nil {
-					t.Fatalf("scalar transform: %v", err)
-				}
-			}
-			if err := bp.Transform(signals, specsGot); err != nil {
-				t.Fatalf("batch transform m=%d count=%d: %v", m, count, err)
-			}
-			for i := range specsWant {
-				for k := range specsWant[i] {
-					if math.Float64bits(real(specsWant[i][k])) != math.Float64bits(real(specsGot[i][k])) ||
-						math.Float64bits(imag(specsWant[i][k])) != math.Float64bits(imag(specsGot[i][k])) {
-						t.Fatalf("m=%d count=%d signal %d bin %d: scalar %v batch %v", m, count, i, k, specsWant[i][k], specsGot[i][k])
-					}
-				}
-			}
-			// Inverse: scalar clobbers its spectrum, so give it a copy.
-			outsWant := make([][]float64, count)
-			outsGot := make([][]float64, count)
-			for i := range specsWant {
-				if specsWant[i] == nil {
-					continue
-				}
-				outLen := len(signals[i])
-				outsWant[i] = make([]float64, outLen)
-				outsGot[i] = make([]float64, outLen)
-				clob := append([]complex128(nil), specsWant[i]...)
-				if err := rp.Inverse(clob, outsWant[i]); err != nil {
-					t.Fatalf("scalar inverse: %v", err)
-				}
-			}
-			if err := bp.Inverse(specsGot, outsGot); err != nil {
-				t.Fatalf("batch inverse m=%d count=%d: %v", m, count, err)
-			}
-			for i := range outsWant {
-				for j := range outsWant[i] {
-					if math.Float64bits(outsWant[i][j]) != math.Float64bits(outsGot[i][j]) {
-						t.Fatalf("m=%d count=%d signal %d sample %d: scalar %v batch %v", m, count, i, j, outsWant[i][j], outsGot[i][j])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestLockstepConvBitIdentity checks the arena-level lockstep APIs
-// (TransformSlotsSoA, ConvolveSlotsSoAInto, ConvolveLanesSoA) against the
+// (TransformSlotsSoA, ConvolveLanesSoA over window lanes) against the
 // scalar TransformSignalSoA/ConvolveSoAInto path bit-for-bit, across
 // kernel/signal geometries that exercise degenerate (m==1) and general
 // plans, with mixed kernels per lockstep group.
 func TestLockstepConvBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	cases := []struct{ kLen, maxSig int }{
-		{1, 1},   // m == 1 degenerate
-		{1, 2},   // m == 2, inner plan n == 1
-		{3, 6},   // m == 8
-		{5, 60},  // m == 64
-		{9, 120}, // m == 128
+		{1, 1},     // m == 1 degenerate
+		{1, 2},     // m == 2, inner plan n == 1
+		{3, 6},     // m == 8
+		{5, 60},    // m == 64
+		{9, 120},   // m == 128
+		{133, 256}, // m == 512: AlexNetS conv1's row-tiled shot
+		{7, 1000},  // m == 1024: inner length 512 runs final2
 	}
 	for _, tc := range cases {
-		kernel := make([]float64, tc.kLen)
-		for i := range kernel {
-			kernel[i] = rng.NormFloat64()
-		}
-		kernel2 := make([]float64, tc.kLen)
-		for i := range kernel2 {
-			kernel2[i] = rng.NormFloat64()
-		}
-		cp, err := NewConvPlan(kernel, tc.maxSig)
-		if err != nil {
-			t.Fatalf("NewConvPlan: %v", err)
-		}
-		cp2, err := NewConvPlan(kernel2, tc.maxSig)
-		if err != nil {
-			t.Fatalf("NewConvPlan: %v", err)
-		}
+		cp, cp2 := twoConvPlans(t, rng, tc.kLen, tc.maxSig)
 		for _, count := range batchCounts {
-			sigLen := 1 + rng.Intn(tc.maxSig)
-			signals := make([][]float64, count)
-			for i := range signals {
-				sig := make([]float64, sigLen)
-				for j := range sig {
-					sig[j] = rng.NormFloat64()
-				}
-				signals[i] = sig
+			checkLockstepConv(t, rng, cp, cp2, 1+rng.Intn(tc.maxSig), count)
+		}
+	}
+}
+
+// FuzzConvolveLanesWindow checks window lanes against the scalar path over
+// generated geometries: kernel length, maximum signal length (m up to 1024),
+// signal length, slot count (1 to 2*LockstepWidth+2 slots, one left empty
+// past three, so 1 to 2*LockstepWidth+1 lanes mixing two kernels) and each
+// lane's window (even and odd offsets, source strides wider than the width)
+// all derive from the inputs.
+func FuzzConvolveLanesWindow(f *testing.F) {
+	f.Add(uint16(1), uint16(1), uint16(1), uint8(1), int64(1))        // m == 1
+	f.Add(uint16(1), uint16(2), uint16(2), uint8(3), int64(2))        // m == 2
+	f.Add(uint16(133), uint16(256), uint16(256), uint8(18), int64(3)) // AlexNetS conv1, 17 lanes
+	f.Add(uint16(35), uint16(256), uint16(256), uint8(9), int64(4))   // AlexNetS conv2, 8 lanes
+	f.Add(uint16(19), uint16(256), uint16(256), uint8(8), int64(5))   // AlexNetS conv3, 7 lanes
+	f.Fuzz(func(t *testing.T, kLen, maxSig, sigLen uint16, slots uint8, seed int64) {
+		const maxM = 1024
+		k := 1 + int(kLen-1)%maxM
+		ms := 1 + int(maxSig-1)%(maxM+1-k)
+		rng := rand.New(rand.NewSource(seed))
+		cp, cp2 := twoConvPlans(t, rng, k, ms)
+		checkLockstepConv(t, rng, cp, cp2, 1+int(sigLen-1)%ms, 1+int(slots-1)%(2*LockstepWidth+2))
+	})
+}
+
+// twoConvPlans builds two plans of one transform geometry over random
+// kernels of length kLen.
+func twoConvPlans(t *testing.T, rng *rand.Rand, kLen, maxSig int) (*ConvPlan, *ConvPlan) {
+	t.Helper()
+	var plans [2]*ConvPlan
+	for i := range plans {
+		kernel := make([]float64, kLen)
+		for j := range kernel {
+			kernel[j] = rng.NormFloat64()
+		}
+		cp, err := NewConvPlan(kernel, maxSig)
+		if err != nil {
+			t.Fatalf("NewConvPlan(kLen %d, maxSig %d): %v", kLen, maxSig, err)
+		}
+		plans[i] = cp
+	}
+	return plans[0], plans[1]
+}
+
+// checkLockstepConv transforms count random signals of length sigLen (slot 3
+// left empty) through TransformSlotsSoA and TransformSignalSoA and requires
+// bitwise equal spectra. It then runs one window lane per filled slot,
+// alternating cp and cp2, into accumulators holding nonzero values, and
+// requires every accumulator entry to equal, bit for bit, ConvolveSoAInto's
+// output added through the same window.
+func checkLockstepConv(t *testing.T, rng *rand.Rand, cp, cp2 *ConvPlan, sigLen, count int) {
+	t.Helper()
+	signals := make([][]float64, count)
+	for i := range signals {
+		sig := make([]float64, sigLen)
+		for j := range sig {
+			sig[j] = rng.NormFloat64()
+		}
+		signals[i] = sig
+	}
+	if count > 3 {
+		signals[3] = nil
+	}
+	want := NewSpectrumArena(count, cp.SpectrumLen())
+	got := NewSpectrumArena(count, cp.SpectrumLen())
+	for i, sig := range signals {
+		if sig == nil {
+			continue
+		}
+		if err := cp.TransformSignalSoA(want, i, sig); err != nil {
+			t.Fatalf("scalar TransformSignalSoA: %v", err)
+		}
+	}
+	if err := cp.TransformSlotsSoA(got, signals); err != nil {
+		t.Fatalf("TransformSlotsSoA kLen=%d m=%d count=%d: %v", cp.kLen, cp.m, count, err)
+	}
+	for i := range signals {
+		wr, wi := want.Slot(i)
+		gr, gi := got.Slot(i)
+		for k := range wr {
+			if math.Float64bits(wr[k]) != math.Float64bits(gr[k]) || math.Float64bits(wi[k]) != math.Float64bits(gi[k]) {
+				t.Fatalf("kLen=%d m=%d count=%d slot %d bin %d: scalar (%v,%v) batch (%v,%v)",
+					cp.kLen, cp.m, count, i, k, wr[k], wi[k], gr[k], gi[k])
 			}
-			if count > 3 {
-				signals[3] = nil
+		}
+	}
+	outLen := cp.OutLen(sigLen)
+	var lanes []ConvLane
+	var accWant [][]float64
+	y := make([]float64, outLen)
+	for slot, sig := range signals {
+		if sig == nil {
+			continue
+		}
+		plan := cp
+		if len(lanes)%2 == 1 {
+			plan = cp2
+		}
+		win := randWindow(rng, outLen)
+		acc := make([]float64, (win.Rows-1)*win.AccStride+win.Width+rng.Intn(3))
+		for i := range acc {
+			acc[i] = rng.NormFloat64()
+		}
+		full, err := plan.ConvolveSoAInto(y, want, slot, sigLen)
+		if err != nil {
+			t.Fatalf("scalar ConvolveSoAInto: %v", err)
+		}
+		ref := append([]float64(nil), acc...)
+		for r := 0; r < win.Rows; r++ {
+			for c := 0; c < win.Width; c++ {
+				ref[r*win.AccStride+c] += full[win.Off+r*win.SrcStride+c]
 			}
-			want := NewSpectrumArena(count, cp.SpectrumLen())
-			got := NewSpectrumArena(count, cp.SpectrumLen())
-			for i, sig := range signals {
-				if sig == nil {
-					continue
-				}
-				if err := cp.TransformSignalSoA(want, i, sig); err != nil {
-					t.Fatalf("scalar TransformSignalSoA: %v", err)
-				}
-			}
-			if err := cp.TransformSlotsSoA(got, signals); err != nil {
-				t.Fatalf("TransformSlotsSoA kLen=%d maxSig=%d count=%d: %v", tc.kLen, tc.maxSig, count, err)
-			}
-			for i := range signals {
-				wr, wi := want.Slot(i)
-				gr, gi := got.Slot(i)
-				for k := range wr {
-					if math.Float64bits(wr[k]) != math.Float64bits(gr[k]) || math.Float64bits(wi[k]) != math.Float64bits(gi[k]) {
-						t.Fatalf("kLen=%d maxSig=%d count=%d slot %d bin %d: scalar (%v,%v) batch (%v,%v)",
-							tc.kLen, tc.maxSig, count, i, k, wr[k], wi[k], gr[k], gi[k])
-					}
-				}
-			}
-			// Inverse via one kernel across many slots.
-			outLen := cp.OutLen(sigLen)
-			slots := make([]int, 0, count)
-			for i, sig := range signals {
-				if sig != nil {
-					slots = append(slots, i)
-				}
-			}
-			dstBatch := make([]float64, len(slots)*outLen)
-			if err := cp.ConvolveSlotsSoAInto(dstBatch, outLen, got, slots, sigLen); err != nil {
-				t.Fatalf("ConvolveSlotsSoAInto: %v", err)
-			}
-			dstScalar := make([]float64, outLen)
-			for li, slot := range slots {
-				full, err := cp.ConvolveSoAInto(dstScalar, want, slot, sigLen)
-				if err != nil {
-					t.Fatalf("scalar ConvolveSoAInto: %v", err)
-				}
-				for j := range full {
-					if math.Float64bits(full[j]) != math.Float64bits(dstBatch[li*outLen+j]) {
-						t.Fatalf("kLen=%d maxSig=%d count=%d slot %d sample %d: scalar %v batch %v",
-							tc.kLen, tc.maxSig, count, slot, j, full[j], dstBatch[li*outLen+j])
-					}
-				}
-			}
-			// Mixed-kernel lanes: alternate two kernels over the slots.
-			lanes := make([]ConvLane, 0, len(slots))
-			for li, slot := range slots {
-				plan := cp
-				if li%2 == 1 {
-					plan = cp2
-				}
-				re, im := got.Slot(slot)
-				lanes = append(lanes, ConvLane{Plan: plan, SpecRe: re, SpecIm: im, Dst: make([]float64, outLen)})
-			}
-			if err := ConvolveLanesSoA(sigLen, lanes); err != nil {
-				t.Fatalf("ConvolveLanesSoA: %v", err)
-			}
-			for li, slot := range slots {
-				plan := cp
-				if li%2 == 1 {
-					plan = cp2
-				}
-				full, err := plan.ConvolveSoAInto(dstScalar, want, slot, sigLen)
-				if err != nil {
-					t.Fatalf("scalar ConvolveSoAInto: %v", err)
-				}
-				for j := range full {
-					if math.Float64bits(full[j]) != math.Float64bits(lanes[li].Dst[j]) {
-						t.Fatalf("mixed lanes kLen=%d count=%d slot %d sample %d: scalar %v batch %v",
-							tc.kLen, count, slot, j, full[j], lanes[li].Dst[j])
-					}
-				}
+		}
+		re, im := got.Slot(slot)
+		lanes = append(lanes, ConvLane{Plan: plan, SpecRe: re, SpecIm: im, Acc: acc, Window: win})
+		accWant = append(accWant, ref)
+	}
+	if err := ConvolveLanesSoA(sigLen, lanes); err != nil {
+		t.Fatalf("ConvolveLanesSoA kLen=%d m=%d: %v", cp.kLen, cp.m, err)
+	}
+	for li, l := range lanes {
+		for i, v := range l.Acc {
+			if math.Float64bits(v) != math.Float64bits(accWant[li][i]) {
+				t.Fatalf("kLen=%d m=%d sigLen=%d count=%d lane %d window %+v entry %d: scalar %v lockstep %v",
+					cp.kLen, cp.m, sigLen, count, li, l.Window, i, accWant[li][i], v)
 			}
 		}
 	}
 }
 
-// TestBatchRealPlanConcurrent hammers one shared BatchRealPlan from many
-// goroutines (run under -race in CI): the plan is stateless, so concurrent
-// lockstep transforms must neither race nor disturb each other's results.
-func TestBatchRealPlanConcurrent(t *testing.T) {
-	const m = 256
-	bp, err := NewBatchRealPlan(m)
+// randWindow draws a window inside an outLen-sample output: either the
+// whole output as one row, or up to four rows at a random (even or odd)
+// offset whose source stride is at least, and usually more than, the width.
+func randWindow(rng *rand.Rand, outLen int) Window {
+	if rng.Intn(4) == 0 {
+		return Window{Rows: 1, Width: outLen, SrcStride: outLen, AccStride: outLen}
+	}
+	rows := 1 + rng.Intn(min(4, outLen))
+	src := outLen / rows
+	width := 1 + rng.Intn(src)
+	return Window{
+		Off:       rng.Intn(outLen - (rows-1)*src - width + 1),
+		Rows:      rows,
+		Width:     width,
+		SrcStride: src,
+		AccStride: width + rng.Intn(3),
+	}
+}
+
+// TestConvolveLanesWindowBounds: a window reaching past the output or the
+// accumulator, or with a negative field, fails before any lane runs; an
+// empty window is accepted whatever its strides and adds nothing.
+func TestConvolveLanesWindowBounds(t *testing.T) {
+	cp, err := NewConvPlan([]float64{1, 2, 3}, 6) // outLen 8 at sigLen 6
 	if err != nil {
-		t.Fatalf("NewBatchRealPlan: %v", err)
-	}
-	rp, _ := RealPlanFor(m)
-	rng := rand.New(rand.NewSource(11))
-	signals := make([][]float64, LockstepWidth+3)
-	refs := make([][]complex128, len(signals))
-	for i := range signals {
-		sig := make([]float64, m)
-		for j := range sig {
-			sig[j] = rng.NormFloat64()
-		}
-		signals[i] = sig
-		refs[i] = make([]complex128, rp.hm+1)
-		if err := rp.Transform(sig, refs[i]); err != nil {
-			t.Fatalf("scalar transform: %v", err)
-		}
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			specs := make([][]complex128, len(signals))
-			for i := range specs {
-				specs[i] = make([]complex128, rp.hm+1)
-			}
-			for iter := 0; iter < 50; iter++ {
-				if err := bp.Transform(signals, specs); err != nil {
-					errs <- err
-					return
-				}
-				for i := range specs {
-					for k := range specs[i] {
-						if specs[i][k] != refs[i][k] {
-							errs <- errMismatch(i, k)
-							return
-						}
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
 		t.Fatal(err)
 	}
+	a := NewSpectrumArena(1, cp.SpectrumLen())
+	if err := cp.TransformSignalSoA(a, 0, []float64{1, 2, 3, 4, 5, 6}); err != nil {
+		t.Fatal(err)
+	}
+	re, im := a.Slot(0)
+	for _, tc := range []struct {
+		name   string
+		accLen int
+		win    Window
+		ok     bool
+	}{
+		{"past output", 8, Window{Off: 1, Rows: 1, Width: 8}, false},
+		{"past output on last row", 8, Window{Off: 2, Rows: 2, Width: 2, SrcStride: 5, AccStride: 2}, false},
+		{"past accumulator", 3, Window{Rows: 2, Width: 2, SrcStride: 2, AccStride: 2}, false},
+		{"negative offset", 8, Window{Off: -1, Rows: 1, Width: 1}, false},
+		{"empty", 2, Window{Off: 100, Rows: 5, SrcStride: 100, AccStride: 100}, true},
+	} {
+		acc := make([]float64, tc.accLen)
+		lanes := []ConvLane{{Plan: cp, SpecRe: re, SpecIm: im, Acc: acc, Window: tc.win}}
+		if err := ConvolveLanesSoA(6, lanes); (err == nil) != tc.ok {
+			t.Errorf("%s: window %+v over %d accumulator entries: err %v, want ok=%v", tc.name, tc.win, tc.accLen, err, tc.ok)
+		}
+		for i, v := range acc {
+			if v != 0 {
+				t.Fatalf("%s: call wrote acc[%d] = %v", tc.name, i, v)
+			}
+		}
+	}
 }
 
-// BenchmarkLockstepIrfft compares the lockstep inverse convolution path
-// against per-slot scalar ConvolveSoAInto at the conv-path geometry the
-// tiled executors run (one kernel, LockstepWidth samples).
-func BenchmarkLockstepIrfft(b *testing.B) {
-	const maxSig = 1000
-	kernel := make([]float64, 7)
+// windowFixture is the scalar-vs-lockstep measurement at AlexNetS conv1's
+// row-tiled shape: a 133-tap tiled kernel against 256-sample shots (m =
+// 512), each lane reading the 128 valid samples (4 rows x 32 columns) of
+// its 388-sample correlation.
+type windowFixture struct {
+	cp    *ConvPlan
+	a     *SpectrumArena
+	lanes []ConvLane
+	y     []float64
+}
+
+func newWindowFixture(tb testing.TB, nsig int) *windowFixture {
+	const kLen, sigLen, rowLen, rows = 133, 256, 32, 4
+	kernel := make([]float64, kLen)
 	for i := range kernel {
-		kernel[i] = float64(i) + 0.5
+		kernel[i] = float64(i%7) + 0.5
 	}
-	cp, err := NewConvPlan(kernel, maxSig)
+	cp, err := NewCorrPlan(kernel, sigLen)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(12))
-	signals := make([][]float64, LockstepWidth)
+	signals := make([][]float64, nsig)
 	for i := range signals {
-		sig := make([]float64, maxSig)
+		sig := make([]float64, sigLen)
 		for j := range sig {
 			sig[j] = rng.NormFloat64()
 		}
 		signals[i] = sig
 	}
-	a := NewSpectrumArena(LockstepWidth, cp.SpectrumLen())
-	if err := cp.TransformSlotsSoA(a, signals); err != nil {
-		b.Fatal(err)
+	f := &windowFixture{cp: cp, a: NewSpectrumArena(nsig, cp.SpectrumLen()), y: make([]float64, cp.OutLen(sigLen))}
+	if err := cp.TransformSlotsSoA(f.a, signals); err != nil {
+		tb.Fatal(err)
 	}
-	outLen := cp.OutLen(maxSig)
-	slots := make([]int, LockstepWidth)
-	for i := range slots {
-		slots[i] = i
+	win := Window{Off: kLen - 1 - 2, Rows: rows, Width: rowLen, SrcStride: rowLen, AccStride: rowLen}
+	for i := range signals {
+		re, im := f.a.Slot(i)
+		f.lanes = append(f.lanes, ConvLane{Plan: cp, SpecRe: re, SpecIm: im, Acc: make([]float64, rows*rowLen), Window: win})
 	}
+	return f
+}
+
+// scalar runs each lane through ConvolveSoAInto and a plain window add.
+func (f *windowFixture) scalar(tb testing.TB) {
+	for i := range f.lanes {
+		l := &f.lanes[i]
+		full, err := f.cp.ConvolveSoAInto(f.y, f.a, i, 256)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for r := 0; r < l.Rows; r++ {
+			for c := 0; c < l.Width; c++ {
+				l.Acc[r*l.AccStride+c] += full[l.Off+r*l.SrcStride+c]
+			}
+		}
+	}
+}
+
+// lockstep runs the same lanes through ConvolveLanesSoA.
+func (f *windowFixture) lockstep(tb testing.TB) {
+	if err := ConvolveLanesSoA(256, f.lanes); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkConvolveLanesWindow compares window lanes through the lockstep
+// epilogue against per-slot scalar ConvolveSoAInto plus a window add, one
+// lockstep group of conv1-shaped lanes per iteration.
+func BenchmarkConvolveLanesWindow(b *testing.B) {
+	f := newWindowFixture(b, LockstepWidth)
 	b.Run("scalar", func(b *testing.B) {
-		dst := make([]float64, outLen)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			for _, s := range slots {
-				if _, err := cp.ConvolveSoAInto(dst, a, s, maxSig); err != nil {
-					b.Fatal(err)
-				}
-			}
+			f.scalar(b)
 		}
 	})
 	b.Run("lockstep", func(b *testing.B) {
-		dst := make([]float64, LockstepWidth*outLen)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := cp.ConvolveSlotsSoAInto(dst, outLen, a, slots, maxSig); err != nil {
-				b.Fatal(err)
-			}
+			f.lockstep(b)
 		}
 	})
 }

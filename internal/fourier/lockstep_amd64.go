@@ -26,9 +26,6 @@ func final2(re, im []float64, tw []complex128, n int)
 func bitrevSwap(re, im []float64, rev []int)
 
 //go:noescape
-func invNormalize(re, im []float64, total int, c float64)
-
-//go:noescape
 func rfftRecomb(sre, sim []float64, w []complex128, hm int)
 
 //go:noescape

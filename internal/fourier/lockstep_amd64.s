@@ -498,42 +498,6 @@ bnext:
 bdone:
 	RET
 
-// func invNormalize(re, im []float64, total int, c float64)
-//
-// Inverse normalization x *= complex(c, 0) in the scalar path's exact
-// four-multiply form (xr*c - xi*0, xr*0 + xi*c) so zero signs survive.
-TEXT ·invNormalize(SB), NOSPLIT, $0-64
-	MOVQ     re_base+0(FP), SI
-	MOVQ     im_base+24(FP), DI
-	MOVQ     total+48(FP), CX
-	SHLQ     $3, CX
-	MOVSD    c+56(FP), X10
-	UNPCKLPD X10, X10
-	XORPD    X11, X11
-	XORQ     BX, BX
-	CMPQ     BX, CX
-	JGE      ndone
-
-nloop:
-	MOVUPD (SI)(BX*1), X0     // xr
-	MOVUPD (DI)(BX*1), X1     // xi
-	MOVAPD X0, X2
-	MULPD  X10, X2            // xr*c
-	MOVAPD X1, X3
-	MULPD  X11, X3            // xi*0
-	SUBPD  X3, X2
-	MOVUPD X2, (SI)(BX*1)
-	MULPD  X11, X0            // xr*0
-	MULPD  X10, X1            // xi*c
-	ADDPD  X1, X0
-	MOVUPD X0, (DI)(BX*1)
-	ADDQ   $16, BX
-	CMPQ   BX, CX
-	JL     nloop
-
-ndone:
-	RET
-
 // RRBODY: one XMM chunk of the forward real-transform recombination.
 // X10/X11 = twiddle splat, X12 = 0.5 splat; R12/R13 = row-k pointers,
 // R14/R15 = row-(hm-k) pointers.

@@ -22,10 +22,6 @@ func bitrevSwap(re, im []float64, rev []int) {
 	bitrevSwapGeneric(re, im, rev)
 }
 
-func invNormalize(re, im []float64, total int, c float64) {
-	invNormalizeGeneric(re, im, total, c)
-}
-
 func rfftRecomb(sre, sim []float64, w []complex128, hm int) {
 	rfftRecombGeneric(sre, sim, w, hm)
 }

@@ -103,20 +103,14 @@ func (p *Plan) Conv2DPlannedAccumBatch(op *BatchConvOperands) error {
 	if ref == nil {
 		return nil // no kernels at all
 	}
-	maxLk, maxSpec := 0, 0
-	for pass := range ref.corrs {
-		if lk := ref.lks[pass]; lk > maxLk {
-			maxLk = lk
-		}
-		if sl := ref.corrs[pass].SpectrumLen(); sl > maxSpec {
+	maxSpec := 0
+	for _, cp := range ref.corrs {
+		if sl := cp.SpectrumLen(); sl > maxSpec {
 			maxSpec = sl
 		}
 	}
 	sc := getBatchScratch()
 	defer putBatchScratch(sc)
-	sc.dstStride = p.NConv + maxLk - 1
-	sc.dst = getFloats(fourier.LockstepWidth * sc.dstStride)
-	defer putFloats(sc.dst)
 	sc.sigBuf = getFloats(n * p.NConv)
 	defer putFloats(sc.sigBuf)
 	if cap(sc.sigs) < n {
@@ -254,20 +248,15 @@ func (op *BatchConvOperands) rowsOf(pi, b int) [][]float64 {
 // beyond the float planes, so a warmed batch executor runs a whole channel
 // convolution without heap allocation.
 type batchScratch struct {
-	dst       []float64   // LockstepWidth lanes of dstStride convolution output
-	dstStride int         // per-lane stride within dst
-	sigs      [][]float64 // per-sample shot-signal views (nil = sample absent)
-	sigBuf    []float64   // backing for sigs: n * NConv
+	sigs   [][]float64 // per-sample shot-signal views (nil = sample absent)
+	sigBuf []float64   // backing for sigs: n * NConv
 
 	arenas     []fourier.SpectrumArena     // 2*passes reusable arena values
 	passArenas [][2]*fourier.SpectrumArena // per-pass (pos, neg) arena views
 
-	// Lockstep flattening state for convolveShotKernels: one pending
-	// convolution lane plus its emit metadata per slot.
-	lanes    []fourier.ConvLane
-	laneAccs [][]float64
-	laneLks  []int
-	laneOuts []int
+	// lanes is the pending lockstep group of convolveShotKernels and
+	// convKernelsLockstep.
+	lanes [fourier.LockstepWidth]fourier.ConvLane
 }
 
 var batchScratchPool sync.Pool
@@ -275,40 +264,24 @@ var batchScratchPool sync.Pool
 func getBatchScratch() *batchScratch {
 	sc, _ := batchScratchPool.Get().(*batchScratch)
 	if sc == nil {
-		sc = &batchScratch{
-			lanes:    make([]fourier.ConvLane, fourier.LockstepWidth),
-			laneAccs: make([][]float64, fourier.LockstepWidth),
-			laneLks:  make([]int, fourier.LockstepWidth),
-			laneOuts: make([]int, fourier.LockstepWidth),
-		}
+		sc = new(batchScratch)
 	}
 	return sc
 }
 
 func putBatchScratch(sc *batchScratch) { batchScratchPool.Put(sc) }
 
-// flushConvLanes completes the nl pending lockstep lanes and emits each
-// result in queue order.
-func (sc *batchScratch) flushConvLanes(nl, sigLen int, emit func(acc, full []float64, lk int)) error {
-	if err := fourier.ConvolveLanesSoA(sigLen, sc.lanes[:nl]); err != nil {
-		return err
-	}
-	for s := 0; s < nl; s++ {
-		emit(sc.laneAccs[s], sc.lanes[s].Dst[:sc.laneOuts[s]], sc.laneLks[s])
-	}
-	return nil
-}
-
 // convolveShotKernels completes one shot for every (kernel, part, sample)
-// triple: the shot's arena spectra multiply each kernel spectrum and
-// scatter through emit. The (term, kernel, sample) scan flattens into
-// lockstep groups of up to LockstepWidth lanes — mixing kernels and samples
-// freely, since every plan of one pass shares transform geometry — and each
-// group runs as ONE batched inverse transform. Emits fire in exactly the
-// scalar scan order; every accumulator sees exactly one addition per shot,
-// so inter-shot order (the caller's) is what fixes bit-identity, and each
-// lane's convolution is itself bit-identical to ConvolveSoAInto.
-func (p *Plan) convolveShotKernels(op *BatchConvOperands, sc *batchScratch, n, pass, sigLen int, ar [2]*fourier.SpectrumArena, emit func(acc, full []float64, lk int)) error {
+// triple: the shot's arena spectra multiply each kernel spectrum, and the
+// shot's window adds into each accumulator from entry at on. The (term,
+// kernel, sample) scan flattens into lockstep groups of up to
+// LockstepWidth lanes — mixing kernels and samples freely, since every plan
+// of one pass shares transform geometry — and each group runs as ONE
+// batched inverse transform. Lanes add in exactly the scalar scan order;
+// every accumulator sees exactly one addition per shot, so inter-shot order
+// (the caller's) is what fixes bit-identity, and each lane's window is
+// itself bit-identical to the same samples of ConvolveSoAInto.
+func (p *Plan) convolveShotKernels(op *BatchConvOperands, sc *batchScratch, n, pass, sigLen int, ar [2]*fourier.SpectrumArena, at int, win fourier.Window) error {
 	nl := 0
 	for term := 0; term < 4; term++ {
 		accs := op.Accs[term]
@@ -322,8 +295,6 @@ func (p *Plan) convolveShotKernels(op *BatchConvOperands, sc *batchScratch, n, p
 		}
 		for j, kp := range kset {
 			cp := kp.corrs[pass]
-			lk := kp.lks[pass]
-			outLen := cp.OutLen(sigLen)
 			for b := 0; b < n; b++ {
 				if op.rowsOf(pi, b) == nil {
 					continue
@@ -333,12 +304,10 @@ func (p *Plan) convolveShotKernels(op *BatchConvOperands, sc *batchScratch, n, p
 					continue
 				}
 				re, im := ar[pi].Slot(b)
-				sc.lanes[nl] = fourier.ConvLane{Plan: cp, SpecRe: re, SpecIm: im,
-					Dst: sc.dst[nl*sc.dstStride : nl*sc.dstStride+outLen]}
-				sc.laneAccs[nl], sc.laneLks[nl], sc.laneOuts[nl] = acc, lk, outLen
+				sc.lanes[nl] = fourier.ConvLane{Plan: cp, SpecRe: re, SpecIm: im, Acc: acc[at:], Window: win}
 				nl++
 				if nl == fourier.LockstepWidth {
-					if err := sc.flushConvLanes(nl, sigLen, emit); err != nil {
+					if err := fourier.ConvolveLanesSoA(sigLen, sc.lanes[:nl]); err != nil {
 						return err
 					}
 					nl = 0
@@ -347,9 +316,35 @@ func (p *Plan) convolveShotKernels(op *BatchConvOperands, sc *batchScratch, n, p
 		}
 	}
 	if nl > 0 {
-		return sc.flushConvLanes(nl, sigLen, emit)
+		return fourier.ConvolveLanesSoA(sigLen, sc.lanes[:nl])
 	}
 	return nil
+}
+
+// rowTiledWindow locates the valid outputs of the row-tiled shot whose first
+// output row is rOut0: the accumulator entry of that row, and the window of
+// its Nor rows (fewer in the last shot) in the full correlation against a
+// tiled kernel of length lk. The window skips the halo between rows. Every
+// kernel plan of one Plan shares lk per pass, so one window serves a whole
+// shot; these windows replace the scalar path's per-element bounds tests,
+// which they never trip (ConvolveLanesSoA checks each window once).
+func (p *Plan) rowTiledWindow(lk, rOut0, colOff int) (int, fourier.Window) {
+	return rOut0 * p.OutW, fourier.Window{
+		Off: lk - 1 - colOff, Rows: min(p.Nor, p.OutH-rOut0), Width: p.OutW,
+		SrcStride: p.RowLen, AccStride: p.OutW,
+	}
+}
+
+// partialWindow locates the one output row r that a partial-row-tiling pass
+// against a tile of length lk contributes to.
+func (p *Plan) partialWindow(lk, r, colOff int) (int, fourier.Window) {
+	return r * p.OutW, fourier.Window{Off: lk - 1 - colOff, Rows: 1, Width: p.OutW}
+}
+
+// partitionedWindow locates the valid columns [c0, c0+step) of output row r
+// that one row-partitioning segment contributes.
+func (p *Plan) partitionedWindow(r, c0, step int) (int, fourier.Window) {
+	return r*p.OutW + c0, fourier.Window{Off: p.K - 1, Rows: 1, Width: min(c0+step, p.OutW) - c0}
 }
 
 func (p *Plan) batchRowTiled(op *BatchConvOperands, ref *KernelPlan, n int, sc *batchScratch) error {
@@ -376,10 +371,8 @@ func (p *Plan) batchRowTiled(op *BatchConvOperands, ref *KernelPlan, n int, sc *
 				return err
 			}
 		}
-		err := p.convolveShotKernels(op, sc, n, 0, p.NConv, ar, func(acc, full []float64, lk int) {
-			p.scatterRowTiledShot(acc, full, lk, rOut0, colOff)
-		})
-		if err != nil {
+		at, win := p.rowTiledWindow(ref.lks[0], rOut0, colOff)
+		if err := p.convolveShotKernels(op, sc, n, 0, p.NConv, ar, at, win); err != nil {
 			return err
 		}
 	}
@@ -412,17 +405,8 @@ func (p *Plan) batchPartial(op *BatchConvOperands, ref *KernelPlan, n int, sc *b
 					return err
 				}
 			}
-			err := p.convolveShotKernels(op, sc, n, pass, p.NConv, ar, func(acc, full []float64, lk int) {
-				row := acc[r*p.OutW : (r+1)*p.OutW]
-				for c := 0; c < p.OutW; c++ {
-					idx := c - colOff + lk - 1
-					if idx < 0 || idx >= len(full) {
-						continue
-					}
-					row[c] += full[idx]
-				}
-			})
-			if err != nil {
+			at, win := p.partialWindow(ref.lks[pass], r, colOff)
+			if err := p.convolveShotKernels(op, sc, n, pass, p.NConv, ar, at, win); err != nil {
 				return err
 			}
 		}
@@ -467,13 +451,8 @@ func (p *Plan) batchPartitioned(op *BatchConvOperands, ref *KernelPlan, n int, s
 						return err
 					}
 				}
-				err := p.convolveShotKernels(op, sc, n, j, p.NConv, ar, func(acc, full []float64, lk int) {
-					row := acc[r*p.OutW : (r+1)*p.OutW]
-					for c := c0; c < min(c0+step, p.OutW); c++ {
-						row[c] += full[(c-c0)+p.K-1]
-					}
-				})
-				if err != nil {
+				at, win := p.partitionedWindow(r, c0, step)
+				if err := p.convolveShotKernels(op, sc, n, j, p.NConv, ar, at, win); err != nil {
 					return err
 				}
 			}

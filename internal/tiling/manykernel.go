@@ -47,12 +47,9 @@ func (p *Plan) Conv2DPlannedAccumMany(input [][]float64, kps []*KernelPlan, accs
 			}
 		}
 	}
-	maxLk, maxSpec := 0, 0
-	for pass, lk := range ref.lks {
-		if lk > maxLk {
-			maxLk = lk
-		}
-		if sl := ref.corrs[pass].SpectrumLen(); sl > maxSpec {
+	maxSpec := 0
+	for _, cp := range ref.corrs {
+		if sl := cp.SpectrumLen(); sl > maxSpec {
 			maxSpec = sl
 		}
 	}
@@ -60,9 +57,6 @@ func (p *Plan) Conv2DPlannedAccumMany(input [][]float64, kps []*KernelPlan, accs
 	defer putFloats(g)
 	sc := getBatchScratch()
 	defer putBatchScratch(sc)
-	sc.dstStride = p.NConv + maxLk - 1
-	sc.dst = getFloats(fourier.LockstepWidth * sc.dstStride)
-	defer putFloats(sc.dst)
 	// A one-slot arena holds each shot's spectrum in split planes so the
 	// kernel sweep can run as lockstep groups; the backing covers the widest
 	// pass and is repointed (Reset) at each pass's bin count.
@@ -91,36 +85,21 @@ func (p *Plan) Conv2DPlannedAccumMany(input [][]float64, kps []*KernelPlan, accs
 }
 
 // convKernelsLockstep sweeps every kernel plan against the one-slot arena
-// spectrum in lockstep groups of up to LockstepWidth, emitting each kernel's
-// full correlation in j order (the scalar sweep order).
-func (p *Plan) convKernelsLockstep(kps []*KernelPlan, pass, sigLen int, a *fourier.SpectrumArena, sc *batchScratch, emit func(j int, full []float64)) error {
+// spectrum in lockstep groups of up to LockstepWidth, adding the shot's
+// window into each accs[j] from entry at on, in j order (the scalar sweep
+// order).
+func (p *Plan) convKernelsLockstep(kps []*KernelPlan, accs [][]float64, pass, sigLen int, a *fourier.SpectrumArena, sc *batchScratch, at int, win fourier.Window) error {
 	re, im := a.Slot(0)
 	nl := 0
-	flush := func() error {
-		if err := fourier.ConvolveLanesSoA(sigLen, sc.lanes[:nl]); err != nil {
-			return err
-		}
-		for s := 0; s < nl; s++ {
-			emit(sc.laneLks[s], sc.lanes[s].Dst[:sc.laneOuts[s]])
-		}
-		nl = 0
-		return nil
-	}
 	for j, kp := range kps {
-		cp := kp.corrs[pass]
-		outLen := cp.OutLen(sigLen)
-		sc.lanes[nl] = fourier.ConvLane{Plan: cp, SpecRe: re, SpecIm: im,
-			Dst: sc.dst[nl*sc.dstStride : nl*sc.dstStride+outLen]}
-		sc.laneLks[nl], sc.laneOuts[nl] = j, outLen
+		sc.lanes[nl] = fourier.ConvLane{Plan: kp.corrs[pass], SpecRe: re, SpecIm: im, Acc: accs[j][at:], Window: win}
 		nl++
-		if nl == fourier.LockstepWidth {
-			if err := flush(); err != nil {
+		if nl == fourier.LockstepWidth || j == len(kps)-1 {
+			if err := fourier.ConvolveLanesSoA(sigLen, sc.lanes[:nl]); err != nil {
 				return err
 			}
+			nl = 0
 		}
-	}
-	if nl > 0 {
-		return flush()
 	}
 	return nil
 }
@@ -143,10 +122,8 @@ func (p *Plan) convRowTiledAccMany(input [][]float64, kps []*KernelPlan, accs []
 		if err := ref.TransformSignalSoA(a, 0, g); err != nil {
 			return err
 		}
-		err := p.convKernelsLockstep(kps, 0, len(g), a, sc, func(j int, full []float64) {
-			p.scatterRowTiledShot(accs[j], full, lk, rOut0, colOff)
-		})
-		if err != nil {
+		at, win := p.rowTiledWindow(lk, rOut0, colOff)
+		if err := p.convKernelsLockstep(kps, accs, 0, len(g), a, sc, at, win); err != nil {
 			return err
 		}
 	}
@@ -172,18 +149,8 @@ func (p *Plan) convPartialAccMany(input [][]float64, kps []*KernelPlan, accs [][
 			if err := ref.TransformSignalSoA(a, 0, g); err != nil {
 				return err
 			}
-			lk := kps[0].lks[pass]
-			err := p.convKernelsLockstep(kps, pass, len(g), a, sc, func(j int, full []float64) {
-				row := accs[j][r*p.OutW : (r+1)*p.OutW]
-				for c := 0; c < p.OutW; c++ {
-					idx := c - colOff + lk - 1
-					if idx < 0 || idx >= len(full) {
-						continue
-					}
-					row[c] += full[idx]
-				}
-			})
-			if err != nil {
+			at, win := p.partialWindow(kps[0].lks[pass], r, colOff)
+			if err := p.convKernelsLockstep(kps, accs, pass, len(g), a, sc, at, win); err != nil {
 				return err
 			}
 		}
@@ -221,13 +188,8 @@ func (p *Plan) convPartitionedAccMany(input [][]float64, kps []*KernelPlan, accs
 				if err := ref.TransformSignalSoA(a, 0, seg); err != nil {
 					return err
 				}
-				err := p.convKernelsLockstep(kps, j, len(seg), a, sc, func(ki int, full []float64) {
-					row := accs[ki][r*p.OutW : (r+1)*p.OutW]
-					for c := c0; c < min(c0+step, p.OutW); c++ {
-						row[c] += full[(c-c0)+p.K-1]
-					}
-				})
-				if err != nil {
+				at, win := p.partitionedWindow(r, c0, step)
+				if err := p.convKernelsLockstep(kps, accs, j, len(seg), a, sc, at, win); err != nil {
 					return err
 				}
 			}

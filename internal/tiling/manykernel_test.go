@@ -12,14 +12,18 @@ import (
 // every tiling regime.
 func TestConv2DPlannedAccumManyMatchesSingle(t *testing.T) {
 	cases := []struct {
-		name  string
-		nconv int
-		pad   tensor.PadMode
+		name   string
+		nconv  int
+		pad    tensor.PadMode
+		colpad bool
 	}{
-		{"row-tiling-same", 256, tensor.Same},
-		{"row-tiling-valid", 256, tensor.Valid},
-		{"partial-row-tiling", 40, tensor.Same},
-		{"row-partitioning", 10, tensor.Valid},
+		{"row-tiling-same", 256, tensor.Same, false},
+		{"row-tiling-valid", 256, tensor.Valid, false},
+		{"partial-row-tiling", 40, tensor.Same, false},
+		{"row-partitioning", 10, tensor.Valid, false},
+		// RowLen 16 > OutW 14: the one window whose source stride
+		// differs from its width.
+		{"row-tiling-colpad", 128, tensor.Same, true},
 	}
 	rng := rand.New(rand.NewSource(21))
 	h, w, k := 14, 14, 3
@@ -43,7 +47,7 @@ func TestConv2DPlannedAccumManyMatchesSingle(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := NewPlan(h, w, k, tc.nconv, tc.pad, false)
+			p, err := NewPlan(h, w, k, tc.nconv, tc.pad, tc.colpad)
 			if err != nil {
 				t.Fatal(err)
 			}

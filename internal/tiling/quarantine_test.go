@@ -102,19 +102,23 @@ func TestQuarantineBatchPackingBitIdentical(t *testing.T) {
 		pad            tensor.PadMode
 		n              int
 		dead           []int
+		colpad         bool
 	}{
-		{8, 8, 3, 256, tensor.Same, 5, []int{1, 2}},
-		{12, 12, 3, 128, tensor.Valid, 4, []int{3}},
-		{16, 16, 3, 512, tensor.Same, 8, []int{4, 5, 6}},
+		{8, 8, 3, 256, tensor.Same, 5, []int{1, 2}, false},
+		{12, 12, 3, 128, tensor.Valid, 4, []int{3}, false},
+		{16, 16, 3, 512, tensor.Same, 8, []int{4, 5, 6}, false},
+		// Column-padded Same: RowLen 12 > OutW 10, four shots of up to
+		// three output rows each.
+		{10, 10, 3, 64, tensor.Same, 4, []int{1}, true},
 	}
 	const nk = 3
 	rng := rand.New(rand.NewSource(77))
 	for _, tc := range cases {
-		healthy, err := NewPlan(tc.h, tc.w, tc.k, tc.nconv, tc.pad, false)
+		healthy, err := NewPlan(tc.h, tc.w, tc.k, tc.nconv, tc.pad, tc.colpad)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := NewPlanAvoiding(tc.h, tc.w, tc.k, tc.nconv, tc.pad, false, tc.dead)
+		q, err := NewPlanAvoiding(tc.h, tc.w, tc.k, tc.nconv, tc.pad, tc.colpad, tc.dead)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}

@@ -348,7 +348,7 @@ if want 8; then
 		printf "  \"fault_spec\": \"%s\",\n", fault
 		printf "  \"cpu\": \"%s\",\n", cpu
 		printf "  \"benchtime\": \"%s\",\n", benchtime
-		printf "  \"kernel_env\": {\"goamd64\": \"%s\", \"lockstep_width\": 8, \"asm_kernels\": \"SSE2 packed 2-lane butterflies (fused first/pair/final2, bitrev swap, inv normalize, rfft/irfft recomb, gather-mul)\"},\n", goamd64
+		printf "  \"kernel_env\": {\"goamd64\": \"%s\", \"lockstep_width\": 8, \"asm_kernels\": \"SSE2 packed 2-lane butterflies (fused first/pair/final2, bitrev swap, rfft/irfft recomb, gather-mul)\"},\n", goamd64
 		printf "  \"forward_batch\": {\n"
 		for (i = 1; i <= nn2; i++) {
 			net = netOrder[i]
