@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"photofourier/internal/backend"
+	"photofourier/internal/fourier"
 	"photofourier/internal/jtc"
 	"photofourier/internal/nn"
 	"photofourier/internal/serve"
@@ -196,8 +197,13 @@ func BenchmarkNetEvaluate(b *testing.B) {
 //   - shots/sample: modeled JTC shots per sample (packed schedule);
 //   - ktransforms/sample: kernel-tile spectra built per sample (plan-time
 //     latching makes this ~0 in steady state).
+//
+// The first sub-benchmark logs the lockstep kernel family this CPU runs
+// (scripts/bench.sh records it in BENCH_8); a leaf benchmark's log is
+// printed without -v.
 func BenchmarkNetForwardBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(33))
+	logged := false
 	nets := []struct {
 		name  string
 		build func() *nn.Network
@@ -211,6 +217,10 @@ func BenchmarkNetForwardBatch(b *testing.B) {
 			x := tensor.New(batch, 3, 32, 32)
 			x.RandN(rng, 1)
 			b.Run(fmt.Sprintf("%s/batch%d", nc.name, batch), func(b *testing.B) {
+				if !logged {
+					b.Log("lockstep kernels:", fourier.LockstepKernels())
+					logged = true
+				}
 				plan, err := net.Compile(benchOpen(b))
 				if err != nil {
 					b.Fatal(err)

@@ -116,8 +116,8 @@ func bitrevSwapGeneric(re, im []float64, rev []int) {
 
 // fusedFirstGeneric is the portable fused size-2/4 first stage (lanes
 // innermost over the bin-major planes). The amd64 build replaces the
-// dispatch target with a packed SSE2 kernel computing the identical
-// per-lane float sequence.
+// dispatch target with a packed SSE2 or AVX-512F kernel computing the
+// identical per-lane float sequence.
 func fusedFirstGeneric(re, im []float64, n int, inverse bool) {
 	{
 		for i := 0; i < n; i += 4 {
@@ -163,8 +163,8 @@ func fusedFirstGeneric(re, im []float64, n int, inverse bool) {
 }
 
 // fusedPairGeneric is the portable fused radix-4-style stage pair; the
-// amd64 dispatch target is a packed SSE2 kernel with the identical
-// per-lane float sequence.
+// amd64 dispatch target is a packed SSE2 or AVX-512F kernel with the
+// identical per-lane float sequence.
 func fusedPairGeneric(re, im []float64, tw []complex128, n, size int) {
 	{
 		half := size >> 1
@@ -560,14 +560,9 @@ func convolveLanesGroup(rp *RealPlan, lanes []ConvLane) {
 	sre := getLane(bins * lw)
 	sim := getLane(bins * lw)
 	if w == lw {
-		// Full-width fast path: lane pairs stream their spectra and kernel
+		// Full-width fast path: the lanes stream their spectra and kernel
 		// spectra straight into the bin-major work planes.
-		for p := 0; p < lw; p += 2 {
-			l0, l1 := &lanes[p], &lanes[p+1]
-			gatherMulPair(sre[p:], sim[p:], bins,
-				l0.SpecRe, l0.SpecIm, l0.Plan.kspec,
-				l1.SpecRe, l1.SpecIm, l1.Plan.kspec)
-		}
+		gatherMulGroup(sre, sim, bins, lanes)
 	} else {
 		for s := 0; s < w; s++ {
 			l := &lanes[s]
@@ -621,6 +616,17 @@ func (l *ConvLane) addWindow(re, im []float64, s int, c float64) {
 		if i < len(acc) {
 			acc[i] += re[k]*c - im[k]*0
 		}
+	}
+}
+
+// gatherMulGroupGeneric is the portable full-group kernel-spectrum
+// multiply: four lane-pair multiplies fill all lw lanes of dre/dim.
+func gatherMulGroupGeneric(dre, dim []float64, bins int, lanes []ConvLane) {
+	for p := 0; p < lw; p += 2 {
+		l0, l1 := &lanes[p], &lanes[p+1]
+		gatherMulPairGeneric(dre[p:], dim[p:], bins,
+			l0.SpecRe, l0.SpecIm, l0.Plan.kspec,
+			l1.SpecRe, l1.SpecIm, l1.Plan.kspec)
 	}
 }
 

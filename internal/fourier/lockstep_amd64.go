@@ -2,34 +2,150 @@
 
 package fourier
 
-// Packed SSE2 lockstep kernels (lockstep_amd64.s). Each MULPD/ADDPD/SUBPD
-// applies the same IEEE-754 operation to two lanes at once, so every lane
-// still runs the exact float sequence of the portable Go loops (the
-// *Generic functions) — results are bit-identical; only between-lane
-// ordering changes. The recombination kernels replace the scalar `/2` with
-// MULPD by 0.5: both are correctly-rounded scalings by 2^-1, bitwise
-// identical for every input including subnormals. SSE2 is part of the
-// amd64 baseline (GOAMD64=v1), so no feature detection is needed, and no
-// FMA contraction is possible: the kernels spell out separate multiplies
-// and adds.
+// Two families of packed lockstep kernels, picked once at package init:
+//
+//   - AVX-512F (lockstep_avx512_amd64.s): one 64-byte bin row of eight
+//     lanes per ZMM instruction, for bitrevSwap, fusedFirst, fusedPair,
+//     irfftRecomb and the full-group spectrum×kernel multiply. The
+//     multiply reads every lane through its own pointers, so groups mixing
+//     kernels take it too: it computes 8-bin blocks lane by lane and
+//     transposes them into bin rows, and gathers (VGATHERQPD) the bins
+//     past the last whole block;
+//   - SSE2 (lockstep_amd64.s): the same rows in four 2-lane XMM chunks.
+//     SSE2 is the amd64 baseline (GOAMD64=v1), so it is the fallback on
+//     every host without AVX-512F, and final2 and rfftRecomb keep their
+//     single SSE2 body on every host (final2 never runs at the conv paths'
+//     m = 512, and the forward transform is a small share of the time).
+//
+// cpuHasAVX512F picks the family: CPUID.1:ECX.OSXSAVE, XCR0 & 0xE6 ==
+// 0xE6 (the OS saves the opmask and full ZMM state) and
+// CPUID.7.0:EBX.AVX512F. Nothing overrides that choice.
+//
+// Both families are bit-identical to the portable Go loops (the *Generic
+// functions): each MULPD/ADDPD/SUBPD and each EVEX VMULPD/VADDPD/VSUBPD
+// applies the same correctly-rounded IEEE-754 operation to every 64-bit
+// element, so each lane runs the exact float sequence of the Go loop and
+// only the order between lanes changes. The kernels spell out separate
+// multiplies and adds (no FMA contraction), and the recombination kernels
+// replace the scalar `/2` with a multiply by 0.5: both are
+// correctly-rounded scalings by 2^-1, bitwise identical for every input
+// including subnormals.
+
+// useAVX512 is set once, at package init, and never written again.
+var useAVX512 = cpuHasAVX512F()
+
+// LockstepKernels names the kernel family the lockstep transforms run on:
+// "avx512f", "sse2" or, on non-amd64 builds, "go".
+func LockstepKernels() string {
+	if useAVX512 {
+		return "avx512f"
+	}
+	return "sse2"
+}
+
+func cpuHasAVX512F() bool
+
+func fusedFirst(re, im []float64, n int, inverse bool) {
+	if useAVX512 {
+		fusedFirstAVX512(re, im, n, inverse)
+	} else {
+		fusedFirstSSE2(re, im, n, inverse)
+	}
+}
+
+func fusedPair(re, im []float64, tw []complex128, n, size int) {
+	if useAVX512 {
+		fusedPairAVX512(re, im, tw, n, size)
+	} else {
+		fusedPairSSE2(re, im, tw, n, size)
+	}
+}
+
+func bitrevSwap(re, im []float64, rev []int) {
+	if useAVX512 {
+		bitrevSwapAVX512(re, im, rev)
+	} else {
+		bitrevSwapSSE2(re, im, rev)
+	}
+}
+
+func irfftRecomb(sre, sim []float64, w []complex128, hm int) {
+	if useAVX512 {
+		irfftRecombAVX512(sre, sim, w, hm)
+	} else {
+		irfftRecombSSE2(sre, sim, w, hm)
+	}
+}
+
+// gatherMulGroup fills all lw lanes of the bin-major planes dre/dim with
+// the spectrum×kernel products of a full group of lanes.
+func gatherMulGroup(dre, dim []float64, bins int, lanes []ConvLane) {
+	if useAVX512 {
+		gatherMulGroupAVX512(dre, dim, bins, lanes)
+	} else {
+		gatherMulGroupSSE2(dre, dim, bins, lanes)
+	}
+}
+
+// gatherMulGroupSSE2 runs the group multiply as four lane-pair kernels.
+func gatherMulGroupSSE2(dre, dim []float64, bins int, lanes []ConvLane) {
+	for p := 0; p < lw; p += 2 {
+		l0, l1 := &lanes[p], &lanes[p+1]
+		gatherMulPair(dre[p:], dim[p:], bins,
+			l0.SpecRe, l0.SpecIm, l0.Plan.kspec,
+			l1.SpecRe, l1.SpecIm, l1.Plan.kspec)
+	}
+}
+
+// gatherMulGroupAVX512 hands the lanes' spectrum and kernel planes to
+// gatherMulAVX512 as stack arrays of per-lane pointers (bins >= 1, so
+// element 0 exists).
+func gatherMulGroupAVX512(dre, dim []float64, bins int, lanes []ConvLane) {
+	var xr, xi [lw]*float64
+	var k [lw]*complex128
+	for s := range xr {
+		l := &lanes[s]
+		xr[s], xi[s], k[s] = &l.SpecRe[0], &l.SpecIm[0], &l.Plan.kspec[0]
+	}
+	gatherMulAVX512(dre, dim, bins, &xr, &xi, &k)
+}
+
+// SSE2 family (lockstep_amd64.s).
 
 //go:noescape
-func fusedFirst(re, im []float64, n int, inverse bool)
+func fusedFirstSSE2(re, im []float64, n int, inverse bool)
 
 //go:noescape
-func fusedPair(re, im []float64, tw []complex128, n, size int)
+func fusedPairSSE2(re, im []float64, tw []complex128, n, size int)
 
 //go:noescape
 func final2(re, im []float64, tw []complex128, n int)
 
 //go:noescape
-func bitrevSwap(re, im []float64, rev []int)
+func bitrevSwapSSE2(re, im []float64, rev []int)
 
 //go:noescape
 func rfftRecomb(sre, sim []float64, w []complex128, hm int)
 
 //go:noescape
-func irfftRecomb(sre, sim []float64, w []complex128, hm int)
+func irfftRecombSSE2(sre, sim []float64, w []complex128, hm int)
 
 //go:noescape
 func gatherMulPair(dre, dim []float64, bins int, xr0, xi0 []float64, k0 []complex128, xr1, xi1 []float64, k1 []complex128)
+
+// AVX-512F family (lockstep_avx512_amd64.s).
+
+//go:noescape
+func fusedFirstAVX512(re, im []float64, n int, inverse bool)
+
+//go:noescape
+func fusedPairAVX512(re, im []float64, tw []complex128, n, size int)
+
+//go:noescape
+func bitrevSwapAVX512(re, im []float64, rev []int)
+
+//go:noescape
+func irfftRecombAVX512(sre, sim []float64, w []complex128, hm int)
+
+//go:noescape
+func gatherMulAVX512(dre, dim []float64, bins int, xr, xi *[lw]*float64, k *[lw]*complex128)

@@ -8,10 +8,10 @@
 
 #include "textflag.h"
 
-// func fusedFirst(re, im []float64, n int, inverse bool)
+// func fusedFirstSSE2(re, im []float64, n int, inverse bool)
 //
 // Fused size-2/4 first stage over groups of four bin rows.
-TEXT ·fusedFirst(SB), NOSPLIT, $0-57
+TEXT ·fusedFirstSSE2(SB), NOSPLIT, $0-57
 	MOVQ    re_base+0(FP), SI
 	MOVQ    im_base+24(FP), DI
 	MOVQ    n+48(FP), BX
@@ -209,13 +209,13 @@ finvchunk:
 	SUBPD  X2, X1               \
 	MOVUPD X1, D(R13)(R14*1)    // b1i-tB2i
 
-// func fusedPair(re, im []float64, tw []complex128, n, size int)
+// func fusedPairSSE2(re, im []float64, tw []complex128, n, size int)
 //
 // One fused radix-4-style stage pair (stages size and 2*size). The k = 0
 // columns use unit stage-A/B1 twiddles exactly like the Go special case;
 // general k splats wA = tw[k*stepA], wB1 = tw[k*stepB], wB2 =
 // tw[(k+half)*stepB] = tw[k*stepB + n/4].
-TEXT ·fusedPair(SB), NOSPLIT, $0-88
+TEXT ·fusedPairSSE2(SB), NOSPLIT, $0-88
 	MOVQ re_base+0(FP), SI
 	MOVQ im_base+24(FP), DI
 	MOVQ size+80(FP), R10
@@ -432,11 +432,11 @@ f2loop:
 f2done:
 	RET
 
-// func bitrevSwap(re, im []float64, rev []int)
+// func bitrevSwapSSE2(re, im []float64, rev []int)
 //
 // Bit-reversal row permutation: swaps 64-byte bin rows i and rev[i] of
 // both planes when i < rev[i].
-TEXT ·bitrevSwap(SB), NOSPLIT, $0-72
+TEXT ·bitrevSwapSSE2(SB), NOSPLIT, $0-72
 	MOVQ re_base+0(FP), SI
 	MOVQ im_base+24(FP), DI
 	MOVQ rev_base+48(FP), R8
@@ -657,11 +657,11 @@ rrdone:
 	SUBPD  X5, X4               \
 	MOVUPD X4, D(R15)           // or-ei
 
-// func irfftRecomb(sre, sim []float64, w []complex128, hm int)
+// func irfftRecombSSE2(sre, sim []float64, w []complex128, hm int)
 //
 // Pre-transform recombination of the inverse real transform, plus the
 // mid-bin negation.
-TEXT ·irfftRecomb(SB), NOSPLIT, $0-80
+TEXT ·irfftRecombSSE2(SB), NOSPLIT, $0-80
 	MOVQ     sre_base+0(FP), SI
 	MOVQ     sim_base+24(FP), DI
 	MOVQ     hm+72(FP), R9

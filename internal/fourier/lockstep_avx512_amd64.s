@@ -1,0 +1,614 @@
+// AVX-512F twins of the lockstep stage kernels in lockstep_amd64.s (see
+// lockstep_amd64.go for the bit-identity argument). Plane layout: bin k,
+// lane s at index k*8+s, so one 64-byte bin row is exactly one ZMM
+// register: each body below is its SSE2 twin's four XMM chunks as one ZMM
+// body, with the same per-lane op sequence and the same operand order.
+// Multiplies and adds stay separate VMULPD and VADDPD/VSUBPD (never an
+// FMA), /2 stays a multiply by 0.5, and only AVX512F instructions are used
+// (KXNORW for gather masks, VPXORQ for the sign flip), because that is all
+// cpuHasAVX512F checks. Every kernel ends with VZEROUPPER. The group
+// multiply has no SSE2 twin body: it replaces four gatherMulPair calls and
+// runs their per-lane multiply, moving data with shuffles and gathers,
+// which copy bits unchanged.
+
+#include "textflag.h"
+
+// func cpuHasAVX512F() bool
+//
+// Reports whether the CPU has AVX512F and the OS saves its register state:
+// CPUID.1:ECX.OSXSAVE[bit 27], XCR0 enabling the SSE, AVX, opmask and both
+// upper-ZMM state components (XCR0 & 0xE6 == 0xE6), and
+// CPUID.(EAX=7,ECX=0):EBX.AVX512F[bit 16].
+TEXT ·cpuHasAVX512F(SB), NOSPLIT, $0-1
+	MOVB  $0, ret+0(FP)
+	XORL  AX, AX
+	CPUID
+	CMPL  AX, $7
+	JB    nozmm
+	MOVL  $1, AX
+	XORL  CX, CX
+	CPUID
+	BTL   $27, CX
+	JCC   nozmm
+	XORL  CX, CX
+	XGETBV
+	ANDL  $0xE6, AX
+	CMPL  AX, $0xE6
+	JNE   nozmm
+	MOVL  $7, AX
+	XORL  CX, CX
+	CPUID
+	BTL   $16, BX
+	JCC   nozmm
+	MOVB  $1, ret+0(FP)
+
+nozmm:
+	RET
+
+// func fusedFirstAVX512(re, im []float64, n int, inverse bool)
+//
+// Fused size-2/4 first stage over groups of four bin rows.
+TEXT ·fusedFirstAVX512(SB), NOSPLIT, $0-57
+	MOVQ    re_base+0(FP), SI
+	MOVQ    im_base+24(FP), DI
+	MOVQ    n+48(FP), BX
+	SHLQ    $6, BX
+	ADDQ    SI, BX
+	MOVBLZX inverse+56(FP), AX
+	TESTL   AX, AX
+	JNZ     zfinv
+
+zffwd:
+	// a1 = a+b, s1 = a-b, c1 = c+d, s2 = c-d, rot = (sdi, -sdr)
+	VMOVUPD (SI), Z0          // ar
+	VMOVUPD 64(SI), Z1        // br
+	VADDPD  Z1, Z0, Z2        // abr
+	VSUBPD  Z1, Z0, Z0        // sbr
+	VMOVUPD (DI), Z1          // ai
+	VMOVUPD 64(DI), Z3        // bi
+	VADDPD  Z3, Z1, Z4        // abi
+	VSUBPD  Z3, Z1, Z1        // sbi
+	VMOVUPD 128(SI), Z3       // cr
+	VMOVUPD 192(SI), Z5       // dr
+	VADDPD  Z5, Z3, Z6        // cdr
+	VSUBPD  Z5, Z3, Z3        // sdr
+	VMOVUPD 128(DI), Z5       // ci
+	VMOVUPD 192(DI), Z7       // di
+	VADDPD  Z7, Z5, Z8        // cdi
+	VSUBPD  Z7, Z5, Z5        // sdi
+	VADDPD  Z6, Z2, Z7
+	VMOVUPD Z7, (SI)          // abr+cdr
+	VSUBPD  Z6, Z2, Z2
+	VMOVUPD Z2, 128(SI)       // abr-cdr
+	VADDPD  Z8, Z4, Z7
+	VMOVUPD Z7, (DI)          // abi+cdi
+	VSUBPD  Z8, Z4, Z4
+	VMOVUPD Z4, 128(DI)       // abi-cdi
+	VADDPD  Z5, Z0, Z7
+	VMOVUPD Z7, 64(SI)        // sbr+sdi
+	VSUBPD  Z5, Z0, Z0
+	VMOVUPD Z0, 192(SI)       // sbr-sdi
+	VSUBPD  Z3, Z1, Z7
+	VMOVUPD Z7, 64(DI)        // sbi-sdr
+	VADDPD  Z3, Z1, Z1
+	VMOVUPD Z1, 192(DI)       // sbi+sdr
+	ADDQ    $256, SI
+	ADDQ    $256, DI
+	CMPQ    SI, BX
+	JB      zffwd
+	VZEROUPPER
+	RET
+
+zfinv:
+	// Same butterflies with rot = (-sdi, sdr).
+	VMOVUPD (SI), Z0
+	VMOVUPD 64(SI), Z1
+	VADDPD  Z1, Z0, Z2
+	VSUBPD  Z1, Z0, Z0
+	VMOVUPD (DI), Z1
+	VMOVUPD 64(DI), Z3
+	VADDPD  Z3, Z1, Z4
+	VSUBPD  Z3, Z1, Z1
+	VMOVUPD 128(SI), Z3
+	VMOVUPD 192(SI), Z5
+	VADDPD  Z5, Z3, Z6
+	VSUBPD  Z5, Z3, Z3
+	VMOVUPD 128(DI), Z5
+	VMOVUPD 192(DI), Z7
+	VADDPD  Z7, Z5, Z8
+	VSUBPD  Z7, Z5, Z5
+	VADDPD  Z6, Z2, Z7
+	VMOVUPD Z7, (SI)
+	VSUBPD  Z6, Z2, Z2
+	VMOVUPD Z2, 128(SI)
+	VADDPD  Z8, Z4, Z7
+	VMOVUPD Z7, (DI)
+	VSUBPD  Z8, Z4, Z4
+	VMOVUPD Z4, 128(DI)
+	VSUBPD  Z5, Z0, Z7
+	VMOVUPD Z7, 64(SI)        // sbr-sdi
+	VADDPD  Z5, Z0, Z0
+	VMOVUPD Z0, 192(SI)       // sbr+sdi
+	VADDPD  Z3, Z1, Z7
+	VMOVUPD Z7, 64(DI)        // sbi+sdr
+	VSUBPD  Z3, Z1, Z1
+	VMOVUPD Z1, 192(DI)       // sbi-sdr
+	ADDQ    $256, SI
+	ADDQ    $256, DI
+	CMPQ    SI, BX
+	JB      zfinv
+	VZEROUPPER
+	RET
+
+// func fusedPairAVX512(re, im []float64, tw []complex128, n, size int)
+//
+// One fused radix-4-style stage pair (stages size and 2*size), the loop
+// structure and register roles of the SSE2 fusedPairSSE2 with one ZMM body
+// per bin row. Twiddle splats: Z10/Z11 = wA, Z12/Z13 = wB1, Z14/Z15 = wB2.
+TEXT ·fusedPairAVX512(SB), NOSPLIT, $0-88
+	MOVQ re_base+0(FP), SI
+	MOVQ im_base+24(FP), DI
+	MOVQ size+80(FP), R10
+	SHLQ $6, R10              // size*64
+	MOVQ R10, R9
+	SHRQ $1, R9               // half*64
+	LEAQ (R9)(R10*1), R14     // (size+half)*64
+	MOVQ size+80(FP), CX
+	BSFQ CX, CX               // log2(size)
+	MOVQ n+72(FP), DX
+	SHLQ $4, DX
+	SHRQ CX, DX               // stepA*16 bytes
+	MOVQ DX, R8
+	SHRQ $1, R8               // stepB*16 bytes
+	MOVQ n+72(FP), R11
+	SHLQ $2, R11              // (n/4)*16 bytes: wB2 offset from wB1
+	XORQ BX, BX               // start row byte offset
+
+zpairouter:
+	// twB0 = tw[n/4], used only by the k = 0 column.
+	MOVQ         tw_base+48(FP), AX
+	VBROADCASTSD (AX)(R11*1), Z14
+	VBROADCASTSD 8(AX)(R11*1), Z15
+	LEAQ         (SI)(BX*1), R12
+	LEAQ         (DI)(BX*1), R13
+	MOVQ         BX, R15
+	ADDQ         R9, R15      // k-loop end offset
+
+	// k = 0: a1 = a+b, b1 = a-b, c1 = c+d, d1 = c-d;
+	// out a/c = a1±c1, tB = d1*twB0, out b/d = b1±tB.
+	VMOVUPD (R12), Z0
+	VMOVUPD (R12)(R9*1), Z1
+	VADDPD  Z1, Z0, Z2        // a1r
+	VSUBPD  Z1, Z0, Z0        // b1r
+	VMOVUPD (R13), Z1
+	VMOVUPD (R13)(R9*1), Z3
+	VADDPD  Z3, Z1, Z4        // a1i
+	VSUBPD  Z3, Z1, Z1        // b1i
+	VMOVUPD (R12)(R10*1), Z3
+	VMOVUPD (R12)(R14*1), Z5
+	VADDPD  Z5, Z3, Z6        // c1r
+	VSUBPD  Z5, Z3, Z3        // d1r
+	VMOVUPD (R13)(R10*1), Z5
+	VMOVUPD (R13)(R14*1), Z7
+	VADDPD  Z7, Z5, Z8        // c1i
+	VSUBPD  Z7, Z5, Z5        // d1i
+	VADDPD  Z6, Z2, Z7
+	VMOVUPD Z7, (R12)         // a1r+c1r
+	VSUBPD  Z6, Z2, Z2
+	VMOVUPD Z2, (R12)(R10*1)  // a1r-c1r
+	VADDPD  Z8, Z4, Z7
+	VMOVUPD Z7, (R13)         // a1i+c1i
+	VSUBPD  Z8, Z4, Z4
+	VMOVUPD Z4, (R13)(R10*1)  // a1i-c1i
+	VMULPD  Z14, Z3, Z2       // d1r*w0r
+	VMULPD  Z15, Z5, Z4       // d1i*w0i
+	VSUBPD  Z4, Z2, Z2        // tBr
+	VMULPD  Z15, Z3, Z3       // d1r*w0i
+	VMULPD  Z14, Z5, Z5       // d1i*w0r
+	VADDPD  Z5, Z3, Z3        // tBi
+	VADDPD  Z2, Z0, Z4
+	VMOVUPD Z4, (R12)(R9*1)   // b1r+tBr
+	VSUBPD  Z2, Z0, Z0
+	VMOVUPD Z0, (R12)(R14*1)  // b1r-tBr
+	VADDPD  Z3, Z1, Z4
+	VMOVUPD Z4, (R13)(R9*1)   // b1i+tBi
+	VSUBPD  Z3, Z1, Z1
+	VMOVUPD Z1, (R13)(R14*1)  // b1i-tBi
+
+	ADDQ $64, R12
+	ADDQ $64, R13
+	ADDQ $64, BX
+	MOVQ tw_base+48(FP), CX
+	LEAQ (CX)(DX*1), AX       // wA ptr = &tw[stepA]
+	ADDQ R8, CX               // wB1 ptr = &tw[stepB]
+	CMPQ BX, R15
+	JGE  zpairnext
+
+zpairkloop:
+	VBROADCASTSD (AX), Z10
+	VBROADCASTSD 8(AX), Z11
+	VBROADCASTSD (CX), Z12
+	VBROADCASTSD 8(CX), Z13
+	VBROADCASTSD (CX)(R11*1), Z14
+	VBROADCASTSD 8(CX)(R11*1), Z15
+	VMOVUPD      (R12), Z0          // ar
+	VMOVUPD      (R13), Z1          // ai
+	VMOVUPD      (R12)(R9*1), Z2    // br
+	VMOVUPD      (R13)(R9*1), Z3    // bi
+	VMULPD       Z10, Z2, Z4        // br*wAr
+	VMULPD       Z11, Z3, Z5        // bi*wAi
+	VSUBPD       Z5, Z4, Z4         // tAr
+	VMULPD       Z11, Z2, Z2        // br*wAi
+	VMULPD       Z10, Z3, Z3        // bi*wAr
+	VADDPD       Z3, Z2, Z2         // tAi
+	VADDPD       Z4, Z0, Z5         // a1r
+	VSUBPD       Z4, Z0, Z0         // b1r
+	VADDPD       Z2, Z1, Z4         // a1i
+	VSUBPD       Z2, Z1, Z1         // b1i
+	VMOVUPD      (R12)(R10*1), Z2   // cr
+	VMOVUPD      (R13)(R10*1), Z3   // ci
+	VMOVUPD      (R12)(R14*1), Z6   // dr
+	VMOVUPD      (R13)(R14*1), Z7   // di
+	VMULPD       Z10, Z6, Z8        // dr*wAr
+	VMULPD       Z11, Z7, Z9        // di*wAi
+	VSUBPD       Z9, Z8, Z8         // tA2r
+	VMULPD       Z11, Z6, Z6        // dr*wAi
+	VMULPD       Z10, Z7, Z7        // di*wAr
+	VADDPD       Z7, Z6, Z6         // tA2i
+	VADDPD       Z8, Z2, Z7         // c1r
+	VSUBPD       Z8, Z2, Z2         // d1r
+	VADDPD       Z6, Z3, Z8         // c1i
+	VSUBPD       Z6, Z3, Z3         // d1i
+	VMULPD       Z12, Z7, Z6        // c1r*wB1r
+	VMULPD       Z13, Z8, Z9        // c1i*wB1i
+	VSUBPD       Z9, Z6, Z6         // tB1r
+	VMULPD       Z13, Z7, Z7        // c1r*wB1i
+	VMULPD       Z12, Z8, Z8        // c1i*wB1r
+	VADDPD       Z8, Z7, Z7         // tB1i
+	VADDPD       Z6, Z5, Z8
+	VMOVUPD      Z8, (R12)          // a = a1r+tB1r
+	VSUBPD       Z6, Z5, Z5
+	VMOVUPD      Z5, (R12)(R10*1)   // c = a1r-tB1r
+	VADDPD       Z7, Z4, Z8
+	VMOVUPD      Z8, (R13)          // a1i+tB1i
+	VSUBPD       Z7, Z4, Z4
+	VMOVUPD      Z4, (R13)(R10*1)   // a1i-tB1i
+	VMULPD       Z14, Z2, Z5        // d1r*wB2r
+	VMULPD       Z15, Z3, Z6        // d1i*wB2i
+	VSUBPD       Z6, Z5, Z5         // tB2r
+	VMULPD       Z15, Z2, Z2        // d1r*wB2i
+	VMULPD       Z14, Z3, Z3        // d1i*wB2r
+	VADDPD       Z3, Z2, Z2         // tB2i
+	VADDPD       Z5, Z0, Z6
+	VMOVUPD      Z6, (R12)(R9*1)    // b = b1r+tB2r
+	VSUBPD       Z5, Z0, Z0
+	VMOVUPD      Z0, (R12)(R14*1)   // d = b1r-tB2r
+	VADDPD       Z2, Z1, Z6
+	VMOVUPD      Z6, (R13)(R9*1)    // b1i+tB2i
+	VSUBPD       Z2, Z1, Z1
+	VMOVUPD      Z1, (R13)(R14*1)   // b1i-tB2i
+	ADDQ         $64, BX
+	ADDQ         $64, R12
+	ADDQ         $64, R13
+	ADDQ         DX, AX
+	ADDQ         R8, CX
+	CMPQ         BX, R15
+	JL           zpairkloop
+
+zpairnext:
+	// BX == start+half*64; next start offset = start + 2*size*64.
+	ADDQ R10, BX
+	ADDQ R10, BX
+	SUBQ R9, BX
+	MOVQ n+72(FP), R12
+	SHLQ $6, R12
+	CMPQ BX, R12
+	JL   zpairouter
+	VZEROUPPER
+	RET
+
+// func bitrevSwapAVX512(re, im []float64, rev []int)
+//
+// Bit-reversal row permutation: swaps 64-byte bin rows i and rev[i] of
+// both planes when i < rev[i].
+TEXT ·bitrevSwapAVX512(SB), NOSPLIT, $0-72
+	MOVQ re_base+0(FP), SI
+	MOVQ im_base+24(FP), DI
+	MOVQ rev_base+48(FP), R8
+	MOVQ rev_len+56(FP), R9
+	XORQ CX, CX
+	CMPQ CX, R9
+	JGE  zbdone
+
+zbloop:
+	MOVQ    (R8)(CX*8), AX
+	CMPQ    CX, AX
+	JGE     zbnext
+	MOVQ    CX, DX
+	SHLQ    $6, DX
+	SHLQ    $6, AX
+	VMOVUPD (SI)(DX*1), Z0
+	VMOVUPD (SI)(AX*1), Z1
+	VMOVUPD Z1, (SI)(DX*1)
+	VMOVUPD Z0, (SI)(AX*1)
+	VMOVUPD (DI)(DX*1), Z2
+	VMOVUPD (DI)(AX*1), Z3
+	VMOVUPD Z3, (DI)(DX*1)
+	VMOVUPD Z2, (DI)(AX*1)
+
+zbnext:
+	INCQ CX
+	CMPQ CX, R9
+	JL   zbloop
+
+zbdone:
+	VZEROUPPER
+	RET
+
+// func irfftRecombAVX512(sre, sim []float64, w []complex128, hm int)
+//
+// Pre-transform recombination of the inverse real transform, plus the
+// mid-bin negation. Z10/Z11 = twiddle splat, Z12 = 0.5 splat; R12/R13 =
+// row-k pointers, R14/R15 = row-(hm-k) pointers.
+TEXT ·irfftRecombAVX512(SB), NOSPLIT, $0-80
+	MOVQ         sre_base+0(FP), SI
+	MOVQ         sim_base+24(FP), DI
+	MOVQ         hm+72(FP), R9
+	SHLQ         $6, R9         // hm*64
+	MOVQ         $0x3FE0000000000000, AX
+	VPBROADCASTQ AX, Z12
+
+	VMOVUPD (SI), Z0          // p0r
+	VMOVUPD (SI)(R9*1), Z1    // phr
+	VADDPD  Z1, Z0, Z2
+	VMULPD  Z12, Z2, Z2       // er
+	VSUBPD  Z1, Z0, Z0
+	VMULPD  Z12, Z0, Z0       // dr
+	VMOVUPD (DI), Z3          // p0i
+	VMOVUPD (DI)(R9*1), Z4    // phi
+	VSUBPD  Z4, Z3, Z5
+	VMULPD  Z12, Z5, Z5       // ei
+	VADDPD  Z4, Z3, Z3
+	VMULPD  Z12, Z3, Z3       // di
+	VSUBPD  Z3, Z2, Z2
+	VMOVUPD Z2, (SI)          // er-di
+	VADDPD  Z0, Z5, Z5
+	VMOVUPD Z5, (DI)          // ei+dr
+
+	LEAQ 64(SI), R12
+	LEAQ 64(DI), R13
+	LEAQ -64(SI)(R9*1), R14
+	LEAQ -64(DI)(R9*1), R15
+	MOVQ w_base+48(FP), AX
+	ADDQ $16, AX              // &w[1]
+	MOVQ R9, R8
+	SHRQ $1, R8               // hm*32: k-loop limit and mid-row offset
+	MOVQ $64, BX
+	CMPQ BX, R8
+	JGE  zirmid
+
+zirkloop:
+	VBROADCASTSD (AX), Z10
+	VBROADCASTSD 8(AX), Z11
+	VMOVUPD      (R12), Z0    // pkr
+	VMOVUPD      (R14), Z1    // pcr
+	VADDPD       Z1, Z0, Z2
+	VMULPD       Z12, Z2, Z2  // er
+	VSUBPD       Z1, Z0, Z0
+	VMULPD       Z12, Z0, Z0  // dr
+	VMOVUPD      (R13), Z3    // pki
+	VMOVUPD      (R15), Z4    // pci
+	VSUBPD       Z4, Z3, Z5
+	VMULPD       Z12, Z5, Z5  // ei
+	VADDPD       Z4, Z3, Z3
+	VMULPD       Z12, Z3, Z3  // di
+	VMULPD       Z10, Z0, Z4  // dr*wr
+	VMULPD       Z11, Z3, Z6  // di*wi
+	VADDPD       Z6, Z4, Z4   // or
+	VMULPD       Z10, Z3, Z3  // di*wr
+	VMULPD       Z11, Z0, Z0  // dr*wi
+	VSUBPD       Z0, Z3, Z3   // oi
+	VSUBPD       Z3, Z2, Z0
+	VMOVUPD      Z0, (R12)    // er-oi
+	VADDPD       Z3, Z2, Z2
+	VMOVUPD      Z2, (R14)    // er+oi
+	VADDPD       Z4, Z5, Z0
+	VMOVUPD      Z0, (R13)    // ei+or
+	VSUBPD       Z5, Z4, Z4
+	VMOVUPD      Z4, (R15)    // or-ei
+	ADDQ         $64, BX
+	ADDQ         $64, R12
+	ADDQ         $64, R13
+	SUBQ         $64, R14
+	SUBQ         $64, R15
+	ADDQ         $16, AX
+	CMPQ         BX, R8
+	JL           zirkloop
+
+zirmid:
+	CMPQ         R9, $128
+	JL           zirdone
+	MOVQ         $0x8000000000000000, AX
+	VPBROADCASTQ AX, Z10
+	VMOVUPD      (DI)(R8*1), Z0
+	VPXORQ       Z10, Z0, Z0
+	VMOVUPD      Z0, (DI)(R8*1)
+
+zirdone:
+	VZEROUPPER
+	RET
+
+// MULLANE: one lane's spectrum×kernel products over an 8-bin block. off =
+// 8*lane indexes the per-lane pointer arrays (R8 = xr, R9 = xi, R10 = k);
+// BX = first bin*8. VPERMT2PD with the even/odd indices in Z30/Z31 splits
+// the lane's interleaved complex128 kernel bins into kr and ki vectors.
+// Leaves xr*kr - xi*ki in re and xr*ki + xi*kr in im, lane-major (element
+// j is bin j of the block).
+#define MULLANE(off, re, im) \
+	MOVQ      off(R8), AX           \
+	MOVQ      off(R9), DX           \
+	MOVQ      off(R10), R11         \
+	VMOVUPD   (AX)(BX*1), Z24       \ // xr
+	VMOVUPD   (DX)(BX*1), Z25       \ // xi
+	VMOVUPD   (R11)(BX*2), Z26      \ // k bins 0-3
+	VMOVUPD   (R11)(BX*2), Z27      \
+	VMOVUPD   64(R11)(BX*2), Z28    \ // k bins 4-7
+	VPERMT2PD Z28, Z30, Z26         \ // kr
+	VPERMT2PD Z28, Z31, Z27         \ // ki
+	VMULPD    Z26, Z24, re          \ // xr*kr
+	VMULPD    Z27, Z25, Z29         \ // xi*ki
+	VSUBPD    Z29, re, re           \ // xr*kr - xi*ki
+	VMULPD    Z27, Z24, im          \ // xr*ki
+	VMULPD    Z26, Z25, Z29         \ // xi*kr
+	VADDPD    Z29, im, im           // xr*ki + xi*kr
+
+// TRANSPOSE8: turns eight lane-major vectors a0..a7 (lane s, bins 0-7 of
+// the block) into the block's eight bin rows and stores row j at j*64(D).
+// Pure data movement (unpack, then two 128-bit-lane shuffles); clobbers
+// a0..a7 and Z16-Z23.
+#define TRANSPOSE8(a0, a1, a2, a3, a4, a5, a6, a7, D) \
+	VUNPCKLPD  a1, a0, Z16          \ // lanes 0,1: bins 0,2,4,6
+	VUNPCKHPD  a1, a0, Z17          \ // lanes 0,1: bins 1,3,5,7
+	VUNPCKLPD  a3, a2, Z18          \
+	VUNPCKHPD  a3, a2, Z19          \
+	VUNPCKLPD  a5, a4, Z20          \
+	VUNPCKHPD  a5, a4, Z21          \
+	VUNPCKLPD  a7, a6, Z22          \
+	VUNPCKHPD  a7, a6, Z23          \
+	VSHUFF64X2 $0x88, Z18, Z16, a0  \ // lanes 0-3: bins 0,4
+	VSHUFF64X2 $0xDD, Z18, Z16, a1  \ // lanes 0-3: bins 2,6
+	VSHUFF64X2 $0x88, Z19, Z17, a2  \ // lanes 0-3: bins 1,5
+	VSHUFF64X2 $0xDD, Z19, Z17, a3  \ // lanes 0-3: bins 3,7
+	VSHUFF64X2 $0x88, Z22, Z20, a4  \ // lanes 4-7: bins 0,4
+	VSHUFF64X2 $0xDD, Z22, Z20, a5  \ // lanes 4-7: bins 2,6
+	VSHUFF64X2 $0x88, Z23, Z21, a6  \ // lanes 4-7: bins 1,5
+	VSHUFF64X2 $0xDD, Z23, Z21, a7  \ // lanes 4-7: bins 3,7
+	VSHUFF64X2 $0x88, a4, a0, Z16   \
+	VMOVUPD    Z16, 0(D)            \ // bin 0
+	VSHUFF64X2 $0xDD, a4, a0, Z16   \
+	VMOVUPD    Z16, 256(D)          \ // bin 4
+	VSHUFF64X2 $0x88, a5, a1, Z16   \
+	VMOVUPD    Z16, 128(D)          \ // bin 2
+	VSHUFF64X2 $0xDD, a5, a1, Z16   \
+	VMOVUPD    Z16, 384(D)          \ // bin 6
+	VSHUFF64X2 $0x88, a6, a2, Z16   \
+	VMOVUPD    Z16, 64(D)           \ // bin 1
+	VSHUFF64X2 $0xDD, a6, a2, Z16   \
+	VMOVUPD    Z16, 320(D)          \ // bin 5
+	VSHUFF64X2 $0x88, a7, a3, Z16   \
+	VMOVUPD    Z16, 192(D)          \ // bin 3
+	VSHUFF64X2 $0xDD, a7, a3, Z16   \
+	VMOVUPD    Z16, 448(D)          // bin 7
+
+// Qword indices that pick the real (even) and imaginary (odd) parts of
+// eight interleaved complex128 values spread over two ZMM tables.
+DATA deintEven<>+0(SB)/8, $0
+DATA deintEven<>+8(SB)/8, $2
+DATA deintEven<>+16(SB)/8, $4
+DATA deintEven<>+24(SB)/8, $6
+DATA deintEven<>+32(SB)/8, $8
+DATA deintEven<>+40(SB)/8, $10
+DATA deintEven<>+48(SB)/8, $12
+DATA deintEven<>+56(SB)/8, $14
+GLOBL deintEven<>(SB), RODATA|NOPTR, $64
+
+DATA deintOdd<>+0(SB)/8, $1
+DATA deintOdd<>+8(SB)/8, $3
+DATA deintOdd<>+16(SB)/8, $5
+DATA deintOdd<>+24(SB)/8, $7
+DATA deintOdd<>+32(SB)/8, $9
+DATA deintOdd<>+40(SB)/8, $11
+DATA deintOdd<>+48(SB)/8, $13
+DATA deintOdd<>+56(SB)/8, $15
+GLOBL deintOdd<>(SB), RODATA|NOPTR, $64
+
+// func gatherMulAVX512(dre, dim []float64, bins int, xr, xi *[8]*float64, k *[8]*complex128)
+//
+// Kernel-spectrum multiply for a full lockstep group, through per-lane
+// pointers xr/xi (spectrum planes) and k (kernel spectra), so the lanes
+// may mix kernels. Whole 8-bin blocks run lane by lane (MULLANE) and are
+// transposed into bin rows (TRANSPOSE8); the bins past the last whole
+// block (the Nyquist bin, at power-of-two lengths) gather one bin row per
+// step with VGATHERQPD. Both forms run the same per-lane multiply.
+TEXT ·gatherMulAVX512(SB), NOSPLIT, $0-80
+	MOVQ      dre_base+0(FP), SI
+	MOVQ      dim_base+24(FP), DI
+	MOVQ      bins+48(FP), CX
+	MOVQ      xr+56(FP), R8
+	MOVQ      xi+64(FP), R9
+	MOVQ      k+72(FP), R10
+	VMOVDQU64 deintEven<>(SB), Z30
+	VMOVDQU64 deintOdd<>(SB), Z31
+	XORQ      BX, BX          // block's first bin*8
+	MOVQ      CX, R12
+	SHRQ      $3, R12         // whole blocks
+	JZ        zgtail
+
+zgblock:
+	MULLANE(0, Z0, Z8)
+	MULLANE(8, Z1, Z9)
+	MULLANE(16, Z2, Z10)
+	MULLANE(24, Z3, Z11)
+	MULLANE(32, Z4, Z12)
+	MULLANE(40, Z5, Z13)
+	MULLANE(48, Z6, Z14)
+	MULLANE(56, Z7, Z15)
+	TRANSPOSE8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, SI)
+	TRANSPOSE8(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15, DI)
+	ADDQ      $64, BX
+	ADDQ      $512, SI
+	ADDQ      $512, DI
+	DECQ      R12
+	JNZ       zgblock
+
+zgtail:
+	ANDQ         $7, CX       // bins left after the blocks
+	JZ           zgdone
+	VMOVDQU64    (R8), Z20    // lane xr pointers
+	VMOVDQU64    (R9), Z21    // lane xi pointers
+	VMOVDQU64    (R10), Z22   // lane kernel pointers
+	VPBROADCASTQ BX, Z23
+	VPADDQ       Z23, Z20, Z20
+	VPADDQ       Z23, Z21, Z21
+	VPADDQ       Z23, Z22, Z22
+	VPADDQ       Z23, Z22, Z22 // kernel pointers advance 16 bytes a bin
+	MOVQ         $8, AX
+	VPBROADCASTQ AX, Z23        // one float64 bin
+	MOVQ         $16, AX
+	VPBROADCASTQ AX, Z24        // one complex128 bin
+	XORQ         DX, DX         // zero base: the indices are addresses
+
+zgloop:
+	// Gather destinations are zeroed first so each gather starts a fresh
+	// dependency chain.
+	KXNORW     K1, K1, K1
+	VPXORQ     Z0, Z0, Z0
+	VGATHERQPD (DX)(Z20*1), K1, Z0  // xr
+	KXNORW     K2, K2, K2
+	VPXORQ     Z1, Z1, Z1
+	VGATHERQPD (DX)(Z21*1), K2, Z1  // xi
+	KXNORW     K3, K3, K3
+	VPXORQ     Z2, Z2, Z2
+	VGATHERQPD (DX)(Z22*1), K3, Z2  // kr
+	KXNORW     K4, K4, K4
+	VPXORQ     Z3, Z3, Z3
+	VGATHERQPD 8(DX)(Z22*1), K4, Z3 // ki
+	VMULPD     Z2, Z0, Z4           // xr*kr
+	VMULPD     Z3, Z1, Z5           // xi*ki
+	VSUBPD     Z5, Z4, Z4
+	VMOVUPD    Z4, (SI)             // xr*kr - xi*ki
+	VMULPD     Z3, Z0, Z0           // xr*ki
+	VMULPD     Z2, Z1, Z1           // xi*kr
+	VADDPD     Z1, Z0, Z0
+	VMOVUPD    Z0, (DI)             // xr*ki + xi*kr
+	VPADDQ     Z23, Z20, Z20
+	VPADDQ     Z23, Z21, Z21
+	VPADDQ     Z24, Z22, Z22
+	ADDQ       $64, SI
+	ADDQ       $64, DI
+	DECQ       CX
+	JNZ        zgloop
+
+zgdone:
+	VZEROUPPER
+	RET

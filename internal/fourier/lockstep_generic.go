@@ -3,8 +3,12 @@
 package fourier
 
 // On non-amd64 builds the lockstep stage kernels are the portable Go
-// loops; amd64 swaps in packed SSE2 kernels computing the identical
-// per-lane float sequence (see lockstep_amd64.s).
+// loops; amd64 swaps in packed SSE2 or AVX-512F kernels computing the
+// identical per-lane float sequence (see lockstep_amd64.go).
+
+// LockstepKernels names the kernel family the lockstep transforms run on:
+// "avx512f", "sse2" or, on non-amd64 builds, "go".
+func LockstepKernels() string { return "go" }
 
 func fusedFirst(re, im []float64, n int, inverse bool) {
 	fusedFirstGeneric(re, im, n, inverse)
@@ -30,6 +34,6 @@ func irfftRecomb(sre, sim []float64, w []complex128, hm int) {
 	irfftRecombGeneric(sre, sim, w, hm)
 }
 
-func gatherMulPair(dre, dim []float64, bins int, xr0, xi0 []float64, k0 []complex128, xr1, xi1 []float64, k1 []complex128) {
-	gatherMulPairGeneric(dre, dim, bins, xr0, xi0, k0, xr1, xi1, k1)
+func gatherMulGroup(dre, dim []float64, bins int, lanes []ConvLane) {
+	gatherMulGroupGeneric(dre, dim, bins, lanes)
 }

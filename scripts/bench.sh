@@ -19,7 +19,9 @@
 #                 {1,8,32} on the tiled spec with ns/sample, allocs/op,
 #                 shots/sample, and ktransforms/sample, plus the speedup
 #                 against the recorded pre-lockstep tiled baseline and the
-#                 kernel environment (GOAMD64, lockstep width, asm kernels)
+#                 kernel environment (GOAMD64, lockstep width, and the
+#                 lockstep kernel family the benchmark logged: avx512f,
+#                 sse2 or go)
 #   BENCH_7.json  device-pool sharded inference (DevicePool.ForwardBatch):
 #                 batch-32 SmallCNN across pool sizes {1,2,4,8} on the
 #                 tiled spec, plus a 4-device pool with one device on a
@@ -323,6 +325,7 @@ if want 8; then
 		-v baseline="$baseline" -v goamd64="$goamd64" \
 		-v fault="$(fault_of "$tiledspec")" '
 	/^cpu:/ { if (!cpu) { sub(/^cpu: */, ""); cpu = $0 } }
+	/lockstep kernels:/ { if (!kernels) kernels = $NF }
 	/^BenchmarkNetForwardBatch\// {
 		split($1, parts, "/")
 		net = parts[2]
@@ -348,7 +351,7 @@ if want 8; then
 		printf "  \"fault_spec\": \"%s\",\n", fault
 		printf "  \"cpu\": \"%s\",\n", cpu
 		printf "  \"benchtime\": \"%s\",\n", benchtime
-		printf "  \"kernel_env\": {\"goamd64\": \"%s\", \"lockstep_width\": 8, \"asm_kernels\": \"SSE2 packed 2-lane butterflies (fused first/pair/final2, bitrev swap, rfft/irfft recomb, gather-mul)\"},\n", goamd64
+		printf "  \"kernel_env\": {\"goamd64\": \"%s\", \"lockstep_width\": 8, \"asm_kernels\": \"%s\"},\n", goamd64, kernels
 		printf "  \"forward_batch\": {\n"
 		for (i = 1; i <= nn2; i++) {
 			net = netOrder[i]
