@@ -15,12 +15,13 @@ import (
 )
 
 // TestForwardBatchSteadyStateAllocs pins the allocation-free steady state of
-// the batch-major tiled path: after one warm-up batch has populated the
-// geometry caches and scratch pools, a ForwardBatch of SmallCNN at batch 8
-// must stay within a handful of allocations — the returned logits tensor the
-// caller retains (struct, shape, data) plus the per-call batch context.
-// Workers are pinned to 1 so the measurement excludes goroutine machinery
-// and is deterministic across hosts.
+// the tiled path: after one warm-up batch has populated the geometry caches
+// and scratch pools, a ForwardBatch of SmallCNN must stay within a handful of
+// allocations — the returned logits tensor the caller retains (struct,
+// shape, data) plus the per-call batch context. Batch 8 runs the per-sample
+// calibration domain and batch 1 the whole-call one; both sweep through the
+// same packed executor. Workers are pinned to 1 so the measurement excludes
+// goroutine machinery and is deterministic across hosts.
 func TestForwardBatchSteadyStateAllocs(t *testing.T) {
 	const maxAllocs = 8
 	e, err := backend.Open("accelerator?tiled=true,workers=1")
@@ -34,17 +35,19 @@ func TestForwardBatchSteadyStateAllocs(t *testing.T) {
 	}
 	plan.Parallelism = 1
 	rng := rand.New(rand.NewSource(11))
-	x := tensor.New(8, 3, 32, 32)
-	x.RandN(rng, 1)
-	if _, err := plan.ForwardBatch(x); err != nil { // warm geometry + pools
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := plan.ForwardBatch(x); err != nil {
+	for _, n := range []int{8, 1} {
+		x := tensor.New(n, 3, 32, 32)
+		x.RandN(rng, 1)
+		if _, err := plan.ForwardBatch(x); err != nil { // warm geometry + pools
 			t.Fatal(err)
 		}
-	})
-	if allocs > maxAllocs {
-		t.Errorf("ForwardBatch steady state allocates %.1f/op, want <= %d", allocs, maxAllocs)
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := plan.ForwardBatch(x); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > maxAllocs {
+			t.Errorf("ForwardBatch steady state at batch %d allocates %.1f/op, want <= %d", n, allocs, maxAllocs)
+		}
 	}
 }

@@ -3,9 +3,10 @@ package core
 // Batch-major LayerPlan execution: ForwardBatchCalls must reproduce the
 // per-sample planned path bit for bit — per-sample quantization scales,
 // per-sample ADC calibration, per-sample keyed readout substreams — on both
-// the direct and the tiled path, while the tiled path's packed shot
-// schedule must never exceed (and, where the aperture has slack, must beat)
-// the per-sample shot count.
+// the direct and the tiled path. On the tiled path every planned run counts
+// the packed schedule of the samples it carries, so a one-sample batch
+// counts what Conv2D of that sample counts, and a batch beats the sum of
+// its samples exactly where the aperture has slack across samples.
 
 import (
 	"math/rand"
@@ -126,12 +127,13 @@ func TestForwardBatchCallsTiledBitIdentityAndPacking(t *testing.T) {
 	}{
 		{3, 3, 4, 16, 16, 3, 256, tensor.Same, 0, true, false, nil},              // row tiling; leftover chunks pack
 		{4, 2, 3, 12, 12, 3, 128, tensor.Valid, 0, true, false, nil},             // row tiling; flexible chunking packs
-		{4, 2, 3, 10, 16, 3, 40, tensor.Valid, 0.01, true, false, nil},           // partial row tiling packs short passes
+		{4, 2, 3, 10, 16, 3, 40, tensor.Valid, 0.01, false, false, nil},          // partial row tiling, OutH 8: short passes pair up within each sample
 		{2, 2, 2, 6, 20, 3, 12, tensor.Valid, 0, false, false, nil},              // row partitioning: no slack
 		{8, 3, 4, 16, 16, 3, 64, tensor.Same, 0.005, false, false, nil},          // full-aperture chunks: nothing to pack
 		{2, 3, 4, 12, 12, 3, 128, tensor.Valid, 0.01, true, true, nil},           // sample 0 lacks the negative part
 		{3, 4, 3, 12, 12, 3, 128, tensor.Valid, 0, true, false, percentileCalib}, // quantile ADC calibration
 		{4, 4, 3, 12, 12, 3, 128, tensor.Valid, 0.005, true, false, shotFaults},  // guarded, retried misfires
+		{4, 2, 3, 11, 16, 3, 40, tensor.Valid, 0.01, true, false, nil},           // partial row tiling, OutH 9: odd short-pass segments pair across samples
 	} {
 		x := tensor.New(tc.n, tc.cin, tc.h, tc.w)
 		x.RandN(rng, 1)
@@ -150,27 +152,38 @@ func TestForwardBatchCallsTiledBitIdentityAndPacking(t *testing.T) {
 			}
 			return e
 		}
-		eA, eB := mk(), mk()
-		pA, err := eA.PlanConv(w, nil, 1, tc.pad)
-		if err != nil {
-			t.Fatal(err)
+		plan := func() *LayerPlan {
+			p, err := mk().PlanConv(w, nil, 1, tc.pad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p.(*LayerPlan)
 		}
-		pB, err := eB.PlanConv(w, nil, 1, tc.pad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lpA, lpB := pA.(*LayerPlan), pB.(*LayerPlan)
+		lpA, lpB, lpC := plan(), plan(), plan()
 		var want []float64
-		shots0 := jtc.Shots()
+		perSampleShots := int64(0)
 		for b := 0; b < tc.n; b++ {
 			xb := &tensor.Tensor{Shape: []int{1, tc.cin, tc.h, tc.w}, Data: x.Data[b*tc.cin*tc.h*tc.w : (b+1)*tc.cin*tc.h*tc.w]}
+			shots0 := jtc.Shots()
 			ob, err := lpA.Conv2D(xb)
 			if err != nil {
 				t.Fatal(err)
 			}
+			convShots := jtc.Shots() - shots0
 			want = append(want, ob.Data...)
+			perSampleShots += convShots
+			// The same sample alone through the per-sample domain: one
+			// counting rule, so the same bits and the same shots.
+			shots0 = jtc.Shots()
+			ob1, err := lpC.ForwardBatchCalls(xb, lpC.ReserveCalls(1)+1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := jtc.Shots() - shots0; got != convShots {
+				t.Errorf("case %+v: sample %d: ForwardBatchCalls alone counts %d shots, Conv2D %d", tc, b, got, convShots)
+			}
+			assertBitIdentical(t, ob, ob1, "one-sample ForwardBatchCalls")
 		}
-		perSampleShots := jtc.Shots() - shots0
 		first := lpB.ReserveCalls(uint64(tc.n)) + 1
 		shots1 := jtc.Shots()
 		got, err := lpB.ForwardBatchCalls(x, first, 1)
@@ -184,11 +197,11 @@ func TestForwardBatchCallsTiledBitIdentityAndPacking(t *testing.T) {
 			}
 		}
 		t.Logf("case %+v: per-sample shots %d, packed batch shots %d", tc, perSampleShots, batchShots)
-		if batchShots > perSampleShots {
-			t.Errorf("case %+v: packed schedule issued MORE shots: %d vs %d", tc, batchShots, perSampleShots)
-		}
 		if tc.packs && batchShots >= perSampleShots {
 			t.Errorf("case %+v: packing bought nothing: %d vs %d", tc, batchShots, perSampleShots)
+		}
+		if !tc.packs && batchShots != perSampleShots {
+			t.Errorf("case %+v: no slack across samples, yet the batch counts %d shots against %d", tc, batchShots, perSampleShots)
 		}
 	}
 }

@@ -201,10 +201,12 @@ type Engine struct {
 	Faults *fault.Injector
 
 	// Parallelism bounds the worker pool the convolution sweeps spread
-	// (batch x output-channel) work items over. <= 0 selects
-	// runtime.NumCPU(); 1 runs serially. Detector noise sampling and ADC
-	// readout stay serial in group order, so parallel output is
-	// bit-identical to serial for a fixed seed.
+	// their work items over: (batch x output-channel) on the unplanned
+	// path, output channels on the planned direct path and accumulation
+	// groups on the planned tiled path. <= 0 selects runtime.NumCPU(); 1
+	// runs serially. Detector noise sampling and ADC readout stay serial in
+	// group order, so parallel output is bit-identical to serial for a
+	// fixed seed.
 	Parallelism int
 
 	// UseTiledPath routes every plane convolution through the exact 1D

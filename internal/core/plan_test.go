@@ -21,6 +21,7 @@ type planCase struct {
 	pad      tensor.PadMode
 	stride   int
 	tiled    bool
+	nconv    int // aperture: on 10x10 inputs 64 row-tiles, 24 partially row-tiles, 8 row-partitions
 	readout  float64
 	calibPct float64
 }
@@ -30,25 +31,28 @@ func goldenCases() []planCase {
 	sq := func() jtc.Detector { return jtc.NewSquareLawDetector(0, 0) }
 	noisyLin := func() jtc.Detector { return jtc.NewLinearPowerDetector(0.01, 0.005, 7) }
 	return []planCase{
-		{"default", lin, 16, 8, 8, tensor.Same, 1, false, 0, 1},
-		{"fp-psum", lin, 4, 0, 8, tensor.Same, 1, false, 0, 1},
-		{"fp-everything", lin, 4, 0, 0, tensor.Same, 1, false, 0, 1},
-		{"nta-1", lin, 1, 8, 8, tensor.Same, 1, false, 0, 1},
-		{"nta-3-ragged", lin, 3, 8, 8, tensor.Same, 1, false, 0, 1},
-		{"valid", lin, 4, 8, 8, tensor.Valid, 1, false, 0, 1},
-		{"strided", lin, 4, 8, 8, tensor.Same, 2, false, 0, 1},
-		{"valid-strided", lin, 4, 8, 8, tensor.Valid, 2, false, 0, 1},
-		{"narrow-adc-dac", lin, 4, 6, 4, tensor.Same, 1, false, 0, 1},
-		{"square-law", sq, 4, 8, 8, tensor.Same, 1, false, 0, 1},
-		{"square-law-nta1", sq, 1, 8, 0, tensor.Same, 1, false, 0, 1},
-		{"noisy-detector", noisyLin, 4, 8, 8, tensor.Same, 1, false, 0, 1},
-		{"readout-noise", lin, 4, 8, 8, tensor.Same, 1, false, 0.01, 1},
-		{"percentile-calib", lin, 4, 8, 8, tensor.Same, 1, false, 0, 0.99},
-		{"tiled", lin, 4, 8, 8, tensor.Same, 1, true, 0, 1},
-		{"tiled-valid", lin, 4, 8, 8, tensor.Valid, 1, true, 0, 1},
-		{"tiled-square-law", sq, 4, 8, 8, tensor.Same, 1, true, 0, 1},
-		{"tiled-readout-noise", lin, 4, 8, 8, tensor.Same, 1, true, 0.005, 1},
-		{"tiled-strided", lin, 4, 8, 8, tensor.Same, 2, true, 0, 1},
+		{"default", lin, 16, 8, 8, tensor.Same, 1, false, 64, 0, 1},
+		{"fp-psum", lin, 4, 0, 8, tensor.Same, 1, false, 64, 0, 1},
+		{"fp-everything", lin, 4, 0, 0, tensor.Same, 1, false, 64, 0, 1},
+		{"nta-1", lin, 1, 8, 8, tensor.Same, 1, false, 64, 0, 1},
+		{"nta-3-ragged", lin, 3, 8, 8, tensor.Same, 1, false, 64, 0, 1},
+		{"valid", lin, 4, 8, 8, tensor.Valid, 1, false, 64, 0, 1},
+		{"strided", lin, 4, 8, 8, tensor.Same, 2, false, 64, 0, 1},
+		{"valid-strided", lin, 4, 8, 8, tensor.Valid, 2, false, 64, 0, 1},
+		{"narrow-adc-dac", lin, 4, 6, 4, tensor.Same, 1, false, 64, 0, 1},
+		{"square-law", sq, 4, 8, 8, tensor.Same, 1, false, 64, 0, 1},
+		{"square-law-nta1", sq, 1, 8, 0, tensor.Same, 1, false, 64, 0, 1},
+		{"noisy-detector", noisyLin, 4, 8, 8, tensor.Same, 1, false, 64, 0, 1},
+		{"readout-noise", lin, 4, 8, 8, tensor.Same, 1, false, 64, 0.01, 1},
+		{"percentile-calib", lin, 4, 8, 8, tensor.Same, 1, false, 64, 0, 0.99},
+		{"tiled", lin, 4, 8, 8, tensor.Same, 1, true, 64, 0, 1},
+		{"tiled-valid", lin, 4, 8, 8, tensor.Valid, 1, true, 64, 0, 1},
+		{"tiled-square-law", sq, 4, 8, 8, tensor.Same, 1, true, 64, 0, 1},
+		{"tiled-readout-noise", lin, 4, 8, 8, tensor.Same, 1, true, 64, 0.005, 1},
+		{"tiled-strided", lin, 4, 8, 8, tensor.Same, 2, true, 64, 0, 1},
+		{"tiled-partial", lin, 4, 8, 8, tensor.Same, 1, true, 24, 0, 1},
+		{"tiled-partial-valid", lin, 4, 8, 8, tensor.Valid, 1, true, 24, 0.005, 1},
+		{"tiled-partitioned", lin, 4, 8, 8, tensor.Same, 1, true, 8, 0, 1},
 	}
 }
 
@@ -58,7 +62,7 @@ func (c planCase) engine(parallelism int) *Engine {
 	e.ADCBits, e.DACBits = c.adc, c.dac
 	e.Detector = c.detector()
 	e.UseTiledPath = c.tiled
-	e.NConv = 64
+	e.NConv = c.nconv
 	e.ReadoutNoise = c.readout
 	e.ADCCalibPercentile = c.calibPct
 	e.Parallelism = parallelism

@@ -152,52 +152,3 @@ func (lp *LayerPlan) tiledBatchGroupRange(bp *batchParts, geo *layerGeo, ps *psu
 	batchOperandsPool.Put(op)
 	return nil
 }
-
-// tiledGroupConv is the unpacked sweep of whole-call runs: it accumulates
-// one group's partial sums of activation part xp (n x cin x h x w) for
-// every (batch, output channel) through the many-kernel planned conv. Output channels are
-// chunked so a work item transforms each shot signal once for its whole
-// chunk; chunking does not change any accumulator's addition order, so the
-// result is bit-identical at any worker count.
-func (lp *LayerPlan) tiledGroupConv(xp []float64, h, w int, kps []*tiling.KernelPlan, g [2]int, tp *tiling.Plan, psum []float64, n, oh, ow, workers int) error {
-	cout, cin := lp.cout, lp.cin
-	chunks := workers
-	if chunks > cout {
-		chunks = cout
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	per := (cout + chunks - 1) / chunks
-	return parallelFor(n*chunks, workers, func(item int) error {
-		b, ci := item/chunks, item%chunks
-		oc0 := ci * per
-		oc1 := oc0 + per
-		if oc1 > cout {
-			oc1 = cout
-		}
-		if oc0 >= oc1 {
-			return nil
-		}
-		rows := make([][]float64, h)
-		kbuf := make([]*tiling.KernelPlan, oc1-oc0)
-		accs := make([][]float64, oc1-oc0)
-		for j := range accs {
-			oc := oc0 + j
-			accs[j] = psum[((b*cout)+oc)*oh*ow : ((b*cout)+oc+1)*oh*ow]
-		}
-		for ic := g[0]; ic < g[1]; ic++ {
-			base := (b*cin + ic) * h * w
-			for r := 0; r < h; r++ {
-				rows[r] = xp[base+r*w : base+(r+1)*w]
-			}
-			for j := range kbuf {
-				kbuf[j] = kps[(oc0+j)*cin+ic]
-			}
-			if err := tp.Conv2DPlannedAccumMany(rows, kbuf, accs); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}

@@ -6,7 +6,6 @@ import (
 
 	"photofourier/internal/nn"
 	"photofourier/internal/tensor"
-	"photofourier/internal/tiling"
 )
 
 // convRun is one planned convolution in flight: the single execution core
@@ -145,15 +144,14 @@ func (r *convRun) beginDirect(x *tensor.Tensor) error {
 }
 
 // beginTiled sweeps through exact row-tiled shots against the plan's
-// latched kernel spectra. Per-sample runs use the packed batch executor:
-// every distinct (sample, channel, shot, activation part) signal is
-// transformed once into the spectrum arena and reused across output
-// channels and both weight signs, and jtc.Shots advances by the packed
-// BatchPlan schedule. Whole-call runs keep the unpacked many-kernel
-// executor, whose shot count is the per-call baseline the packing is
-// measured against. The planes come out compact, so the views alias the
-// psum set until release. The tiled path detects per operating group,
-// matching the unplanned groupPsumsTiled (see DESIGN.md).
+// latched kernel spectra with the packed batch executor, in both
+// calibration domains: every distinct (sample, channel, shot, activation
+// part) signal is transformed once into the spectrum arena and reused
+// across output channels and both weight signs, and jtc.Shots advances by
+// the packed BatchPlan schedule of the samples that carry each part. The
+// planes come out compact, so the views alias the psum set until release.
+// The tiled path detects per operating group, matching the unplanned
+// groupPsumsTiled (see DESIGN.md).
 func (r *convRun) beginTiled(x *tensor.Tensor) error {
 	lp, e := r.lp, r.lp.engine
 	n, oh, ow, ocLo, ocHi := r.n, r.oh, r.ow, r.ocLo, r.ocHi
@@ -176,20 +174,6 @@ func (r *convRun) beginTiled(x *tensor.Tensor) error {
 	// disjoint and the shot→kernel→sample arena reuse stays intact per
 	// group. The serial case loops directly so no closure materializes.
 	switch {
-	case r.whole:
-		// Term t reads activation part t/2 against weight sign t%2.
-		parts := [2][]float64{bp.pos, bp.neg}
-		kps := [2][]*tiling.KernelPlan{geo.kpos, geo.kneg}
-		for term, bufs := range ps.terms {
-			if bufs == nil {
-				continue
-			}
-			for gi, grp := range groups {
-				if err := lp.tiledGroupConv(parts[term/2], h, w, kps[term%2], grp, geo.tp, bufs[gi], n, oh, ow, workers); err != nil {
-					return err
-				}
-			}
-		}
 	case workers <= 1 || len(groups) == 1:
 		for gi, grp := range groups {
 			if err := lp.tiledBatchGroupRange(bp, geo, ps, grp, gi, n, cin, h, w, oh, ow, ocLo, ocHi); err != nil {

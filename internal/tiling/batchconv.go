@@ -75,17 +75,21 @@ func (op *BatchConvOperands) kernelSetFor(term int) []*KernelPlan {
 }
 
 // Conv2DPlannedAccumBatch runs one input channel's plane convolution for a
-// whole batch: each distinct (sample, shot, activation part) signal is
-// transformed to the frequency domain EXACTLY ONCE — into a contiguous SoA
-// spectrum arena — and its spectrum reused against every kernel of both
-// weight signs, in shot → kernel → sample order. Each accumulator receives
-// additions in the same (shot) order Conv2DPlannedAccumMany produces, so
-// the result is bit-identical to per-sample planned convolutions.
+// whole batch, and is the one tiled executor of every planned run (a
+// one-sample batch included): each distinct (sample, shot, activation part)
+// signal is transformed to the frequency domain EXACTLY ONCE — into a
+// contiguous SoA spectrum arena — and its spectrum reused against every
+// kernel of both weight signs, in shot → kernel → sample order, the way the
+// hardware streams one activation frame past many latched filters. Each
+// accumulator receives additions in the same (shot) order
+// Conv2DPlannedAccum produces for its (sample, kernel) pair, so the result
+// is bit-identical to per-sample single-kernel planned convolutions.
 //
 // Shot accounting is PACKED: the modeled hardware executes the batch on the
-// BatchPlan schedule (multiple samples' tiles sharing one aperture), so
-// jtc.Shots advances by PackedShots per kernel instead of the per-sample
-// count — the numerical execution stays per-segment, which is what keeps it
+// BatchPlan schedule (multiple samples' tiles sharing one aperture, and a
+// sample's short partial-row-tiling passes sharing one too), so jtc.Shots
+// advances by PackedShots of each part's present samples per kernel — the
+// numerical execution stays per-segment, which is what keeps it
 // bit-identical to the per-sample oracle (see the batchplan.go exactness
 // rules).
 func (p *Plan) Conv2DPlannedAccumBatch(op *BatchConvOperands) error {
@@ -254,8 +258,7 @@ type batchScratch struct {
 	arenas     []fourier.SpectrumArena     // 2*passes reusable arena values
 	passArenas [][2]*fourier.SpectrumArena // per-pass (pos, neg) arena views
 
-	// lanes is the pending lockstep group of convolveShotKernels and
-	// convKernelsLockstep.
+	// lanes is convolveShotKernels' pending lockstep group.
 	lanes [fourier.LockstepWidth]fourier.ConvLane
 }
 

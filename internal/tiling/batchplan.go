@@ -290,9 +290,12 @@ func (bp *BatchPlan) Shots() int {
 	return bp.p.PackedShots(bp.N)
 }
 
-// UnpackedShots returns the shot count n independent per-sample executions
-// actually issue (executedShots per plane and kernel — the same counting
-// jtc.Shots advances by on the per-sample paths).
+// UnpackedShots returns the shot count N independent single-kernel plane
+// convolutions issue (executedShots per plane and kernel, which
+// Conv2DPlannedAccum and so the unplanned oracle count): the baseline
+// Shots is measured against. Planned runs count the packed schedule even at
+// N = 1; on a healthy aperture that differs from this only under partial
+// row tiling, where one sample's short passes pack.
 func (bp *BatchPlan) UnpackedShots() int { return bp.N * bp.p.executedShots() }
 
 // Schedule returns the packed shots (nil for row partitioning, which packs
