@@ -28,11 +28,11 @@ func benchPoolDevice() string {
 // DevicePool at pool sizes 1, 2, 4, and 8, plus a size-4 run with one
 // device on a permanent outage (BENCH_7.json). Two throughput views:
 //
-//   - ns/op: wall-clock per 32-sample batch. On a single-CPU host the
-//     shard goroutines time-share one core, so this measures scheduling
-//     overhead on top of serial execution — it stays roughly flat across
-//     pool sizes (it cannot show device parallelism, and per-device
-//     wall-clock occupancy is equally confounded by the time-slicing);
+//   - ns/op: wall-clock per 32-sample batch. The shard goroutines run on
+//     the host's CPUs, so this can fall with pool size only up to the CPU
+//     count; past it they time-share cores and the extra devices add
+//     scheduling overhead on top of serial execution (per-device
+//     wall-clock occupancy is confounded by the same time-slicing);
 //   - modeled-ns/sample: serial per-sample device cost x the largest
 //     sample share the pool scheduler actually assigned to any one
 //     device. Each pool device is modeled as an independent physical

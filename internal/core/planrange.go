@@ -13,8 +13,8 @@
 // plane order — the draws the single engine would have spent on the
 // channels below the range. Drift and stuck-bit faults are elementwise
 // given the (shared) scale and decompose trivially; the transient-misfire
-// guard inspects whole-plane statistics and is therefore refused here
-// (BeginBatchRange errors when ShotRate > 0), as is percentile ADC
+// guard inspects whole-plane statistics and is therefore refused
+// (CheckChannelRange errors when ShotRate > 0), as is percentile ADC
 // calibration (a quantile does not decompose over channel ranges).
 package core
 
@@ -33,18 +33,28 @@ var _ nn.ChannelRangePlan = (*LayerPlan)(nil)
 // OutChannels implements nn.ChannelRangePlan.
 func (lp *LayerPlan) OutChannels() int { return lp.cout }
 
+// CheckChannelRange implements nn.ChannelRangePlan: it refuses the engine
+// configurations whose readout does not decompose over output-channel
+// ranges.
+func (lp *LayerPlan) CheckChannelRange() error {
+	e := lp.engine
+	if p := e.ADCCalibPercentile; p > 0 && p < 1 {
+		return fmt.Errorf("core: percentile ADC calibration (%.3f) does not decompose over channel ranges", p)
+	}
+	if e.Faults != nil && e.Faults.ShotRate > 0 {
+		return fmt.Errorf("core: transient-misfire guard needs whole readout planes; cannot channel-shard with shot faults")
+	}
+	return nil
+}
+
 // BeginBatchRange implements nn.ChannelRangePlan: the first stage of a
 // channel-sharded batch forward over output channels [ocLo, ocHi), keyed
 // exactly like ForwardBatchCalls(x, first, stride). The returned run holds
 // the range's calibration maxima; readout completes in Finish once the
 // scheduler has combined the maxima of every range.
 func (lp *LayerPlan) BeginBatchRange(x *tensor.Tensor, ocLo, ocHi int, first, stride uint64) (nn.ChannelRangeRun, error) {
-	e := lp.engine
-	if p := e.ADCCalibPercentile; p > 0 && p < 1 {
-		return nil, fmt.Errorf("core: percentile ADC calibration (%.3f) does not decompose over channel ranges", p)
-	}
-	if e.Faults != nil && e.Faults.ShotRate > 0 {
-		return nil, fmt.Errorf("core: transient-misfire guard needs whole readout planes; cannot channel-shard with shot faults")
+	if err := lp.CheckChannelRange(); err != nil {
+		return nil, err
 	}
 	if ocLo < 0 || ocHi <= ocLo || ocHi > lp.cout {
 		return nil, fmt.Errorf("core: channel range [%d,%d) out of [0,%d)", ocLo, ocHi, lp.cout)

@@ -126,6 +126,10 @@ type ChannelRangeRun interface {
 type ChannelRangePlan interface {
 	// OutChannels is the layer's full output channel count.
 	OutChannels() int
+	// CheckChannelRange reports why the layer's engine configuration
+	// cannot run a channel range (nil when it can); BeginBatchRange
+	// refuses with the same error.
+	CheckChannelRange() error
 	BeginBatchRange(x *tensor.Tensor, ocLo, ocHi int, first, stride uint64) (ChannelRangeRun, error)
 }
 
@@ -147,9 +151,10 @@ func (s ChannelStep) Run(x *tensor.Tensor) (*tensor.Tensor, error) { return s.ru
 
 // ChannelShardSteps lowers the plan to a channel-shardable step list, or
 // explains why it cannot be sharded by output channel: every convolution
-// must be an engine-planned step whose plan batches exactly and implements
-// ChannelRangePlan, and the chain must be linear — residual or opaque steps
-// would need activations no single range holds.
+// must be an engine-planned step whose plan batches exactly, implements
+// ChannelRangePlan and passes its CheckChannelRange, and the chain must be
+// linear — residual or opaque steps would need activations no single range
+// holds.
 func (p *NetworkPlan) ChannelShardSteps() ([]ChannelStep, error) {
 	out := make([]ChannelStep, 0, len(p.steps))
 	for _, s := range p.steps {
@@ -164,6 +169,9 @@ func (p *NetworkPlan) ChannelShardSteps() ([]ChannelStep, error) {
 			rp, ok := st.plan.(ChannelRangePlan)
 			if !ok {
 				return nil, fmt.Errorf("nn: %s layer plan (%T) has no channel-range entry point", s.name(), st.plan)
+			}
+			if err := rp.CheckChannelRange(); err != nil {
+				return nil, fmt.Errorf("nn: %s: %w", s.name(), err)
 			}
 			out = append(out, ChannelStep{Name: s.name(), Range: rp})
 		case reluStep, *maxPoolStep, gapStep, *denseStep:

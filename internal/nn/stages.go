@@ -1,13 +1,12 @@
-// Layer-stage pipelining support: the step-range execution and per-step
-// metadata a multi-device scheduler needs to assign contiguous stages of a
-// compiled plan to devices and stream samples through them.
+// Per-step plan access: the static metadata of every compiled step and the
+// execution of a step range. Per-step profiles time the steps one at a
+// time from these, and price each convolution with a cost model (the
+// arch performance model's column beside the measured one).
 //
-// Bit-identity rests on the same call-reservation keying as sample and
-// channel sharding: a stage holding steps [s0, s1) of a plan whose keyed
-// prefix before s0 is k0 runs sample b's stage after AlignEngineCalls(base
-// + b*stride + k0) — the counter-consuming per-sample path then draws call
-// indices base + b*stride + k0 + 1, ... exactly as a single engine serving
-// the whole sequence would.
+// A step range draws the same keyed call indices it would inside a whole
+// forward when the caller aligns the engine counter first: steps [s0, s1)
+// of a plan whose keyed prefix before s0 is k0 run sample b after
+// AlignEngineCalls(base + b*stride + k0).
 package nn
 
 import (
@@ -24,7 +23,8 @@ type ConvGeom struct {
 	Pad                        tensor.PadMode
 }
 
-// StepMeta describes one compiled plan step for stage partitioning.
+// StepMeta describes one compiled plan step for per-step profiling and
+// cost modelling.
 type StepMeta struct {
 	Name string
 	// Keyed is the engine call indices the step consumes per sample.
@@ -35,10 +35,6 @@ type StepMeta struct {
 	// Out is the per-sample output shape after the step.
 	Out []int
 }
-
-// NumSteps returns the compiled step count (the stage-boundary domain of
-// ForwardSteps).
-func (p *NetworkPlan) NumSteps() int { return len(p.steps) }
 
 // StepMetas walks the plan once for a (c, h, w) input sample and returns
 // per-step metadata: keyed call consumption, convolution geometry where the
@@ -53,11 +49,11 @@ func (p *NetworkPlan) StepMetas(c, h, w int) ([]StepMeta, error) {
 			return nil, fmt.Errorf("nn: %s step on %v: %w", s.name(), in, err)
 		}
 		if shape == nil {
-			return nil, fmt.Errorf("nn: step %s has no static geometry; cannot stage-partition", s.name())
+			return nil, fmt.Errorf("nn: step %s has no static geometry", s.name())
 		}
 		keyed, ok := countKeyedSteps([]planStep{s})
 		if !ok {
-			return nil, fmt.Errorf("nn: step %s hides engine usage; cannot stage-partition", s.name())
+			return nil, fmt.Errorf("nn: step %s hides engine usage", s.name())
 		}
 		m := StepMeta{Name: s.name(), Keyed: keyed, Out: shape}
 		if conv := stepConv(s); conv != nil && len(in) == 3 {
@@ -98,7 +94,7 @@ func (p *NetworkPlan) ForwardSteps(x *tensor.Tensor, from, to int) (*tensor.Tens
 		return nil, fmt.Errorf("nn: %w: training or an engine config change invalidated the network plan; recompile with Network.Compile", ErrStalePlan)
 	}
 	if x.Rank() != 4 || x.Shape[0] < 1 {
-		return nil, fmt.Errorf("nn: %w: staged forward wants a non-empty NCHW batch, got %v", ErrShapeMismatch, x.Shape)
+		return nil, fmt.Errorf("nn: %w: step-range forward wants a non-empty NCHW batch, got %v", ErrShapeMismatch, x.Shape)
 	}
 	if from < 0 || to > len(p.steps) || from > to {
 		return nil, fmt.Errorf("nn: step range [%d,%d) out of bounds (plan has %d steps)", from, to, len(p.steps))

@@ -1,7 +1,7 @@
-// Intra-sample execution strategies: output-channel sharding and
-// layer-stage pipelining. Sample sharding (pool.go) scales batch
-// throughput with pool size but leaves batch-1 latency at one device's
-// serial time; these two strategies spend the pool on a SINGLE inference.
+// Intra-sample execution: output-channel sharding. Sample sharding
+// (pool.go) scales batch throughput with pool size but leaves batch-1
+// latency at one device's serial time; channel sharding spends the pool on
+// a SINGLE inference.
 //
 // Channel sharding splits every engine layer's output channels across the
 // live devices and merges partial activations. Bit-identity to
@@ -10,13 +10,6 @@
 // values ForwardBatchCalls would use key every range) and the ADC full
 // scales are re-combined from every range's raw maxima before readout
 // (nn.CombineRangeScales) — see DESIGN.md for the alignment proof.
-//
-// Pipelining assigns contiguous step stages of the compiled plan to
-// devices, balanced by the arch cost model, and walks each sample through
-// the stages; concurrent samples (from one request or many) occupy
-// different stage devices simultaneously. Each stage run aligns its
-// device to base + b*stride + keyedPrefix[stage] before executing, so the
-// counter path draws exactly the call indices a single engine would.
 package pool
 
 import (
@@ -53,10 +46,11 @@ func SplitChannels(cout, parts int) [][2]int {
 }
 
 // StepCosts prices every plan step with the arch performance model
-// (arch.EvalLayer modeled seconds for engine convolutions, zero for CPU
-// steps). When the arch model cannot price a convolution the costs fall
-// back to MAC counts for every conv, keeping units comparable; keyed steps
-// with no static geometry cost one unit.
+// (arch.EvalLayer modeled seconds for engine convolutions, zero for every
+// other step): the modeled column that per-step profiles and the
+// intra-sample benchmark set beside measured time. When the arch model
+// cannot price a convolution the costs fall back to MAC counts for every
+// conv, so the costs of different steps stay comparable.
 func StepCosts(metas []nn.StepMeta) []float64 {
 	cfg := arch.PhotoFourierCG()
 	costs := make([]float64, len(metas))
@@ -88,11 +82,6 @@ func StepCosts(metas []nn.StepMeta) []float64 {
 			}
 		}
 	}
-	for i, m := range metas {
-		if m.Conv == nil && m.Keyed > 0 && costs[i] == 0 {
-			costs[i] = 1
-		}
-	}
 	return costs
 }
 
@@ -101,62 +90,6 @@ func pad2(c *nn.ConvGeom) int {
 		return c.K - 1
 	}
 	return 0
-}
-
-// StageBounds partitions len(costs) contiguous steps into at most stages
-// non-empty stages minimizing the maximum stage cost (the pipeline's
-// bottleneck). Returns stage boundaries b with b[0]=0 and
-// b[len(b)-1]=len(costs); stage s is steps [b[s], b[s+1]).
-func StageBounds(costs []float64, stages int) []int {
-	n := len(costs)
-	if stages > n {
-		stages = n
-	}
-	if stages < 1 {
-		stages = 1
-	}
-	prefix := make([]float64, n+1)
-	for i, c := range costs {
-		prefix[i+1] = prefix[i] + c
-	}
-	span := func(i, j int) float64 { return prefix[j] - prefix[i] }
-	// dp[s][i]: minimal bottleneck splitting the first i steps into s
-	// stages; cut[s][i] the position of the last stage's start.
-	const inf = 1e300
-	dp := make([][]float64, stages+1)
-	cut := make([][]int, stages+1)
-	for s := range dp {
-		dp[s] = make([]float64, n+1)
-		cut[s] = make([]int, n+1)
-		for i := range dp[s] {
-			dp[s][i] = inf
-		}
-	}
-	dp[0][0] = 0
-	for s := 1; s <= stages; s++ {
-		for i := s; i <= n; i++ {
-			for j := s - 1; j < i; j++ {
-				if dp[s-1][j] >= inf {
-					continue
-				}
-				m := dp[s-1][j]
-				if w := span(j, i); w > m {
-					m = w
-				}
-				if m < dp[s][i] {
-					dp[s][i] = m
-					cut[s][i] = j
-				}
-			}
-		}
-	}
-	bounds := make([]int, stages+1)
-	bounds[stages] = n
-	for s, i := stages, n; s > 0; s-- {
-		i = cut[s][i]
-		bounds[s-1] = i
-	}
-	return bounds
 }
 
 // liveDevices snapshots the live devices in slot order, capped at the
@@ -327,205 +260,4 @@ func (p *DevicePool) runChannelSteps(x *tensor.Tensor, base, req uint64, devs []
 	copy(out.Data, cur.Data)
 	putCur()
 	return out, nil
-}
-
-// pipeShape caches the per-input-geometry step metadata the pipeline
-// scheduler partitions over.
-type pipeShape struct {
-	metas  []nn.StepMeta
-	costs  []float64
-	prefix []uint64 // keyed call indices consumed before each step
-}
-
-// pipeAssign is one cached stage partition: stage s is steps
-// [bounds[s], bounds[s+1]) on devs[s]. Invalidated when a stage device
-// faults or leaves the live set.
-type pipeAssign struct {
-	devs   []*device
-	bounds []int
-}
-
-func (p *DevicePool) shapeFor(c, h, w int) (*pipeShape, error) {
-	key := [3]int{c, h, w}
-	p.pipeMu.Lock()
-	defer p.pipeMu.Unlock()
-	if p.pipeMetas == nil {
-		p.pipeMetas = make(map[[3]int]*pipeShape)
-	}
-	if s, ok := p.pipeMetas[key]; ok {
-		return s, nil
-	}
-	metas, err := p.devs[0].plan.StepMetas(c, h, w)
-	if err != nil {
-		return nil, fmt.Errorf("pool: shard=pipeline: %w", err)
-	}
-	s := &pipeShape{metas: metas, costs: StepCosts(metas)}
-	s.prefix = make([]uint64, len(metas)+1)
-	for i, m := range metas {
-		s.prefix[i+1] = s.prefix[i] + m.Keyed
-	}
-	p.pipeMetas[key] = s
-	return s, nil
-}
-
-// pipeAssignment returns the current stage partition, recomputing it over
-// the live devices when no valid one is cached. nil means no live devices.
-func (p *DevicePool) pipeAssignment(sh *pipeShape, req uint64) *pipeAssign {
-	p.pipeMu.Lock()
-	defer p.pipeMu.Unlock()
-	if p.pipe != nil {
-		valid := true
-		p.mu.Lock()
-		for _, d := range p.pipe.devs {
-			if d.state != stateLive {
-				valid = false
-				break
-			}
-		}
-		p.mu.Unlock()
-		if valid {
-			return p.pipe
-		}
-		p.pipe = nil
-	}
-	devs := p.liveDevices()
-	if len(devs) == 0 {
-		return nil
-	}
-	bounds := StageBounds(sh.costs, len(devs))
-	devs = devs[:len(bounds)-1]
-	p.pipe = &pipeAssign{devs: devs, bounds: bounds}
-	ids := make([]int, len(devs))
-	for i, d := range devs {
-		ids[i] = d.id
-	}
-	p.logf("req=%d mode=pipeline stages=%v devs=%v", req, bounds, ids)
-	return p.pipe
-}
-
-func (p *DevicePool) invalidatePipe(a *pipeAssign) {
-	p.pipeMu.Lock()
-	if p.pipe == a {
-		p.pipe = nil
-	}
-	p.pipeMu.Unlock()
-}
-
-// forwardPipeline streams the request's samples through the stage
-// partition: one goroutine per sample walks the stages in order, and the
-// per-device run locks overlap different samples on different stages —
-// within this request and across concurrent requests. A stage fault
-// invalidates the partition; the sample resumes from its current step on
-// a fresh partition over the remaining live devices.
-func (p *DevicePool) forwardPipeline(x *tensor.Tensor, base, req uint64) (*tensor.Tensor, error) {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	sh, err := p.shapeFor(c, h, w)
-	if err != nil {
-		return nil, err
-	}
-	per := c * h * w
-	outs := make([]*tensor.Tensor, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for b := 0; b < n; b++ {
-		wg.Add(1)
-		go func(b int) {
-			defer wg.Done()
-			sample := &tensor.Tensor{Shape: []int{1, c, h, w}, Data: x.Data[b*per : (b+1)*per]}
-			outs[b], errs[b] = p.pipelineSample(sh, sample, base+uint64(b)*p.stride, req, b)
-		}(b)
-	}
-	wg.Wait()
-	var out *tensor.Tensor
-	rowLen := 0
-	for b := 0; b < n; b++ {
-		if errs[b] != nil {
-			for _, o := range outs {
-				if o != nil {
-					tensor.PutScratch(o)
-				}
-			}
-			return nil, errs[b]
-		}
-		if out == nil {
-			shape := append([]int{n}, outs[b].Shape[1:]...)
-			out = tensor.New(shape...)
-			rowLen = outs[b].Size()
-		}
-		copy(out.Data[b*rowLen:(b+1)*rowLen], outs[b].Data)
-		tensor.PutScratch(outs[b])
-	}
-	return out, nil
-}
-
-// pipelineSample walks one sample through the stages. sampleBase is the
-// pool frontier position of the sample's call block (base + b*stride).
-func (p *DevicePool) pipelineSample(sh *pipeShape, sample *tensor.Tensor, sampleBase, req uint64, b int) (*tensor.Tensor, error) {
-	cur := sample
-	pos := 0
-	// Every fault quarantines a device after QuarantineThreshold strikes;
-	// the bound is generous so a dying pool degrades instead of spinning.
-	tries := len(p.devs)*p.opts.QuarantineThreshold + len(sh.metas) + 4
-	var lastErr error
-	for pos < len(sh.metas) {
-		if p.isClosed() {
-			if cur != sample {
-				tensor.PutScratch(cur)
-			}
-			return nil, ErrPoolClosed
-		}
-		a := p.pipeAssignment(sh, req)
-		if a == nil {
-			if cur != sample {
-				tensor.PutScratch(cur)
-			}
-			p.exhausted.Add(1)
-			return nil, p.exhaustedErr(lastErr)
-		}
-		// The stage containing pos: after a mid-stage fault, the sample
-		// resumes from pos and runs out the remainder of that stage.
-		s := 0
-		for s+1 < len(a.bounds)-1 && a.bounds[s+1] <= pos {
-			s++
-		}
-		hi := a.bounds[s+1]
-		if hi <= pos {
-			hi = pos + 1
-		}
-		d := a.devs[s]
-		p.logf("req=%d mode=pipeline sample=%d dev=%d steps=[%d,%d) align=%d",
-			req, b, d.id, pos, hi, sampleBase+sh.prefix[pos])
-		d.run.Lock()
-		t0 := time.Now()
-		d.plan.AlignEngineCalls(sampleBase + sh.prefix[pos])
-		out, err := d.plan.ForwardSteps(cur, pos, hi)
-		elapsed := time.Since(t0)
-		d.run.Unlock()
-		p.shardsN.Add(1)
-		p.noteShard(d, 1, elapsed, err)
-		if err != nil {
-			lastErr = err
-			p.invalidatePipe(a)
-			if tries--; tries < 0 {
-				if cur != sample {
-					tensor.PutScratch(cur)
-				}
-				return nil, fmt.Errorf("pool: pipelined sample failed on every live device: %w", err)
-			}
-			continue
-		}
-		if cur != sample {
-			tensor.PutScratch(cur)
-		}
-		cur = out
-		pos = hi
-	}
-	if cur == sample {
-		// Zero-step plans cannot happen (Compile rejects empty networks),
-		// but keep the ownership contract airtight.
-		clone := tensor.GetScratch(cur.Shape...)
-		copy(clone.Data, cur.Data)
-		cur = clone
-	}
-	return cur, nil
 }

@@ -1,9 +1,9 @@
 package pool
 
-// Intra-sample strategies: the channel-shard golden matrix (bit-identity
-// to one engine across substrates, pool sizes, and nets — including keyed
-// readout noise), the pipelined golden sequence, and the -race hammer
-// with a mid-stream device outage.
+// Channel sharding: the golden matrix (bit-identity to one engine across
+// substrates, pool sizes, and nets — including keyed readout noise, and
+// concurrent requests under -race), outage degradation, and the pools New
+// must refuse.
 
 import (
 	"bytes"
@@ -35,8 +35,12 @@ func assertSameData(t *testing.T, name string, r int, want, got *tensor.Tensor) 
 // acceptance matrix: {direct, tiled, noisy} substrates × pool {2,4} ×
 // {SmallCNN, AlexNetS}, requests of batch 1 and 5, all bit-identical to
 // one engine serving the same sequence. The combined-scale exchange and
-// the skip-ahead readout substreams must be invisible.
+// the skip-ahead readout substreams must be invisible. On the noise-free
+// substrates a second phase sends concurrent batch-1 requests, each of
+// which must equal the single engine's result for its sample (run under
+// -race, this is the concurrency check of the request serialization).
 func TestChannelShardGoldenMatchesSingleEngine(t *testing.T) {
+	const concurrent = 16
 	specs := []string{
 		"accelerator?workers=1",
 		"accelerator?tiled=true,workers=1",
@@ -71,111 +75,32 @@ func TestChannelShardGoldenMatchesSingleEngine(t *testing.T) {
 					}
 					assertSameData(t, name, r, wants[r], got)
 				}
-				p.Close()
-			}
-		}
-	}
-}
-
-// TestPipelineGoldenMatchesSingleEngine: staged execution with per-stage
-// counter alignment serves a request sequence bit-identically to one
-// engine, including the noisy substrate where every draw is keyed.
-func TestPipelineGoldenMatchesSingleEngine(t *testing.T) {
-	specs := []string{
-		"accelerator?workers=1",
-		"accelerator-noisy?workers=1",
-	}
-	batches := []int{1, 4, 2}
-	for _, net := range poolNets() {
-		for _, spec := range specs {
-			eng, err := backend.Open(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			single, err := net.Compile(eng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wants []*tensor.Tensor
-			for r, n := range batches {
-				w, err := single.ForwardBatch(poolBatch(int64(700+r), n))
-				if err != nil {
-					t.Fatal(err)
-				}
-				wants = append(wants, w)
-			}
-			for _, size := range []int{2, 4} {
-				name := fmt.Sprintf("%s/%s/shard=pipeline/size=%d", net.Name, spec, size)
-				p := mustPool(t, net, Options{Specs: repeatSpec(spec, size), Shard: ShardPipeline})
-				for r, n := range batches {
-					got, err := p.ForwardBatch(poolBatch(int64(700+r), n))
-					if err != nil {
-						t.Fatalf("%s: request %d: %v", name, r, err)
+				if p.BatchInvariant() {
+					gots := make([]*tensor.Tensor, concurrent)
+					errs := make([]error, concurrent)
+					var wg sync.WaitGroup
+					for r := 0; r < concurrent; r++ {
+						wg.Add(1)
+						go func(r int) {
+							defer wg.Done()
+							gots[r], errs[r] = p.ForwardBatch(poolBatch(int64(500+r), 1))
+						}(r)
 					}
-					assertSameData(t, name, r, wants[r], got)
+					wg.Wait()
+					for r := 0; r < concurrent; r++ {
+						if errs[r] != nil {
+							t.Fatalf("%s: concurrent request %d: %v", name, r, errs[r])
+						}
+						want, err := single.ForwardBatch(poolBatch(int64(500+r), 1))
+						if err != nil {
+							t.Fatal(err)
+						}
+						assertSameData(t, name+"/concurrent", r, want, gots[r])
+					}
 				}
 				p.Close()
 			}
 		}
-	}
-}
-
-// TestPipelineHammerMidStreamOutage is the pipelined chaos hammer: 64
-// concurrent batch-1 requests stream through a 4-device pipeline whose
-// last device dies mid-stream (call-indexed outage). Every request must
-// complete bit-exactly — stage faults re-partition and resume from the
-// sample's current step — and the dead device must end up quarantined.
-// Run under -race (the pool race dir covers this package in CI).
-func TestPipelineHammerMidStreamOutage(t *testing.T) {
-	net := nn.SmallCNN([2]int{4, 8}, 10, 99)
-	healthy := "accelerator?workers=1"
-	dying := "accelerator?workers=1,fault=outage:30,faultseed=3"
-	eng, err := backend.Open(healthy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := net.Compile(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := mustPool(t, net, Options{
-		Specs:               append(repeatSpec(healthy, 3), dying),
-		Shard:               ShardPipeline,
-		QuarantineThreshold: 1,
-		ProbeInterval:       time.Millisecond,
-	})
-	const requests = 64
-	wants := make([]*tensor.Tensor, requests)
-	for r := range wants {
-		w, err := single.ForwardBatch(poolBatch(int64(900+r), 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wants[r] = w
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, requests)
-	gots := make([]*tensor.Tensor, requests)
-	for r := 0; r < requests; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			gots[r], errs[r] = p.ForwardBatch(poolBatch(int64(900+r), 1))
-		}(r)
-	}
-	wg.Wait()
-	for r := 0; r < requests; r++ {
-		if errs[r] != nil {
-			t.Fatalf("request %d failed: %v", r, errs[r])
-		}
-		assertSameData(t, "pipeline-hammer", r, wants[r], gots[r])
-	}
-	rows := p.DeviceHealth()
-	if rows[3].State != "quarantined" {
-		t.Fatalf("dying device not quarantined: %+v", rows[3])
-	}
-	if p.Live() != 3 {
-		t.Fatalf("live %d, want 3", p.Live())
 	}
 }
 
@@ -209,15 +134,20 @@ func TestChannelShardDeviceOutageDegrades(t *testing.T) {
 
 // TestChannelShardRejectsHeterogeneousPool: channel ranges of one logical
 // engine only make sense when every device holds the same weights, seed,
-// and operating point.
+// and operating point, and when the layer's readout decomposes over
+// output-channel ranges — percentile ADC calibration and the shot-fault
+// guard need whole planes. New refuses such pools up front instead of
+// letting every request fail as a device fault.
 func TestChannelShardRejectsHeterogeneousPool(t *testing.T) {
 	net := nn.SmallCNN([2]int{4, 8}, 10, 99)
-	_, err := New(net, Options{
-		Specs: []string{"accelerator?workers=1", "accelerator?tiled=true,workers=1"},
-		Shard: ShardChannel,
-	})
-	if !errors.Is(err, ErrBadPool) {
-		t.Fatalf("heterogeneous channel pool: err %v, want ErrBadPool", err)
+	for _, specs := range [][]string{
+		{"accelerator?workers=1", "accelerator?tiled=true,workers=1"},
+		repeatSpec("accelerator?workers=1,fault=shot:1e-3,faultseed=7", 2),
+		repeatSpec("accelerator?workers=1,calib=0.99", 2),
+	} {
+		if _, err := New(net, Options{Specs: specs, Shard: ShardChannel}); !errors.Is(err, ErrBadPool) {
+			t.Fatalf("channel pool %q: err %v, want ErrBadPool", specs, err)
+		}
 	}
 	if _, err := New(net, Options{Specs: []string{"accelerator"}, Shard: "bogus"}); !errors.Is(err, ErrBadPool) {
 		t.Fatalf("bogus shard strategy: err %v, want ErrBadPool", err)
@@ -234,7 +164,6 @@ func TestDecisionLog(t *testing.T) {
 	}{
 		{ShardSample, []string{"mode=sample", "dev=", "samples=["}},
 		{ShardChannel, []string{"mode=channel", "oc=[", "first="}},
-		{ShardPipeline, []string{"mode=pipeline", "stages=[", "steps=["}},
 	} {
 		var buf bytes.Buffer
 		var mu sync.Mutex
@@ -267,31 +196,6 @@ func TestDecisionLog(t *testing.T) {
 type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(b []byte) (int, error) { return f(b) }
-
-// TestStageBounds pins the partitioner: contiguous, non-empty stages
-// minimizing the bottleneck.
-func TestStageBounds(t *testing.T) {
-	for _, tc := range []struct {
-		costs  []float64
-		stages int
-		want   []int
-	}{
-		{[]float64{4, 0, 0, 2, 0, 2}, 2, []int{0, 1, 6}},
-		{[]float64{1, 1, 1, 1}, 2, []int{0, 2, 4}},
-		{[]float64{5, 1, 1, 1}, 4, []int{0, 1, 2, 3, 4}},
-		{[]float64{3, 3}, 8, []int{0, 1, 2}},
-	} {
-		got := StageBounds(tc.costs, tc.stages)
-		if len(got) != len(tc.want) {
-			t.Fatalf("StageBounds(%v, %d) = %v, want %v", tc.costs, tc.stages, got, tc.want)
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("StageBounds(%v, %d) = %v, want %v", tc.costs, tc.stages, got, tc.want)
-			}
-		}
-	}
-}
 
 // TestSplitChannels pins the channel split: contiguous, near-even, never
 // more parts than channels.

@@ -42,12 +42,9 @@ const (
 	// ShardChannel splits every layer's output channels across devices and
 	// merges partial activations — intra-sample parallelism that cuts
 	// batch-1 latency. Requires a homogeneous pool and channel-shardable
-	// plans (see nn.ChannelShardSteps).
+	// plans (see nn.ChannelShardSteps): no percentile ADC calibration and
+	// no shot-rate faults. New rejects any other pool.
 	ShardChannel = "channel"
-	// ShardPipeline assigns contiguous layer stages to devices and streams
-	// samples through them — sample i runs stage l while sample i+1 runs
-	// stage l-1, within one request and across concurrent requests.
-	ShardPipeline = "pipeline"
 )
 
 // Typed sentinel errors; test with errors.Is.
@@ -92,8 +89,8 @@ type Options struct {
 	// MinHedge floors the derived hedge delay (default 500µs).
 	MinHedge time.Duration
 
-	// Shard selects the execution strategy: ShardSample (default),
-	// ShardChannel, or ShardPipeline.
+	// Shard selects the execution strategy: ShardSample (default) or
+	// ShardChannel.
 	Shard string
 	// Debug enables the scheduling decision log: one line per device/shard
 	// assignment, written to DecisionLog.
@@ -116,10 +113,10 @@ func (o Options) validate() error {
 		return fmt.Errorf("%w: negative option", ErrBadPool)
 	}
 	switch o.Shard {
-	case "", ShardSample, ShardChannel, ShardPipeline:
+	case "", ShardSample, ShardChannel:
 	default:
-		return fmt.Errorf("%w: unknown shard strategy %q (want %s|%s|%s)",
-			ErrBadPool, o.Shard, ShardSample, ShardChannel, ShardPipeline)
+		return fmt.Errorf("%w: unknown shard strategy %q (want %s|%s)",
+			ErrBadPool, o.Shard, ShardSample, ShardChannel)
 	}
 	return nil
 }
@@ -193,14 +190,9 @@ type DevicePool struct {
 	ringN int
 
 	// intraMu serializes channel-sharded requests, which occupy every live
-	// device in lockstep (pipelined and sample-sharded requests run
-	// concurrently and never take it).
+	// device in lockstep (sample-sharded requests run concurrently and
+	// never take it).
 	intraMu sync.Mutex
-	// pipeMu guards the cached pipeline stage assignment and the per-shape
-	// step metadata/cost cache. Lock order: pipeMu before mu.
-	pipeMu    sync.Mutex
-	pipe      *pipeAssign
-	pipeMetas map[[3]int]*pipeShape
 	// logMu serializes decision-log writes.
 	logMu sync.Mutex
 
@@ -409,11 +401,8 @@ func (p *DevicePool) ForwardBatch(x *tensor.Tensor) (*tensor.Tensor, error) {
 	// Reserve the request's call block on the logical frontier exactly as
 	// the single-engine ForwardBatch would have.
 	base := p.calls.Add(uint64(n)*p.stride) - uint64(n)*p.stride
-	switch p.opts.Shard {
-	case ShardChannel:
+	if p.opts.Shard == ShardChannel {
 		return p.forwardChannel(x, base, req)
-	case ShardPipeline:
-		return p.forwardPipeline(x, base, req)
 	}
 	live := p.Live()
 	if live == 0 {

@@ -16,7 +16,7 @@
 //	quarantine=N      consecutive faults before quarantine (default 3)
 //	probe=DUR         background probe cadence (default 50ms)
 //	maxshards=N       shard cap per request (default: pool size)
-//	shard=S           execution strategy: sample (default) | channel | pipeline
+//	shard=S           execution strategy: sample (default) | channel
 //	debug=BOOL        log scheduling decisions to stderr (default false)
 package pool
 

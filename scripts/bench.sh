@@ -31,13 +31,12 @@
 #                 real), because on a starved host wall-clock serializes
 #                 the shards and cannot show device parallelism (PR 7)
 #   BENCH_10.json intra-sample pool parallelism (PR 10): AlexNetS batch-1
-#                 latency under output-channel sharding and layer-stage
-#                 pipelining at pool {2,4} vs a single device. The claim is
-#                 made on modeled-ns/sample (measured serial batch-1 cost x
-#                 the busiest device's share under the scheduler's real
-#                 partitioner) and modeled-speedup (1/maxShare), with the
-#                 arch performance model's conv time as the
-#                 modeled-vs-scheduled comparison column
+#                 latency under output-channel sharding at pool {2,4} vs a
+#                 single device: measured wall-clock ns/op beside
+#                 modeled-ns/sample (measured serial batch-1 cost x the
+#                 busiest device's share under the scheduler's channel
+#                 split) and modeled-speedup (1/maxShare), with the arch
+#                 performance model's conv time as the comparison column
 #   BENCH_9.json  fleet simulation (internal/sim, PR 9): the device-outage
 #                 headline scenario — 32 diurnal tenants on a 4-device pool
 #                 with one permanent mid-run outage — at pool {1,4}, outage
@@ -459,17 +458,17 @@ if want 10; then
 		bytes[wl] = v_b; allocs[wl] = v_al
 		if (!(wl in seen)) { order[++n] = wl; seen[wl] = 1 }
 	}
-	function shard_of(wl) { return (wl ~ /^channel/) ? "channel" : (wl ~ /^pipeline/) ? "pipeline" : "sample" }
+	function shard_of(wl) { return (wl ~ /^channel/) ? "channel" : "sample" }
 	function size_of(wl) { sub(/^[a-z]+/, "", wl); return (wl == "") ? 1 : wl + 0 }
 	END {
 		printf "{\n"
 		printf "  \"id\": \"BENCH_10\",\n"
-		printf "  \"benchmark\": \"intra-sample pool parallelism (DevicePool shard=channel|pipeline): AlexNetS batch-1 latency at pool {2,4} vs a single device\",\n"
+		printf "  \"benchmark\": \"intra-sample pool parallelism (DevicePool shard=channel): AlexNetS batch-1 latency at pool {2,4} vs a single device\",\n"
 		printf "  \"device_spec\": \"%s\",\n", poolspec
 		printf "  \"batch\": 1,\n"
 		printf "  \"cpu\": \"%s\",\n", cpu
 		printf "  \"benchtime\": \"%s\",\n", benchtime
-		printf "  \"metric_note\": \"modeled_batch1_ns_per_sample = measured serial single-device batch-1 cost x the busiest device share under the scheduler real partitioner (SplitChannels / StageBounds over arch step costs); wall-clock shard execution serializes on a single-CPU host, so ns_per_op cannot show device parallelism. arch_ns_per_sample is the arch performance model conv time for the same plan geometry, the modeled-vs-scheduled comparison column\",\n"
+		printf "  \"metric_note\": \"ns_per_op is measured wall-clock batch-1 latency; the range goroutines of one layer run on the host CPUs, so it can show device parallelism only up to the CPU count and past it measures oversubscription. modeled_batch1_ns_per_sample = measured serial single-device batch-1 cost x the busiest device share under the scheduler channel split (SplitChannels over arch step costs), i.e. every device an independent accelerator. arch_ns_per_sample is the arch performance model conv time for the same plan geometry, the comparison column\",\n"
 		printf "  \"strategies\": {\n"
 		for (i = 1; i <= n; i++) {
 			wl = order[i]
@@ -478,9 +477,7 @@ if want 10; then
 		}
 		printf "  },\n"
 		printf "  \"modeled_speedup_channel2\": %.3f,\n", mod["single"] / mod["channel2"]
-		printf "  \"modeled_speedup_channel4\": %.3f,\n", mod["single"] / mod["channel4"]
-		printf "  \"modeled_speedup_pipeline2\": %.3f,\n", mod["single"] / mod["pipeline2"]
-		printf "  \"modeled_speedup_pipeline4\": %.3f\n", mod["single"] / mod["pipeline4"]
+		printf "  \"modeled_speedup_channel4\": %.3f\n", mod["single"] / mod["channel4"]
 		printf "}\n"
 	}' >"$out"
 	echo "wrote $out"
