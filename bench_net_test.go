@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"photofourier/internal/backend"
-	"photofourier/internal/fourier"
 	"photofourier/internal/jtc"
 	"photofourier/internal/nn"
 	"photofourier/internal/serve"
@@ -17,9 +16,10 @@ import (
 )
 
 // benchEngineSpec selects the engine the net-level benchmarks run on. The
-// default is the paper's accelerator operating point; scripts/bench.sh
-// forwards its SPEC env so BENCH snapshots record which backend spec
-// produced them (e.g. PF_BENCH_ENGINE="accelerator-noisy?nta=8").
+// default is the paper's accelerator operating point; PF_BENCH_ENGINE
+// overrides it with any backend spec (e.g.
+// PF_BENCH_ENGINE="accelerator?tiled=true,workers=2" profiles the tiled
+// path).
 func benchEngineSpec() string {
 	if spec := os.Getenv("PF_BENCH_ENGINE"); spec != "" {
 		return spec
@@ -197,13 +197,8 @@ func BenchmarkNetEvaluate(b *testing.B) {
 //   - shots/sample: modeled JTC shots per sample (packed schedule);
 //   - ktransforms/sample: kernel-tile spectra built per sample (plan-time
 //     latching makes this ~0 in steady state).
-//
-// The first sub-benchmark logs the lockstep kernel family this CPU runs
-// (scripts/bench.sh records it in BENCH_8); a leaf benchmark's log is
-// printed without -v.
 func BenchmarkNetForwardBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(33))
-	logged := false
 	nets := []struct {
 		name  string
 		build func() *nn.Network
@@ -217,10 +212,6 @@ func BenchmarkNetForwardBatch(b *testing.B) {
 			x := tensor.New(batch, 3, 32, 32)
 			x.RandN(rng, 1)
 			b.Run(fmt.Sprintf("%s/batch%d", nc.name, batch), func(b *testing.B) {
-				if !logged {
-					b.Log("lockstep kernels:", fourier.LockstepKernels())
-					logged = true
-				}
 				plan, err := net.Compile(benchOpen(b))
 				if err != nil {
 					b.Fatal(err)

@@ -3,7 +3,6 @@ package photofourier
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 	"time"
 
@@ -13,16 +12,10 @@ import (
 	"photofourier/internal/tensor"
 )
 
-// benchPoolDevice selects the per-device spec the pool-scaling benchmark
-// replicates. The default is the paper's tiled accelerator operating point
-// (the spec BENCH_7.json records); scripts/bench.sh can override it via
-// PF_BENCH_POOL_DEVICE.
-func benchPoolDevice() string {
-	if spec := os.Getenv("PF_BENCH_POOL_DEVICE"); spec != "" {
-		return spec
-	}
-	return "accelerator?tiled=true,workers=1"
-}
+// benchPoolDevice is the per-device spec the pool benchmarks replicate:
+// the paper's tiled accelerator operating point, one intra-op worker per
+// device (the spec BENCH_7.json and BENCH_10.json record).
+const benchPoolDevice = "accelerator?tiled=true,workers=1"
 
 // BenchmarkPoolForwardBatch measures batch-32 inference sharded across a
 // DevicePool at pool sizes 1, 2, 4, and 8, plus a size-4 run with one
@@ -49,7 +42,7 @@ func benchPoolDevice() string {
 // point, not at zero).
 func BenchmarkPoolForwardBatch(b *testing.B) {
 	const batch = 32
-	dev := benchPoolDevice()
+	dev := benchPoolDevice
 	cases := []struct {
 		name string
 		spec string

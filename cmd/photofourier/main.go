@@ -50,7 +50,7 @@ func main() {
 	simBatching := flag.String("sim-batching", "", "sim: override the batching policy spec (fixed?delay= | adaptive?base=,min=,max=,setpoint=)")
 	simRouting := flag.String("sim-routing", "", "sim: override the routing policy spec (round-robin | least-loaded)")
 	simTrace := flag.String("sim-trace", "", "sim: replay a JSONL arrival trace ({\"at_ns\":..,\"tenant\":..} per line) as the workload, replacing the scenario's synthetic sources")
-	simCalibrate := flag.String("sim-calibrate", "", "sim: comma-separated BENCH snapshot JSON paths (BENCH_3/5/8 layouts); derives every worker's BatchBase/PerSample/ShotsPerSample from the measured tables instead of the hand-tuned defaults")
+	simCalibrate := flag.String("sim-calibrate", "", "sim: comma-separated BENCH snapshot JSON paths, each with a forward_batch.{net}.batch{1,8,32} table (e.g. BENCH_8.json,BENCH_5.json); derives every worker's BatchBase/PerSample/ShotsPerSample from the measured tables instead of the hand-tuned defaults")
 	flag.Parse()
 
 	if *list {

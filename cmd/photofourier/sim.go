@@ -29,8 +29,8 @@ type simConfig struct {
 
 // runSim executes one named fleet-simulation scenario, optionally
 // overridden by the CLI knobs, and prints the SLO report (or, with
-// -sim-json, the raw summary JSON — the form scripts/bench.sh embeds into
-// BENCH_9.json). The JSONL metrics timeline written via -sim-out is
+// -sim-json, the raw summary JSON — the form the frozen BENCH_9.json
+// embeds). The JSONL metrics timeline written via -sim-out is
 // re-validated after the run, so a malformed report fails loudly here
 // rather than downstream.
 func runSim(cfg simConfig) error {

@@ -23,10 +23,9 @@ import (
 	"photofourier/internal/tensor"
 )
 
-// SplitChannels splits cout output channels into at most parts contiguous
-// near-even ranges (the channel-shard work assignment; exported so the
-// bench's modeled metric uses the scheduler's exact split).
-func SplitChannels(cout, parts int) [][2]int {
+// splitChannels splits cout output channels into at most parts contiguous
+// near-even ranges (the channel-shard work assignment).
+func splitChannels(cout, parts int) [][2]int {
 	if parts > cout {
 		parts = cout
 	}
@@ -47,10 +46,10 @@ func SplitChannels(cout, parts int) [][2]int {
 
 // StepCosts prices every plan step with the arch performance model
 // (arch.EvalLayer modeled seconds for engine convolutions, zero for every
-// other step): the modeled column that per-step profiles and the
-// intra-sample benchmark set beside measured time. When the arch model
-// cannot price a convolution the costs fall back to MAC counts for every
-// conv, so the costs of different steps stay comparable.
+// other step): the modeled column a per-step profile sets beside measured
+// time (perfbench's arch_ns). When the arch model cannot price a
+// convolution the costs fall back to MAC counts for every conv, so the
+// costs of different steps stay comparable.
 func StepCosts(metas []nn.StepMeta) []float64 {
 	cfg := arch.PhotoFourierCG()
 	costs := make([]float64, len(metas))
@@ -156,9 +155,9 @@ func (p *DevicePool) runChannelSteps(x *tensor.Tensor, base, req uint64, devs []
 	for j := range devs[0].chanSteps {
 		step := devs[0].chanSteps[j]
 		if step.Range == nil {
-			t0 := time.Now()
+			t0 := p.opts.now()
 			out, err := step.Run(cur)
-			active[0] += time.Since(t0)
+			active[0] += p.opts.now().Sub(t0)
 			if err != nil {
 				putCur()
 				return nil, fmt.Errorf("pool: channel-shard step %s: %w", step.Name, err)
@@ -168,7 +167,7 @@ func (p *DevicePool) runChannelSteps(x *tensor.Tensor, base, req uint64, devs []
 			continue
 		}
 		cout := step.Range.OutChannels()
-		ranges := SplitChannels(cout, len(devs))
+		ranges := splitChannels(cout, len(devs))
 		first := base + keyed + 1
 		keyed++
 		runs := make([]nn.ChannelRangeRun, len(ranges))
@@ -180,9 +179,9 @@ func (p *DevicePool) runChannelSteps(x *tensor.Tensor, base, req uint64, devs []
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				t0 := time.Now()
+				t0 := p.opts.now()
 				runs[i], errs[i] = devs[i].chanSteps[j].Range.BeginBatchRange(cur, ranges[i][0], ranges[i][1], first, p.stride)
-				active[i] += time.Since(t0)
+				active[i] += p.opts.now().Sub(t0)
 			}(i)
 		}
 		wg.Wait()
@@ -224,9 +223,9 @@ func (p *DevicePool) runChannelSteps(x *tensor.Tensor, base, req uint64, devs []
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				t0 := time.Now()
+				t0 := p.opts.now()
 				parts[i], errs[i] = runs[i].Finish(scales)
-				active[i] += time.Since(t0)
+				active[i] += p.opts.now().Sub(t0)
 			}(i)
 		}
 		wg.Wait()

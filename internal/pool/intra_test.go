@@ -209,9 +209,9 @@ func TestSplitChannels(t *testing.T) {
 		{3, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}}},
 		{5, 1, [][2]int{{0, 5}}},
 	} {
-		got := SplitChannels(tc.cout, tc.parts)
+		got := splitChannels(tc.cout, tc.parts)
 		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
-			t.Fatalf("SplitChannels(%d, %d) = %v, want %v", tc.cout, tc.parts, got, tc.want)
+			t.Fatalf("splitChannels(%d, %d) = %v, want %v", tc.cout, tc.parts, got, tc.want)
 		}
 	}
 }

@@ -581,10 +581,10 @@ func (p *DevicePool) runHedged(req uint64, d *device, tried map[*device]bool, ba
 func (p *DevicePool) execOn(req uint64, d *device, base uint64, lo int, view *tensor.Tensor, ch chan<- shardResult) {
 	p.logf("req=%d mode=sample dev=%d base=%d samples=[%d,%d)", req, d.id, base, lo, lo+view.Shape[0])
 	d.run.Lock()
-	start := time.Now()
+	start := p.opts.now()
 	d.plan.AlignEngineCalls(base + uint64(lo)*p.stride)
 	out, err := d.plan.ForwardBatch(view)
-	elapsed := time.Since(start)
+	elapsed := p.opts.now().Sub(start)
 	d.run.Unlock()
 	p.noteShard(d, view.Shape[0], elapsed, err)
 	ch <- shardResult{out: out, err: err}

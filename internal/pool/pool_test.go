@@ -503,3 +503,57 @@ func TestPoolHeterogeneousSpecs(t *testing.T) {
 		t.Fatalf("output shape %v, want [4 10]", out.Shape)
 	}
 }
+
+// fakeClock is a concurrency-safe clock that advances by step on every
+// reading.
+type fakeClock struct {
+	mu   sync.Mutex
+	t    time.Time
+	step time.Duration
+}
+
+func (c *fakeClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t = c.t.Add(c.step)
+	return c.t
+}
+
+// TestPoolTimingReadsInjectedClock: shard timing reads the pool's clock,
+// not the wall clock, so EWMA latency and busy time are exact on a fake
+// clock that advances 1 ms per reading. A sample shard reads it twice
+// (1 ms); a channel-shard request reads it twice per CPU step and twice per
+// phase of every range step.
+func TestPoolTimingReadsInjectedClock(t *testing.T) {
+	net := nn.SmallCNN([2]int{4, 8}, 10, 99)
+	never := func(time.Duration) <-chan time.Time { return make(chan time.Time) }
+	for _, shard := range []string{ShardSample, ShardChannel} {
+		t.Run(shard, func(t *testing.T) {
+			clk := &fakeClock{t: time.Unix(0, 0), step: time.Millisecond}
+			p := mustPool(t, net, Options{
+				Specs: []string{"accelerator?workers=1"},
+				Shard: shard,
+				now:   clk.now,
+				after: never,
+			})
+			if _, err := p.ForwardBatch(poolBatch(5, 2)); err != nil {
+				t.Fatal(err)
+			}
+			want := time.Millisecond
+			if shard == ShardChannel {
+				want = 0
+				for _, s := range p.devs[0].chanSteps {
+					if s.Range == nil {
+						want += time.Millisecond
+					} else {
+						want += 2 * time.Millisecond
+					}
+				}
+			}
+			row := p.DeviceHealth()[0]
+			if row.EWMALatency != want || row.Busy != want {
+				t.Fatalf("EWMALatency %v, Busy %v, want both %v", row.EWMALatency, row.Busy, want)
+			}
+		})
+	}
+}

@@ -7,8 +7,9 @@
 // which over-determines the two parameters: the per-sample slope comes
 // from the widest pair (batch 32 vs 8, the steady-state streaming cost,
 // clear of the batch-1 fixed costs), and the base is what batch 1 cost
-// beyond one sample. ShotsPerSample comes from the batch-8 packed shot
-// accounting (the co-batching regime the simulator spends its time in).
+// beyond one sample. ShotsPerSample comes from the batch8 row's packed
+// shot count where the snapshot records one (the co-batching regime the
+// simulator spends its time in).
 // Multiple snapshots/nets average — the simulator models a generic
 // device, not one network.
 package sim
@@ -41,9 +42,9 @@ func (c Calibration) Apply(w WorkerConfig) WorkerConfig {
 	return w
 }
 
-// CalibrateWorkers parses BENCH snapshot JSON files (BENCH_8, BENCH_5,
-// BENCH_3 layouts) and averages every cost table they contain. At least
-// one usable table is required.
+// CalibrateWorkers parses BENCH snapshot JSON files and averages every
+// cost table they contain. Each file must hold a forward_batch table
+// (BENCH_8 and BENCH_5 do); at least one usable table is required.
 func CalibrateWorkers(paths ...string) (Calibration, error) {
 	var cal Calibration
 	var baseSum, perSum float64
@@ -98,60 +99,27 @@ type costTable struct {
 	shots     float64 // per sample at batch 8 (0: not recorded)
 }
 
-// costTables extracts every per-net cost table a snapshot document holds.
-// BENCH_5/BENCH_8 layouts carry forward_batch.{net}.batch{1,8,32};
-// BENCH_3 carries forward.compiled_per_sample + forward.compiled_batch8.
+// costTables extracts every per-net cost table of a snapshot's
+// forward_batch.{net}.batch{1,8,32} rows; a batch8 row's optional
+// shots_per_sample gives the net's shots.
 func costTables(doc map[string]any) ([]costTable, error) {
-	if fb, ok := doc["forward_batch"].(map[string]any); ok {
-		shots := func(net string, row map[string]any) float64 {
-			if v, ok := num(row, "shots_per_sample"); ok && v > 0 {
-				return v
-			}
-			// BENCH_5 records packed shots in a sibling table.
-			if tp, ok := doc["tiled_packed_shots"].(map[string]any); ok {
-				if t, ok := tp[net].(map[string]any); ok {
-					if v, ok := num(t, "batch8_shots_per_sample"); ok {
-						return v
-					}
-				}
-			}
-			return 0
-		}
-		var out []costTable
-		for net, v := range fb {
-			tb, ok := v.(map[string]any)
-			if !ok {
-				continue
-			}
-			b1, ok1 := rowNs(tb, "batch1")
-			b8, ok8 := rowNs(tb, "batch8")
-			b32, ok32 := rowNs(tb, "batch32")
-			if !ok1 || !ok8 || !ok32 {
-				continue
-			}
-			per := (b32 - b8) / 24
-			if per < 0 {
-				per = 0
-			}
-			base := b1 - per
-			if base < 0 {
-				base = 0
-			}
-			row8, _ := tb["batch8"].(map[string]any)
-			out = append(out, costTable{name: net, base: base, per: per, shots: shots(net, row8)})
-		}
-		if len(out) == 0 {
-			return nil, fmt.Errorf("forward_batch holds no complete batch{1,8,32} tables")
-		}
-		return out, nil
+	fb, ok := doc["forward_batch"].(map[string]any)
+	if !ok {
+		return nil, fmt.Errorf("no forward_batch cost table")
 	}
-	if fw, ok := doc["forward"].(map[string]any); ok {
-		b1, ok1 := rowNs(fw, "compiled_per_sample")
-		b8, ok8 := rowNs(fw, "compiled_batch8")
-		if !ok1 || !ok8 {
-			return nil, fmt.Errorf("forward table lacks compiled_per_sample/compiled_batch8")
+	var out []costTable
+	for net, v := range fb {
+		tb, ok := v.(map[string]any)
+		if !ok {
+			continue
 		}
-		per := (b8 - b1) / 7
+		b1, ok1 := rowNs(tb, "batch1")
+		b8, ok8 := rowNs(tb, "batch8")
+		b32, ok32 := rowNs(tb, "batch32")
+		if !ok1 || !ok8 || !ok32 {
+			continue
+		}
+		per := (b32 - b8) / 24
 		if per < 0 {
 			per = 0
 		}
@@ -159,9 +127,14 @@ func costTables(doc map[string]any) ([]costTable, error) {
 		if base < 0 {
 			base = 0
 		}
-		return []costTable{{name: "compiled", base: base, per: per}}, nil
+		row8, _ := tb["batch8"].(map[string]any)
+		shots, _ := num(row8, "shots_per_sample")
+		out = append(out, costTable{name: net, base: base, per: per, shots: shots})
 	}
-	return nil, fmt.Errorf("no forward_batch or forward cost tables")
+	if len(out) == 0 {
+		return nil, fmt.Errorf("forward_batch holds no complete batch{1,8,32} tables")
+	}
+	return out, nil
 }
 
 func rowNs(tb map[string]any, key string) (float64, bool) {

@@ -29,8 +29,8 @@ const bench8Like = `{
   }
 }`
 
-// Layout of BENCH_5: no shots in forward_batch rows; packed shots live in
-// tiled_packed_shots.
+// Layout of BENCH_5: no shots in forward_batch rows. Its packed shots live
+// in a sibling tiled_packed_shots table, which calibration does not read.
 const bench5Like = `{
   "id": "BENCH_5",
   "forward_batch": {
@@ -45,7 +45,8 @@ const bench5Like = `{
   }
 }`
 
-// Layout of BENCH_3: single forward table, batch 1 and 8 only.
+// Layout of BENCH_3: single forward table, batch 1 and 8 only. It holds no
+// forward_batch table, so calibration rejects it.
 const bench3Like = `{
   "id": "BENCH_3",
   "forward": {
@@ -78,29 +79,23 @@ func TestCalibrateWorkersBench8Layout(t *testing.T) {
 func TestCalibrateWorkersAveragesAcrossSnapshots(t *testing.T) {
 	p8 := writeSnap(t, "b8.json", bench8Like)
 	p5 := writeSnap(t, "b5.json", bench5Like)
-	p3 := writeSnap(t, "b3.json", bench3Like)
-	cal, err := CalibrateWorkers(p8, p5, p3)
+	cal, err := CalibrateWorkers(p8, p5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// b8: base 2e6, per 1e6; b5: per (16e6-4e6)/24=0.5e6, base 0.5e6;
-	// b3: per (8.1e6-1.1e6)/7=1e6, base 0.1e6. Averages: base 13/15 ms,
-	// per 2.5/3 ms. Shots: (900+500)/2 = 700.
-	baseNs := []float64{2e6, 0.5e6, 0.1e6}
-	perNs := []float64{1e6, 0.5e6, 1e6}
-	wantBase := time.Duration((baseNs[0] + baseNs[1] + baseNs[2]) / 3)
-	wantPer := time.Duration((perNs[0] + perNs[1] + perNs[2]) / 3)
-	if cal.BatchBase != wantBase {
-		t.Errorf("BatchBase %v, want %v", cal.BatchBase, wantBase)
+	// b8: base 2e6, per 1e6; b5: per (16e6-4e6)/24=0.5e6, base 0.5e6.
+	// Averages: base 1.25 ms, per 0.75 ms. Shots come from b8 alone.
+	if want := 1250 * time.Microsecond; cal.BatchBase != want {
+		t.Errorf("BatchBase %v, want %v", cal.BatchBase, want)
 	}
-	if cal.PerSample != wantPer {
-		t.Errorf("PerSample %v, want %v", cal.PerSample, wantPer)
+	if want := 750 * time.Microsecond; cal.PerSample != want {
+		t.Errorf("PerSample %v, want %v", cal.PerSample, want)
 	}
-	if cal.ShotsPerSample != 700 {
-		t.Errorf("ShotsPerSample %d, want 700", cal.ShotsPerSample)
+	if cal.ShotsPerSample != 900 {
+		t.Errorf("ShotsPerSample %d, want 900", cal.ShotsPerSample)
 	}
-	if len(cal.Sources) != 3 {
-		t.Errorf("sources %v, want three", cal.Sources)
+	if len(cal.Sources) != 2 {
+		t.Errorf("sources %v, want two", cal.Sources)
 	}
 }
 
@@ -108,7 +103,7 @@ func TestCalibrateWorkersRealSnapshots(t *testing.T) {
 	// The repository's committed snapshots must calibrate to a usable
 	// (validate-clean) worker; guards the parser against layout drift.
 	var paths []string
-	for _, name := range []string{"BENCH_8.json", "BENCH_5.json", "BENCH_3.json"} {
+	for _, name := range []string{"BENCH_8.json", "BENCH_5.json"} {
 		p := filepath.Join("..", "..", name)
 		if _, err := os.Stat(p); err == nil {
 			paths = append(paths, p)
@@ -141,6 +136,10 @@ func TestCalibrateWorkersErrors(t *testing.T) {
 	bad := writeSnap(t, "bad.json", `{"id": "X"}`)
 	if _, err := CalibrateWorkers(bad); err == nil {
 		t.Fatal("snapshot without cost tables must fail")
+	}
+	old := writeSnap(t, "b3.json", bench3Like)
+	if _, err := CalibrateWorkers(old); err == nil {
+		t.Fatal("BENCH_3 layout (no forward_batch table) must fail")
 	}
 }
 
