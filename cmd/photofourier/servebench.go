@@ -254,9 +254,8 @@ func servePoolBench(cfg serveBenchConfig) error {
 	fmt.Printf("queue: depth=%d admitted=%d completed=%d shed=%d\n",
 		h.QueueDepth, h.Admitted, h.Completed, h.Shed)
 	c := p.Counters()
-	fmt.Printf("pool: live=%d/%d requests=%d shards=%d hedges=%d hedge-wins=%d quarantines=%d readmits=%d probes=%d exhausted=%d\n",
-		p.Live(), p.Size(), c.Requests, c.Shards, c.Hedges, c.HedgeWins,
-		c.Quarantines, c.Readmits, c.Probes, c.Exhausted)
+	fmt.Printf("pool: live=%d/%d requests=%d shards=%d quarantines=%d readmits=%d probes=%d exhausted=%d\n",
+		p.Live(), p.Size(), c.Requests, c.Shards, c.Quarantines, c.Readmits, c.Probes, c.Exhausted)
 	for _, row := range h.Devices {
 		fmt.Printf("device %d: %-40s state=%-11s shards=%d samples=%d faults=%d probes=%d readmits=%d ewma=%v busy=%v%s\n",
 			row.ID, row.Spec, row.State, row.Shards, row.Samples, row.Faults,

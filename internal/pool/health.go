@@ -26,22 +26,57 @@ import (
 	"photofourier/internal/tensor"
 )
 
-type deviceState int
+// ewmaAlpha weights the newest attempt latency in the health score.
+const ewmaAlpha = 0.2
 
-const (
-	stateLive deviceState = iota
-	stateQuarantined
-)
-
-func (s deviceState) String() string {
-	if s == stateQuarantined {
-		return "quarantined"
-	}
-	return "live"
+// Ladder is one device's health state, which the scheduler scores and the
+// quarantine ladder moves. It reads no clock: the pool passes wall-clock ns
+// and the fleet simulator's workers, which hold the same type, pass virtual
+// ns. The zero value is a live, unmeasured device.
+type Ladder struct {
+	// EWMANs is the exponentially weighted attempt latency in ns (the first
+	// attempt seeds it), ConsecFaults the current run of faulted attempts,
+	// and Quarantined marks a device out of rotation.
+	EWMANs       float64
+	ConsecFaults int
+	Quarantined  bool
 }
 
-// ewmaAlpha weights the newest shard latency in the health score.
-const ewmaAlpha = 0.2
+// Observe folds one completed attempt: its latency into the EWMA, and its
+// outcome into the fault run. A fault run reaching threshold quarantines a
+// live device; Observe reports whether this attempt did so.
+func (l *Ladder) Observe(elapsedNs int64, ok bool, threshold int) bool {
+	ns := float64(elapsedNs)
+	if l.EWMANs == 0 {
+		l.EWMANs = ns
+	} else {
+		l.EWMANs += ewmaAlpha * (ns - l.EWMANs)
+	}
+	if ok {
+		l.ConsecFaults = 0
+		return false
+	}
+	l.ConsecFaults++
+	if l.Quarantined || l.ConsecFaults < threshold {
+		return false
+	}
+	l.Quarantined = true
+	return true
+}
+
+// Readmit returns a quarantined device to rotation with a clean fault run
+// (a successful probe). It reports whether the device was quarantined.
+func (l *Ladder) Readmit() bool {
+	if !l.Quarantined {
+		return false
+	}
+	l.Quarantined = false
+	l.ConsecFaults = 0
+	return true
+}
+
+// Score is the device's scheduling rank (see HealthScore).
+func (l Ladder) Score() float64 { return HealthScore(l.EWMANs, l.ConsecFaults) }
 
 // device is one pool slot: a registry-opened engine with its compiled plan
 // and health accounting.
@@ -58,11 +93,9 @@ type device struct {
 	run sync.Mutex
 
 	// Guarded by DevicePool.mu.
-	state        deviceState
-	busy         bool
-	consecFaults int
-	ewmaNs       float64
-	lastErr      error
+	health  Ladder
+	busy    bool
+	lastErr error
 
 	// Monotonic counters (atomic: read by DeviceHealth without the lock).
 	shards    atomic.Uint64
@@ -82,9 +115,6 @@ func HealthScore(ewmaNs float64, consecFaults int) float64 {
 	return ewmaNs * float64(1+consecFaults)
 }
 
-// score ranks devices for scheduling (see HealthScore).
-func (d *device) score() float64 { return HealthScore(d.ewmaNs, d.consecFaults) }
-
 // acquire blocks until a live, idle device outside tried can be reserved,
 // preferring the healthiest score. nil means no live device outside tried
 // exists (so the shard's retry loop must stop) or the pool closed.
@@ -98,14 +128,14 @@ func (p *DevicePool) acquire(tried map[*device]bool) *device {
 		var best *device
 		candidates := false
 		for _, d := range p.devs {
-			if d.state != stateLive || tried[d] {
+			if d.health.Quarantined || tried[d] {
 				continue
 			}
 			candidates = true
 			if d.busy {
 				continue
 			}
-			if best == nil || d.score() < best.score() {
+			if best == nil || d.health.Score() < best.health.Score() {
 				best = d
 			}
 		}
@@ -128,7 +158,7 @@ func (p *DevicePool) acquire(tried map[*device]bool) *device {
 func (p *DevicePool) acquireHinted(hint *device, tried map[*device]bool) *device {
 	if hint != nil {
 		p.mu.Lock()
-		if !p.closed && hint.state == stateLive && !hint.busy && !tried[hint] {
+		if !p.closed && !hint.health.Quarantined && !hint.busy && !tried[hint] {
 			hint.busy = true
 			p.mu.Unlock()
 			return hint
@@ -148,70 +178,32 @@ func (p *DevicePool) stripeOrder(nShards int) []*device {
 	defer p.mu.Unlock()
 	var live []*device
 	for _, d := range p.devs {
-		if d.state == stateLive {
+		if !d.health.Quarantined {
 			live = append(live, d)
 		}
 	}
-	sort.Slice(live, func(i, j int) bool { return live[i].score() < live[j].score() })
+	sort.Slice(live, func(i, j int) bool { return live[i].health.Score() < live[j].health.Score() })
 	if len(live) > nShards {
 		live = live[:nShards]
 	}
 	return live
 }
 
-// acquireIdle is the hedge path's non-blocking acquire: the healthiest
-// live idle device outside tried, or nil.
-func (p *DevicePool) acquireIdle(tried map[*device]bool) *device {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return nil
-	}
-	var best *device
-	for _, d := range p.devs {
-		if d.state != stateLive || tried[d] || d.busy {
-			continue
-		}
-		if best == nil || d.score() < best.score() {
-			best = d
-		}
-	}
-	if best != nil {
-		best.busy = true
-	}
-	return best
-}
-
-// noteShard records one completed shard attempt on d: frees the device,
-// updates the health score, and runs the quarantine transition.
+// noteShard records one completed shard attempt on d: frees the device
+// and folds the attempt into its health ladder, which may quarantine it.
 func (p *DevicePool) noteShard(d *device, samples int, elapsed time.Duration, err error) {
 	d.shards.Add(1)
 	d.busyNanos.Add(int64(elapsed))
 	p.mu.Lock()
 	d.busy = false
-	ns := float64(elapsed)
-	if d.ewmaNs == 0 {
-		d.ewmaNs = ns
-	} else {
-		d.ewmaNs += ewmaAlpha * (ns - d.ewmaNs)
-	}
+	d.lastErr = err
 	if err == nil {
-		d.consecFaults = 0
-		d.lastErr = nil
 		d.samples.Add(uint64(samples))
-		p.ring[p.ringI] = ns
-		p.ringI = (p.ringI + 1) % latencyRingSize
-		if p.ringN < latencyRingSize {
-			p.ringN++
-		}
 	} else {
 		d.faults.Add(1)
-		d.consecFaults++
-		d.lastErr = err
-		if d.state == stateLive && d.consecFaults >= p.opts.QuarantineThreshold {
-			d.state = stateQuarantined
-			p.quarantines.Add(1)
-		}
+	}
+	if d.health.Observe(int64(elapsed), err == nil, p.opts.QuarantineThreshold) {
+		p.quarantines.Add(1)
 	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
@@ -236,7 +228,7 @@ func (p *DevicePool) probeQuarantined() {
 	canary := p.canary
 	var targets []*device
 	for _, d := range p.devs {
-		if d.state == stateQuarantined {
+		if d.health.Quarantined {
 			targets = append(targets, d)
 		}
 	}
@@ -261,17 +253,13 @@ func (p *DevicePool) probe(d *device, canary *tensor.Tensor) {
 	p.probes.Add(1)
 	d.probesN.Add(1)
 	p.mu.Lock()
-	if err == nil {
-		if d.state == stateQuarantined {
-			d.state = stateLive
-			d.consecFaults = 0
-			d.lastErr = nil
-			d.readmitsN.Add(1)
-			p.readmits.Add(1)
-			p.cond.Broadcast()
-		}
-	} else {
+	if err != nil {
 		d.lastErr = err
+	} else if d.health.Readmit() {
+		d.lastErr = nil
+		d.readmitsN.Add(1)
+		p.readmits.Add(1)
+		p.cond.Broadcast()
 	}
 	p.mu.Unlock()
 }
@@ -311,12 +299,16 @@ func (p *DevicePool) DeviceHealth() []DeviceHealth {
 	defer p.mu.Unlock()
 	rows := make([]DeviceHealth, len(p.devs))
 	for i, d := range p.devs {
+		state := "live"
+		if d.health.Quarantined {
+			state = "quarantined"
+		}
 		row := DeviceHealth{
 			ID:           d.id,
 			Spec:         d.spec,
-			State:        d.state.String(),
-			EWMALatency:  time.Duration(d.ewmaNs),
-			ConsecFaults: d.consecFaults,
+			State:        state,
+			EWMALatency:  time.Duration(d.health.EWMANs),
+			ConsecFaults: d.health.ConsecFaults,
 			Shards:       d.shards.Load(),
 			Samples:      d.samples.Load(),
 			Faults:       d.faults.Load(),

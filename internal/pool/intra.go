@@ -98,7 +98,7 @@ func (p *DevicePool) liveDevices() []*device {
 	defer p.mu.Unlock()
 	var live []*device
 	for _, d := range p.devs {
-		if d.state == stateLive {
+		if !d.health.Quarantined {
 			live = append(live, d)
 		}
 	}

@@ -2,10 +2,10 @@
 // accelerator devices while preserving the single-engine batch contract bit
 // for bit. The paper's accelerator is a fleet of JTC units, not one perfect
 // engine; this package is the fault-domain-aware scheduler such a fleet
-// needs: per-device health scoring and circuit breakers feeding a
-// quarantine → background probe → readmit state machine, hedged re-dispatch
-// of straggler shards, and graceful degradation of the effective batch
-// ceiling as devices die.
+// needs: per-device health scoring feeding a quarantine → background probe
+// → readmit state machine (Ladder, which the fleet simulator runs too),
+// retry of failed shards on other live devices, and graceful degradation of
+// the effective batch ceiling as devices die.
 //
 // Bit-identity rests on the call-reservation keying of the compiled batch
 // path (see nn/shard.go and DESIGN.md): a compiled plan consumes a fixed
@@ -15,8 +15,7 @@
 // and the shard covering samples [a,b) aligns its device's counter to
 // base + a*stride before executing. Any same-seed device therefore draws
 // exactly the substreams one engine serving the whole sequence would have
-// drawn, so sharding — and hedged duplicate execution — is invisible in
-// results.
+// drawn, so sharding and retries are invisible in results.
 package pool
 
 import (
@@ -24,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,18 +74,6 @@ type Options struct {
 	// ProbeInterval is the background probe cadence for quarantined
 	// devices (default 50ms).
 	ProbeInterval time.Duration
-	// Hedge enables straggler re-dispatch: when a shard outlives the hedge
-	// delay, a duplicate runs on the healthiest idle device and the first
-	// result wins.
-	Hedge bool
-	// HedgeDelay fixes the hedge delay. 0 (the default) derives it from
-	// the observed shard-latency p99 times HedgeFactor once enough shards
-	// have completed.
-	HedgeDelay time.Duration
-	// HedgeFactor scales the p99-derived hedge delay (default 3).
-	HedgeFactor float64
-	// MinHedge floors the derived hedge delay (default 500µs).
-	MinHedge time.Duration
 
 	// Shard selects the execution strategy: ShardSample (default) or
 	// ShardChannel.
@@ -108,8 +94,7 @@ func (o Options) validate() error {
 	if len(o.Specs) == 0 {
 		return fmt.Errorf("%w: need at least one device spec", ErrBadPool)
 	}
-	if o.MaxShards < 0 || o.QuarantineThreshold < 0 || o.ProbeInterval < 0 ||
-		o.HedgeDelay < 0 || o.HedgeFactor < 0 || o.MinHedge < 0 {
+	if o.MaxShards < 0 || o.QuarantineThreshold < 0 || o.ProbeInterval < 0 {
 		return fmt.Errorf("%w: negative option", ErrBadPool)
 	}
 	switch o.Shard {
@@ -131,12 +116,6 @@ func (o Options) withDefaults() Options {
 	if o.ProbeInterval < 1 {
 		o.ProbeInterval = 50 * time.Millisecond
 	}
-	if o.HedgeFactor <= 0 {
-		o.HedgeFactor = 3
-	}
-	if o.MinHedge < 1 {
-		o.MinHedge = 500 * time.Microsecond
-	}
 	if o.Shard == "" {
 		o.Shard = ShardSample
 	}
@@ -151,13 +130,6 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
-
-// hedgeWarmup is how many shard latencies must be observed before a
-// p99-derived hedge delay is trusted.
-const hedgeWarmup = 16
-
-// latencyRingSize bounds the shard-latency history the p99 is derived from.
-const latencyRingSize = 128
 
 // DevicePool is a farm of registry-opened engines, each carrying its own
 // compiled plan of one shared source network, with a sample-sharding
@@ -183,11 +155,6 @@ type DevicePool struct {
 	// canary is a copy of the first sample ever served, reused by the
 	// background probe of quarantined devices.
 	canary *tensor.Tensor
-	// ring holds recent shard latencies (ns) for the p99 hedge delay;
-	// ringI is the write cursor, ringN the filled count.
-	ring  [latencyRingSize]float64
-	ringI int
-	ringN int
 
 	// intraMu serializes channel-sharded requests, which occupy every live
 	// device in lockstep (sample-sharded requests run concurrently and
@@ -201,8 +168,6 @@ type DevicePool struct {
 
 	requests    atomic.Uint64
 	shardsN     atomic.Uint64
-	hedges      atomic.Uint64
-	hedgeWins   atomic.Uint64
 	quarantines atomic.Uint64
 	readmits    atomic.Uint64
 	probes      atomic.Uint64
@@ -249,7 +214,7 @@ func New(net *nn.Network, opts Options) (*DevicePool, error) {
 		if noisy {
 			p.batchInvariant = false
 		}
-		p.devs = append(p.devs, &device{id: i, spec: eng.String(), plan: plan, state: stateLive})
+		p.devs = append(p.devs, &device{id: i, spec: eng.String(), plan: plan})
 	}
 	if p.opts.Shard == ShardChannel {
 		for _, d := range p.devs {
@@ -304,7 +269,7 @@ func (p *DevicePool) Live() int {
 func (p *DevicePool) liveLocked() int {
 	n := 0
 	for _, d := range p.devs {
-		if d.state == stateLive {
+		if !d.health.Quarantined {
 			n++
 		}
 	}
@@ -329,12 +294,11 @@ func (p *DevicePool) EffectiveBatch(configured int) int {
 // Counters is a point-in-time snapshot of the pool's scheduling counters.
 type Counters struct {
 	// Requests counts ForwardBatch calls; Shards counts logical shards
-	// dispatched (retries and hedges are visible in device rows).
+	// dispatched (retries are visible in device rows).
 	Requests, Shards uint64
-	// Hedges counts duplicate shard dispatches; HedgeWins counts the ones
-	// whose duplicate finished first. The loser's shots are real
-	// illuminations and stay in the global jtc shot accounting.
-	Hedges, HedgeWins uint64
+	// Hedges is always 0: the pool does not hedge shards. It stays only
+	// because perfbench's pool.hedges metric reads it.
+	Hedges uint64
 	// Quarantines / Readmits / Probes count the device state machine's
 	// transitions and background canary probes.
 	Quarantines, Readmits, Probes uint64
@@ -347,8 +311,6 @@ func (p *DevicePool) Counters() Counters {
 	return Counters{
 		Requests:    p.requests.Load(),
 		Shards:      p.shardsN.Load(),
-		Hedges:      p.hedges.Load(),
-		HedgeWins:   p.hedgeWins.Load(),
 		Quarantines: p.quarantines.Load(),
 		Readmits:    p.readmits.Load(),
 		Probes:      p.probes.Load(),
@@ -381,10 +343,10 @@ func (p *DevicePool) isClosed() bool {
 // ForwardBatch runs one NCHW batch with the single-engine per-sample batch
 // contract: results are bit-identical to one engine of the devices' spec
 // serving every request in order, including keyed readout noise — sample
-// sharding, device choice, retries, and hedged duplicates are all invisible
-// in the output. Shards fail over across live devices; the request errors
-// only when a shard has exhausted every live device (ErrPoolExhausted when
-// none remain at all).
+// sharding, device choice, and retries are all invisible in the output.
+// Shards fail over across live devices; the request errors only when a
+// shard has exhausted every live device (ErrPoolExhausted when none remain
+// at all).
 func (p *DevicePool) ForwardBatch(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if x == nil || x.Rank() != 4 {
 		return nil, fmt.Errorf("pool: %w: ForwardBatch wants NCHW input", nn.ErrShapeMismatch)
@@ -489,15 +451,10 @@ func (p *DevicePool) exhaustedErr(last error) error {
 	return ErrPoolExhausted
 }
 
-type shardResult struct {
-	out *tensor.Tensor
-	err error
-}
-
 // runShard executes samples [lo, lo+m) of the request's call block,
-// retrying across live devices (each at most once) and hedging stragglers.
-// The first attempt honors the dispatch-time stripe hint; retries fall back
-// to the scored acquire.
+// retrying across live devices (each at most once). The first attempt
+// honors the dispatch-time stripe hint; retries fall back to the scored
+// acquire.
 func (p *DevicePool) runShard(req, base uint64, lo int, view *tensor.Tensor, hint *device) (*tensor.Tensor, error) {
 	tried := make(map[*device]bool)
 	var lastErr error
@@ -508,7 +465,7 @@ func (p *DevicePool) runShard(req, base uint64, lo int, view *tensor.Tensor, hin
 			break
 		}
 		tried[d] = true
-		out, err := p.runHedged(req, d, tried, base, lo, view)
+		out, err := p.execOn(req, d, base, lo, view)
 		if err == nil {
 			return out, nil
 		}
@@ -523,62 +480,10 @@ func (p *DevicePool) runShard(req, base uint64, lo int, view *tensor.Tensor, hin
 	return nil, fmt.Errorf("pool: shard failed on every live device: %w", lastErr)
 }
 
-// runHedged runs one shard attempt on d, dispatching a duplicate to the
-// healthiest idle device if d outlives the hedge delay. The first result
-// wins; a first result that is an error waits for the duplicate instead of
-// discarding it. The loser is not interrupted — its shots are real and stay
-// counted — but its result is dropped.
-func (p *DevicePool) runHedged(req uint64, d *device, tried map[*device]bool, base uint64, lo int, view *tensor.Tensor) (*tensor.Tensor, error) {
-	primary := make(chan shardResult, 1)
-	go p.execOn(req, d, base, lo, view, primary)
-	delay := p.hedgeDelay()
-	if delay <= 0 {
-		r := <-primary
-		return r.out, r.err
-	}
-	var hedge chan shardResult
-	select {
-	case r := <-primary:
-		return r.out, r.err
-	case <-p.opts.after(delay):
-		h := p.acquireIdle(tried)
-		if h == nil {
-			r := <-primary
-			return r.out, r.err
-		}
-		tried[h] = true
-		p.hedges.Add(1)
-		hedge = make(chan shardResult, 1)
-		go p.execOn(req, h, base, lo, view, hedge)
-	}
-	select {
-	case r := <-primary:
-		if r.err == nil {
-			return r.out, nil
-		}
-		r2 := <-hedge
-		if r2.err == nil {
-			p.hedgeWins.Add(1)
-			return r2.out, nil
-		}
-		return nil, r.err
-	case r := <-hedge:
-		if r.err == nil {
-			p.hedgeWins.Add(1)
-			return r.out, nil
-		}
-		r2 := <-primary
-		if r2.err == nil {
-			return r2.out, nil
-		}
-		return nil, r2.err
-	}
-}
-
 // execOn aligns d's engine counter to the shard's call block and runs it.
 // The device lock serializes alignment and execution — one shard occupies
 // one physical device at a time, which is what makes alignment sound.
-func (p *DevicePool) execOn(req uint64, d *device, base uint64, lo int, view *tensor.Tensor, ch chan<- shardResult) {
+func (p *DevicePool) execOn(req uint64, d *device, base uint64, lo int, view *tensor.Tensor) (*tensor.Tensor, error) {
 	p.logf("req=%d mode=sample dev=%d base=%d samples=[%d,%d)", req, d.id, base, lo, lo+view.Shape[0])
 	d.run.Lock()
 	start := p.opts.now()
@@ -587,33 +492,5 @@ func (p *DevicePool) execOn(req uint64, d *device, base uint64, lo int, view *te
 	elapsed := p.opts.now().Sub(start)
 	d.run.Unlock()
 	p.noteShard(d, view.Shape[0], elapsed, err)
-	ch <- shardResult{out: out, err: err}
-}
-
-// hedgeDelay returns the current hedge delay: the configured override, or
-// HedgeFactor times the observed shard-latency p99 (floored by MinHedge)
-// once hedgeWarmup shards have completed. 0 disables hedging for this
-// shard.
-func (p *DevicePool) hedgeDelay() time.Duration {
-	if !p.opts.Hedge {
-		return 0
-	}
-	if p.opts.HedgeDelay > 0 {
-		return p.opts.HedgeDelay
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.ringN < hedgeWarmup {
-		return 0
-	}
-	n := min(p.ringN, latencyRingSize)
-	lat := make([]float64, n)
-	copy(lat, p.ring[:n])
-	sort.Float64s(lat)
-	p99 := lat[(n*99)/100]
-	d := time.Duration(p99 * p.opts.HedgeFactor)
-	if d < p.opts.MinHedge {
-		d = p.opts.MinHedge
-	}
-	return d
+	return out, err
 }

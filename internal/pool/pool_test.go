@@ -35,26 +35,6 @@ func repeatSpec(spec string, n int) []string {
 	return out
 }
 
-// waitDeviceShards blocks until the pool's devices have completed at least
-// want shard attempts in total (hedge losers finish asynchronously).
-func waitDeviceShards(t *testing.T, p *DevicePool, want uint64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var total uint64
-		for _, row := range p.DeviceHealth() {
-			total += row.Shards
-		}
-		if total >= want {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("devices completed %d shard attempts, want >= %d", total, want)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
 func mustPool(t *testing.T, net *nn.Network, opts Options) *DevicePool {
 	t.Helper()
 	p, err := New(net, opts)
@@ -299,18 +279,18 @@ func TestPoolProbeReadmit(t *testing.T) {
 		t.Fatal(err) // also records the canary
 	}
 	p.mu.Lock()
-	p.devs[1].state = stateQuarantined
-	p.devs[1].consecFaults = 3
+	p.devs[1].health.Quarantined = true
+	p.devs[1].health.ConsecFaults = 3
 	p.mu.Unlock()
 	if p.Live() != 1 {
 		t.Fatalf("live %d, want 1", p.Live())
 	}
 	p.probeQuarantined()
 	p.mu.Lock()
-	state, faults := p.devs[1].state, p.devs[1].consecFaults
+	h := p.devs[1].health
 	p.mu.Unlock()
-	if state != stateLive || faults != 0 {
-		t.Fatalf("device not readmitted: state=%v consecFaults=%d", state, faults)
+	if h.Quarantined || h.ConsecFaults != 0 {
+		t.Fatalf("device not readmitted: %+v", h)
 	}
 	c := p.Counters()
 	if c.Probes != 1 || c.Readmits != 1 {
@@ -318,6 +298,33 @@ func TestPoolProbeReadmit(t *testing.T) {
 	}
 	if _, err := p.ForwardBatch(poolBatch(2, 2)); err != nil {
 		t.Fatalf("post-readmit request: %v", err)
+	}
+}
+
+// TestLadder walks the health ladder the pool and the fleet simulator share:
+// the first latency seeds the EWMA, a fault run reaching the threshold
+// quarantines exactly once, a success clears the run, and readmission
+// needs a quarantined device.
+func TestLadder(t *testing.T) {
+	var l Ladder
+	if l.Observe(100, false, 2) || l.EWMANs != 100 || l.ConsecFaults != 1 {
+		t.Fatalf("first fault: %+v", l)
+	}
+	if !l.Observe(200, false, 2) || !l.Quarantined || l.EWMANs != 120 {
+		t.Fatalf("second fault must quarantine: %+v", l)
+	}
+	if l.Observe(200, false, 2) || l.ConsecFaults != 3 {
+		t.Fatalf("a quarantined device cannot be quarantined again: %+v", l)
+	}
+	if l.Score() != HealthScore(l.EWMANs, 3) {
+		t.Fatalf("score %v", l.Score())
+	}
+	if !l.Readmit() || l.Quarantined || l.ConsecFaults != 0 || l.Readmit() {
+		t.Fatalf("readmit: %+v", l)
+	}
+	l.ConsecFaults = 1
+	if l.Observe(0, true, 2) || l.ConsecFaults != 0 {
+		t.Fatalf("a success must clear the fault run: %+v", l)
 	}
 }
 
@@ -354,102 +361,6 @@ func TestPoolProbeKeepsDeadDeviceOut(t *testing.T) {
 	}
 }
 
-// TestPoolHedgeDispatch forces the hedge path deterministically: the timer
-// seam fires the hedge delay immediately, so the single shard of a
-// one-sample request is re-dispatched to the idle second device before the
-// primary finishes (on one CPU the primary goroutine cannot even have
-// started). The duplicate is bit-identical, so whichever copy wins, the
-// result matches the single-engine reference.
-func TestPoolHedgeDispatch(t *testing.T) {
-	net := nn.SmallCNN([2]int{4, 8}, 10, 99)
-	spec := "accelerator?workers=1"
-	eng, err := backend.Open(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := net.Compile(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hedgeDelay := 123 * time.Nanosecond
-	opts := Options{
-		Specs:      repeatSpec(spec, 2),
-		MaxShards:  1,
-		Hedge:      true,
-		HedgeDelay: hedgeDelay,
-		after: func(d time.Duration) <-chan time.Time {
-			if d == hedgeDelay {
-				ch := make(chan time.Time, 1)
-				ch <- time.Time{}
-				return ch
-			}
-			return make(chan time.Time) // probe loop: never fires
-		},
-	}
-	p := mustPool(t, net, opts)
-	for r := 0; r < 3; r++ {
-		// The hedge loser finishes in the background and holds its device
-		// until then; wait for both devices to drain so every request
-		// finds an idle hedge target.
-		waitDeviceShards(t, p, uint64(2*r))
-		x := poolBatch(int64(40+r), 1)
-		want, err := single.ForwardBatch(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := p.ForwardBatch(x)
-		if err != nil {
-			t.Fatalf("request %d: %v", r, err)
-		}
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("hedged request %d diverged at %d", r, i)
-			}
-		}
-	}
-	waitDeviceShards(t, p, 6)
-	c := p.Counters()
-	if c.Hedges != 3 {
-		t.Fatalf("hedges %d, want 3 (one per request)", c.Hedges)
-	}
-	// Both devices did real work: duplicate shots are counted, not hidden.
-	rows := p.DeviceHealth()
-	if rows[0].Shards+rows[1].Shards != 6 {
-		t.Fatalf("shard attempts %d+%d, want 6 (3 primaries + 3 hedges)", rows[0].Shards, rows[1].Shards)
-	}
-}
-
-// TestPoolHedgeRecoversFromDeadPrimary: when the primary shard lands on a
-// dead device, the hedged duplicate on the healthy device answers the
-// request — the error result loses to the clean one regardless of arrival
-// order.
-func TestPoolHedgeRecoversFromDeadPrimary(t *testing.T) {
-	net := nn.SmallCNN([2]int{4, 8}, 10, 99)
-	hedgeDelay := 123 * time.Nanosecond
-	p := mustPool(t, net, Options{
-		Specs:      []string{"accelerator?workers=1,fault=outage:1,faultseed=1", "accelerator?workers=1"},
-		MaxShards:  1,
-		Hedge:      true,
-		HedgeDelay: hedgeDelay,
-		after: func(d time.Duration) <-chan time.Time {
-			if d == hedgeDelay {
-				ch := make(chan time.Time, 1)
-				ch <- time.Time{}
-				return ch
-			}
-			return make(chan time.Time)
-		},
-	})
-	for r := 0; r < 4; r++ {
-		if _, err := p.ForwardBatch(poolBatch(int64(r), 1)); err != nil {
-			t.Fatalf("request %d: %v", r, err)
-		}
-	}
-	if c := p.Counters(); c.Exhausted != 0 {
-		t.Fatalf("hedged requests exhausted: %+v", c)
-	}
-}
-
 // TestPoolValidation pins New's rejection surface.
 func TestPoolValidation(t *testing.T) {
 	net := nn.SmallCNN([2]int{4, 8}, 10, 99)
@@ -458,7 +369,7 @@ func TestPoolValidation(t *testing.T) {
 		{Specs: []string{"no-such-backend"}},
 		{Specs: []string{"accelerator?nta=-3"}},
 		{Specs: []string{"accelerator"}, MaxShards: -1},
-		{Specs: []string{"accelerator"}, HedgeFactor: -1},
+		{Specs: []string{"accelerator"}, ProbeInterval: -1},
 	}
 	for _, opts := range bad {
 		if _, err := New(net, opts); !errors.Is(err, ErrBadPool) {

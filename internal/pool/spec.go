@@ -1,18 +1,16 @@
 // Pool spec grammar: one string that names a whole device farm, in the
 // spirit of the backend registry's engine specs.
 //
-//	pool?hedge=true,quarantine=3,probe=50ms,maxshards=4,devices=SPEC|SPEC*3
+//	pool?quarantine=3,probe=50ms,maxshards=4,devices=SPEC|SPEC*3
 //
 // Device specs themselves contain ',' (backend keys) and ';' (fault
 // sub-grammar), so the devices= parameter is NOT ','-splittable and must
 // come LAST: everything after "devices=" is the device list, split on '|'.
 // A "SPEC*N" entry replicates one spec N times ("accelerator*4" is a
-// four-device homogeneous farm). Parameters before devices=:
+// four-device homogeneous farm); a replicated spec may not itself contain
+// '*', and one spec names at most maxDevices devices. Parameters before
+// devices=:
 //
-//	hedge=BOOL        enable straggler hedging (default false)
-//	hedgedelay=DUR    fixed hedge delay (default: p99-derived)
-//	hedgefactor=F     p99 multiplier for the derived delay (default 3)
-//	minhedge=DUR      floor for the derived delay (default 500µs)
 //	quarantine=N      consecutive faults before quarantine (default 3)
 //	probe=DUR         background probe cadence (default 50ms)
 //	maxshards=N       shard cap per request (default: pool size)
@@ -31,6 +29,10 @@ import (
 
 // Name is the spec prefix that selects a device pool.
 const Name = "pool"
+
+// maxDevices caps the device count of one spec, so a short spec such as
+// "pool?devices=a*2000000000" fails to parse instead of exhausting memory.
+const maxDevices = 1024
 
 // IsPoolSpec reports whether spec names a device pool rather than a single
 // backend engine.
@@ -60,10 +62,14 @@ func ParseSpec(spec string) (Options, error) {
 		reps := 1
 		if j := strings.LastIndex(dev, "*"); j >= 0 {
 			n, err := strconv.Atoi(dev[j+1:])
-			if err != nil || n < 1 {
-				return o, fmt.Errorf("%w: spec %q: bad replication %q (want SPEC*N)", ErrBadPool, spec, dev)
+			one := strings.TrimSpace(dev[:j])
+			if err != nil || n < 1 || one == "" || strings.Contains(one, "*") {
+				return o, fmt.Errorf("%w: spec %q: bad replication %q (want SPEC*N, with no '*' in SPEC)", ErrBadPool, spec, dev)
 			}
-			reps, dev = n, dev[:j]
+			reps, dev = n, one
+		}
+		if reps > maxDevices-len(o.Specs) {
+			return o, fmt.Errorf("%w: spec %q: more than %d devices", ErrBadPool, spec, maxDevices)
 		}
 		for r := 0; r < reps; r++ {
 			o.Specs = append(o.Specs, dev)
@@ -78,14 +84,6 @@ func ParseSpec(spec string) (Options, error) {
 			}
 			var err error
 			switch key {
-			case "hedge":
-				o.Hedge, err = strconv.ParseBool(val)
-			case "hedgedelay":
-				o.HedgeDelay, err = time.ParseDuration(val)
-			case "hedgefactor":
-				o.HedgeFactor, err = strconv.ParseFloat(val, 64)
-			case "minhedge":
-				o.MinHedge, err = time.ParseDuration(val)
 			case "quarantine":
 				o.QuarantineThreshold, err = strconv.Atoi(val)
 			case "probe":
@@ -122,21 +120,22 @@ func Open(net *nn.Network, spec string) (*DevicePool, error) {
 	return p, nil
 }
 
-// synthesizeSpec renders Options back into the canonical grammar (used by
-// New, where no textual spec exists yet).
+// synthesizeSpec renders defaulted Options back into the canonical grammar
+// (used by New, where no textual spec exists yet). ParseSpec of the result
+// gives the same options after withDefaults; FuzzPoolSpec checks it.
 func synthesizeSpec(o Options) string {
 	var b strings.Builder
 	b.WriteString(Name + "?")
-	if o.Hedge {
-		b.WriteString("hedge=true,")
-	}
 	if o.Shard != "" && o.Shard != ShardSample {
 		fmt.Fprintf(&b, "shard=%s,", o.Shard)
 	}
 	if o.Debug {
 		b.WriteString("debug=true,")
 	}
-	fmt.Fprintf(&b, "quarantine=%d,probe=%s,devices=%s",
-		o.QuarantineThreshold, o.ProbeInterval, strings.Join(o.Specs, "|"))
+	fmt.Fprintf(&b, "quarantine=%d,probe=%s,", o.QuarantineThreshold, o.ProbeInterval)
+	if o.MaxShards != len(o.Specs) {
+		fmt.Fprintf(&b, "maxshards=%d,", o.MaxShards)
+	}
+	b.WriteString("devices=" + strings.Join(o.Specs, "|"))
 	return b.String()
 }

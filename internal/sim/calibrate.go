@@ -17,7 +17,9 @@ package sim
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"time"
 )
 
@@ -108,8 +110,9 @@ func costTables(doc map[string]any) ([]costTable, error) {
 		return nil, fmt.Errorf("no forward_batch cost table")
 	}
 	var out []costTable
-	for net, v := range fb {
-		tb, ok := v.(map[string]any)
+	// Sorted net names fix the order of Sources and of the float sums.
+	for _, net := range slices.Sorted(maps.Keys(fb)) {
+		tb, ok := fb[net].(map[string]any)
 		if !ok {
 			continue
 		}

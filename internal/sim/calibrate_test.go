@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -96,6 +98,38 @@ func TestCalibrateWorkersAveragesAcrossSnapshots(t *testing.T) {
 	}
 	if len(cal.Sources) != 2 {
 		t.Errorf("sources %v, want two", cal.Sources)
+	}
+}
+
+// TestCalibrateWorkersSourceOrder: a snapshot's nets fold in sorted name
+// order, so repeated calibrations list the same sorted Sources and give
+// the same costs.
+func TestCalibrateWorkersSourceOrder(t *testing.T) {
+	const row = `{"batch1": {"ns_per_op": %d}, "batch8": {"ns_per_op": %d}, "batch32": {"ns_per_op": %d}}`
+	body := `{"forward_batch": {`
+	for i, net := range []string{"delta", "alpha", "charlie", "bravo"} {
+		if i > 0 {
+			body += ","
+		}
+		body += fmt.Sprintf(`"%s": `+row, net, 1000003*(i+1), 4000037*(i+1), 16000033*(i+2))
+	}
+	path := writeSnap(t, "nets.json", body+`}}`)
+	want := []string{path + ":alpha", path + ":bravo", path + ":charlie", path + ":delta"}
+	first, err := CalibrateWorkers(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 20; run++ {
+		cal, err := CalibrateWorkers(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cal.Sources, want) {
+			t.Fatalf("run %d: sources %v, want %v", run, cal.Sources, want)
+		}
+		if cal.BatchBase != first.BatchBase || cal.PerSample != first.PerSample {
+			t.Fatalf("run %d: costs %v + %v per sample, first run %v + %v", run, cal.BatchBase, cal.PerSample, first.BatchBase, first.PerSample)
+		}
 	}
 }
 

@@ -154,10 +154,11 @@ func (sc Scenario) validate() error {
 	return nil
 }
 
-// defaultWorker is the reference device cost model, calibrated loosely
-// against the BENCH snapshots: ~2ms batch overhead + 0.5ms per streamed
-// sample (SmallCNN-tiled scale), 620 modeled shots/sample, and the packed
-// aperture fill the calibrate CLI reports for 32x32 inputs.
+// defaultWorker is the reference device cost model. Its costs are hand-set,
+// not calibrated: 2ms batch overhead + 0.5ms per streamed sample, 620
+// modeled shots/sample, and the packed aperture fill the calibrate CLI
+// reports for 32x32 inputs. CalibrateWorkers on BENCH_8 and BENCH_5 gives
+// 0.31ms + 3.79ms per sample, on which device-outage misses its SLO.
 func defaultWorker() WorkerConfig {
 	return WorkerConfig{
 		BatchBase:      2 * time.Millisecond,

@@ -16,17 +16,18 @@
 // (asserted by TestRunReproducible) — simulation results are artifacts, not
 // samples.
 //
-// The cost model is intentionally simple and calibrated against the BENCH
-// snapshots: a batch of n samples occupies its worker for
-// BatchBase + n*PerSample virtual nanoseconds (weight-latched economics:
-// fixed latch/readout overhead plus a per-sample streaming cost), fires
-// n*ShotsPerSample modeled JTC shots, and fills ApertureUtil of the
-// aperture while executing. Worker faults come from fault.Parse specs:
+// The cost model is intentionally simple: a batch of n samples occupies
+// its worker for BatchBase + n*PerSample virtual nanoseconds
+// (weight-latched economics: fixed latch/readout overhead plus a
+// per-sample streaming cost), fires n*ShotsPerSample modeled JTC shots,
+// and fills ApertureUtil of the aperture while executing. The default
+// costs are hand-set; CalibrateWorkers derives them from measured BENCH
+// snapshots instead. Worker faults come from fault.Parse specs:
 // outage:CALL kills the device at its CALL-th batch, shot:RATE injects
 // transient per-batch misfires; consecutive faults quarantine the worker
-// (its queue re-routes), probes readmit it when the fault clears —
-// the pool package's live → quarantined → probed → readmitted ladder,
-// replayed in virtual time.
+// (its queue re-routes), probes readmit it when the fault clears. Each
+// worker holds a pool.Ladder, so the simulator runs the device pool's own
+// live → quarantined → probed → readmitted ladder, in virtual time.
 package sim
 
 import (
@@ -212,8 +213,8 @@ func (s *simulator) views() []WorkerView {
 			Live:         w.live(),
 			Queued:       len(w.queue),
 			Inflight:     w.inflight,
-			EWMANs:       w.ewmaNs,
-			ConsecFaults: w.consec,
+			EWMANs:       w.health.EWMANs,
+			ConsecFaults: w.health.ConsecFaults,
 		}
 	}
 	return v
@@ -222,10 +223,10 @@ func (s *simulator) views() []WorkerView {
 // liveQuarantined counts the fleet's current states.
 func (s *simulator) liveQuarantined() (live, quar int) {
 	for _, w := range s.workers {
-		if w.quarantined {
-			quar++
-		} else {
+		if w.live() {
 			live++
+		} else {
+			quar++
 		}
 	}
 	return live, quar

@@ -1,17 +1,18 @@
 // Workers: the serving side of the simulator. A worker mirrors one pool
 // device — a FIFO queue feeding micro-batch executions with a deterministic
-// cost model, plus internal/pool's health ladder (live → quarantined →
-// probed → readmitted) driven in virtual time by an internal/fault
-// injector: outage:CALL kills the device at its CALL-th batch, shot:RATE
-// injects transient per-batch misfires. Faulted batches re-route their
-// requests through the scenario's routing policy; a quarantined worker
-// drains its queue the same way.
+// cost model, plus the pool's own health ladder (pool.Ladder: live →
+// quarantined → probed → readmitted) driven in virtual time by an
+// internal/fault injector: outage:CALL kills the device at its CALL-th
+// batch, shot:RATE injects transient per-batch misfires. Faulted batches
+// re-route their requests through the scenario's routing policy; a
+// quarantined worker drains its queue the same way.
 package sim
 
 import (
 	"fmt"
 
 	"photofourier/internal/fault"
+	"photofourier/internal/pool"
 )
 
 // queued is one request waiting on a worker, with its enqueue time (which
@@ -31,12 +32,10 @@ type worker struct {
 	busy     bool
 	inflight int // samples in the executing batch
 
-	quarantined bool
-	calls       uint64 // 1-based batch executions, keys fault draws
-	consec      int    // consecutive faulted batches
-	ewmaNs      float64
-	timerSeq    uint64 // invalidates stale batch-close timers
-	probeCount  int
+	health     pool.Ladder
+	calls      uint64 // 1-based batch executions, keys fault draws
+	timerSeq   uint64 // invalidates stale batch-close timers
+	probeCount int
 }
 
 func newWorker(id int, cfg WorkerConfig, sc Scenario) (*worker, error) {
@@ -51,7 +50,7 @@ func newWorker(id int, cfg WorkerConfig, sc Scenario) (*worker, error) {
 	return &worker{id: id, cfg: cfg, inj: inj}, nil
 }
 
-func (w *worker) live() bool { return !w.quarantined }
+func (w *worker) live() bool { return !w.health.Quarantined }
 
 // serviceNs is the cost model: a batch of n samples occupies the worker for
 // BatchBase + n*PerSample virtual nanoseconds.
@@ -59,35 +58,12 @@ func (w *worker) serviceNs(n int) int64 {
 	return w.cfg.BatchBase.Nanoseconds() + int64(n)*w.cfg.PerSample.Nanoseconds()
 }
 
-// noteOK folds one successful batch into the health EWMA (the same
-// ewmaAlpha=0.2 fold the device pool applies to shard latencies).
-func (w *worker) noteOK(elapsed int64) {
-	w.foldEWMA(elapsed)
-	w.consec = 0
-}
-
-func (w *worker) noteFault(elapsed int64) {
-	w.foldEWMA(elapsed)
-	w.consec++
-}
-
-const ewmaAlpha = 0.2
-
-func (w *worker) foldEWMA(elapsed int64) {
-	ns := float64(elapsed)
-	if w.ewmaNs == 0 {
-		w.ewmaNs = ns
-	} else {
-		w.ewmaNs += ewmaAlpha * (ns - w.ewmaNs)
-	}
-}
-
 // enqueue adds one request to w's queue and, when the worker is idle,
 // either starts a full batch immediately or (re)arms the batch-close timer
 // with the batching policy's current co-batching window.
 func (s *simulator) enqueue(now int64, w *worker, req *Request) {
 	w.queue = append(w.queue, queued{req: req, enq: now})
-	if w.busy || w.quarantined {
+	if w.busy || !w.live() {
 		return
 	}
 	if len(w.queue) >= s.sc.MaxBatch {
@@ -110,7 +86,7 @@ func (s *simulator) armClose(now int64, w *worker) {
 		return
 	}
 	s.schedule(closeAt, func(t int64) {
-		if w.timerSeq == seq && !w.busy && !w.quarantined && len(w.queue) > 0 {
+		if w.timerSeq == seq && !w.busy && w.live() && len(w.queue) > 0 {
 			s.startBatch(t, w)
 		}
 	})
@@ -159,7 +135,7 @@ func (s *simulator) startBatch(now int64, w *worker) {
 func (s *simulator) completeOK(now int64, w *worker, batch []queued, service int64) {
 	w.busy = false
 	w.inflight = 0
-	w.noteOK(service)
+	w.health.Observe(service, true, s.sc.QuarantineThreshold)
 	n := len(batch)
 	for _, q := range batch {
 		s.rec.completed(now, now-q.req.At)
@@ -176,9 +152,8 @@ func (s *simulator) completeOK(now int64, w *worker, batch []queued, service int
 func (s *simulator) completeFault(now int64, w *worker, batch []queued, detect int64) {
 	w.busy = false
 	w.inflight = 0
-	w.noteFault(detect)
 	s.rec.fault(now)
-	if !w.quarantined && w.consec >= s.sc.QuarantineThreshold {
+	if w.health.Observe(detect, false, s.sc.QuarantineThreshold) {
 		s.quarantine(now, w)
 	}
 	for _, q := range batch {
@@ -189,7 +164,7 @@ func (s *simulator) completeFault(now int64, w *worker, batch []queued, detect i
 		}
 		s.dispatch(now, q.req)
 	}
-	if !w.quarantined {
+	if w.live() {
 		s.afterBatch(now, w)
 	}
 }
@@ -206,10 +181,9 @@ func (s *simulator) afterBatch(now int64, w *worker) {
 	s.armClose(now, w)
 }
 
-// quarantine takes w out of the rotation, re-routes its queue, and starts
-// the probe cadence.
+// quarantine follows w's ladder out of the rotation: it re-routes w's
+// queue and starts the probe cadence.
 func (s *simulator) quarantine(now int64, w *worker) {
-	w.quarantined = true
 	w.timerSeq++
 	s.rec.quarantine(now)
 	drained := w.queue
@@ -238,7 +212,7 @@ func (s *simulator) scheduleProbe(now int64, w *worker) {
 // draw's attempt coordinate so each probe of a transiently flaky device is
 // an independent draw.
 func (s *simulator) probe(now int64, w *worker) {
-	if !w.quarantined {
+	if w.live() {
 		return
 	}
 	w.probeCount++
@@ -252,8 +226,7 @@ func (s *simulator) probe(now int64, w *worker) {
 		}
 	}
 	if ok {
-		w.quarantined = false
-		w.consec = 0
+		w.health.Readmit()
 		s.rec.readmit(now)
 		return
 	}

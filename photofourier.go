@@ -13,7 +13,7 @@
 //     quantized/temporally-accumulated accelerator model, and
 //     Network.Compile + InferenceSession serve them; OpenDevicePool
 //     shards batches bit-identically across replicated devices with
-//     health scoring, quarantine/probe/readmit, and hedged re-dispatch;
+//     health scoring, quarantine/probe/readmit, and shard retry;
 //   - architecture evaluation: CG/NG/Baseline configurations with
 //     cycle/energy/area models for every workload in the paper;
 //   - experiments: regeneration of every table and figure.
@@ -204,13 +204,14 @@ type (
 	SessionOptions = serve.Options
 	// Prediction is the per-sample result of one served inference.
 	Prediction = serve.Prediction
-	// DevicePool shards batched inference by sample across N
-	// registry-opened devices, bit-identically to a single engine, with
-	// per-device health scoring, quarantine/probe/readmit, and hedged
-	// re-dispatch of straggler shards (see DESIGN.md's pool section).
+	// DevicePool shards batched inference by sample (or by output
+	// channel) across N registry-opened devices, bit-identically to a
+	// single engine, with per-device health scoring, quarantine/probe/
+	// readmit, and retry of failed shards on other live devices (see
+	// DESIGN.md's pool section).
 	DevicePool = pool.DevicePool
 	// PoolOptions configures a DevicePool (device specs, shard cap,
-	// quarantine threshold, probe interval, hedging policy).
+	// quarantine threshold, probe interval, shard strategy, decision log).
 	PoolOptions = pool.Options
 	// PoolDeviceHealth is one pool device's point-in-time health row, as
 	// surfaced by DevicePool.DeviceHealth and InferenceSession.Health.
@@ -237,12 +238,12 @@ func NewPoolInferenceSession(p *DevicePool, opts SessionOptions) (*InferenceSess
 //
 //	pool?key=val,...,devices=spec|spec*N|...
 //
-// e.g. "pool?quarantine=2,hedge=true,devices=accelerator?workers=1*4".
+// e.g. "pool?quarantine=2,devices=accelerator?workers=1*4".
 // devices= must come last (device specs may themselves contain ',' and
 // ';'); a *N suffix replicates one device spec. Prefix keys: maxshards,
-// quarantine, probe, hedge, hedgedelay, hedgefactor, minhedge. Malformed
-// specs yield ErrBadPool; device specs are opened through the backend
-// registry, so unknown names yield ErrUnknownBackend.
+// quarantine, probe, shard, debug. Malformed specs yield ErrBadPool;
+// device specs are opened through the backend registry, so unknown names
+// yield ErrUnknownBackend.
 func OpenDevicePool(net *Network, spec string) (*DevicePool, error) {
 	return pool.Open(net, spec)
 }
