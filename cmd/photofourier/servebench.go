@@ -181,10 +181,13 @@ func serveBench(cfg serveBenchConfig) error {
 }
 
 // servePoolBench runs the batched-session mode against a device pool: the
-// pool shards each micro-batch by sample across its live devices, and the
-// report adds the pool's scheduling counters plus one health row per device
-// (state, faults, probes, readmits) — the chaos-smoke CI step greps these
-// for the quarantined dead device. Per-sample baselines are skipped: they
+// pool picks each micro-batch's split per call (pool.channelParts), sample
+// shards across its live devices or, for a lone batch-1 call on a
+// channel-eligible pool, output-channel ranges. The report adds the pool's
+// scheduling counters plus one health row per device (state, faults,
+// probes, readmits) — the chaos-smoke CI steps grep these for the
+// quarantined dead device, and grep a debug=true pool's decision log for
+// the split it took. Per-sample baselines are skipped: they
 // bench a single engine, which -engine already covers.
 func servePoolBench(cfg serveBenchConfig) error {
 	samples, batch, clients, delay := cfg.samples, cfg.batch, cfg.clients, cfg.delay

@@ -23,6 +23,7 @@ package backend
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -154,9 +155,11 @@ func WithCalibPercentile(p float64) Option {
 }
 
 // WithFault attaches a deterministic fault-injection spec (internal/fault
-// grammar, e.g. "shot:1e-3;drift:5e-5"); "" disables injection.
+// grammar, e.g. "shot:1e-3;drift:5e-5"); "" disables injection. Surrounding
+// space is trimmed, as the fault parser ignores it, so the canonical spec
+// does not carry it.
 func WithFault(spec string) Option {
-	return Option{key: "fault", apply: func(c *Config) { c.Fault = spec }}
+	return Option{key: "fault", apply: func(c *Config) { c.Fault = strings.TrimSpace(spec) }}
 }
 
 // WithFaultSeed keys the injector's deterministic fault draws.
@@ -512,10 +515,10 @@ func validateConfig(def *Definition, cfg Config) error {
 	if accepted["dac"] && (cfg.DACBits < 0 || cfg.DACBits > 32) {
 		return bad("dac bits %d out of range [0,32]", cfg.DACBits)
 	}
-	if accepted["noise"] && cfg.ReadoutNoise < 0 {
-		return bad("noise %g must be >= 0", cfg.ReadoutNoise)
+	if accepted["noise"] && (math.IsNaN(cfg.ReadoutNoise) || math.IsInf(cfg.ReadoutNoise, 0) || cfg.ReadoutNoise < 0) {
+		return bad("noise %g must be finite and >= 0", cfg.ReadoutNoise)
 	}
-	if accepted["calib"] && (cfg.CalibPercentile < 0 || cfg.CalibPercentile > 1) {
+	if accepted["calib"] && !(cfg.CalibPercentile >= 0 && cfg.CalibPercentile <= 1) {
 		return bad("calib percentile %g out of range [0,1]", cfg.CalibPercentile)
 	}
 	if accepted["fault"] && cfg.Fault != "" {

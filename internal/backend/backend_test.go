@@ -91,6 +91,39 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzBackendSpec checks the spec round trip on arbitrary strings: whenever
+// Open accepts a spec, its canonical String re-opens to an equal Config and
+// the same String. The target only opens and renders specs; it never
+// compiles or runs an engine, so no value it opens starts any work.
+func FuzzBackendSpec(f *testing.F) {
+	for _, name := range Names() {
+		for _, spec := range roundTripSpecs[name] {
+			f.Add(spec)
+		}
+	}
+	f.Add("accelerator?fault=shot:1e-3;outage:40,faultseed=7")
+	f.Add("accelerator-noisy?noise=NaN") // accepted, and reopened to a different Config, before noise had to be finite
+	f.Add("accelerator?calib=NaN")
+	f.Add("accelerator?fault=shot:1e-3 ,nta=4") // the canonical spec ended in the fault's space, which Open trims
+	f.Fuzz(func(t *testing.T, spec string) {
+		e, err := Open(spec)
+		if err != nil {
+			return
+		}
+		canon := e.String()
+		re, err := Open(canon)
+		if err != nil {
+			t.Fatalf("Open(%q) accepted, but its canonical %q fails: %v", spec, canon, err)
+		}
+		if re.Config() != e.Config() {
+			t.Fatalf("Open(%q) config %+v, but its canonical %q gives %+v", spec, e.Config(), canon, re.Config())
+		}
+		if re.String() != canon {
+			t.Fatalf("canonical form of %q unstable: %q -> %q", spec, canon, re.String())
+		}
+	})
+}
+
 // TestSeedResolvesOnce: a zero seed resolves to the default at Open — no
 // runtime re-fallback, and the canonical spec does not carry seed=0.
 func TestSeedResolvesOnce(t *testing.T) {
@@ -173,6 +206,9 @@ func TestBadSpecs(t *testing.T) {
 		"rowtiled?aperture=1",         // out of range
 		"accelerator-noisy?noise=-1",  // out of range
 		"accelerator-noisy?calib=1.5", // out of range
+		"accelerator-noisy?noise=NaN", // not finite
+		"accelerator-noisy?noise=Inf", // not finite
+		"accelerator?calib=NaN",       // not finite
 	} {
 		if _, err := Open(spec); !errors.Is(err, ErrBadSpec) {
 			t.Errorf("Open(%q): want ErrBadSpec, got %v", spec, err)

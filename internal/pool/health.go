@@ -84,17 +84,18 @@ type device struct {
 	id   int
 	spec string
 	plan *nn.NetworkPlan
-	// chanSteps is the plan lowered for output-channel sharding (populated
-	// by New when Options.Shard is ShardChannel).
+	// chanSteps is the plan lowered for output-channel ranges (populated
+	// by New when the pool is channel-eligible).
 	chanSteps []nn.ChannelStep
 
 	// run serializes counter alignment and execution on the physical
 	// device; the probe loop takes it too, so readmission drains first.
 	run sync.Mutex
 
-	// Guarded by DevicePool.mu.
+	// Guarded by DevicePool.mu. busy counts the calls holding the device:
+	// sample shards reserved on it, and a channel call running ranges on it.
 	health  Ladder
-	busy    bool
+	busy    int
 	lastErr error
 
 	// Monotonic counters (atomic: read by DeviceHealth without the lock).
@@ -132,7 +133,7 @@ func (p *DevicePool) acquire(tried map[*device]bool) *device {
 				continue
 			}
 			candidates = true
-			if d.busy {
+			if d.busy > 0 {
 				continue
 			}
 			if best == nil || d.health.Score() < best.health.Score() {
@@ -140,7 +141,7 @@ func (p *DevicePool) acquire(tried map[*device]bool) *device {
 			}
 		}
 		if best != nil {
-			best.busy = true
+			best.busy++
 			return best
 		}
 		if !candidates {
@@ -158,8 +159,8 @@ func (p *DevicePool) acquire(tried map[*device]bool) *device {
 func (p *DevicePool) acquireHinted(hint *device, tried map[*device]bool) *device {
 	if hint != nil {
 		p.mu.Lock()
-		if !p.closed && !hint.health.Quarantined && !hint.busy && !tried[hint] {
-			hint.busy = true
+		if !p.closed && !hint.health.Quarantined && hint.busy == 0 && !tried[hint] {
+			hint.busy++
 			p.mu.Unlock()
 			return hint
 		}
@@ -168,34 +169,44 @@ func (p *DevicePool) acquireHinted(hint *device, tried map[*device]bool) *device
 	return p.acquire(tried)
 }
 
-// stripeOrder snapshots the live devices healthiest-first — the dispatch
-// hints ForwardBatch stripes its shards across. Without striping, the
-// greedy scored acquire piles consecutive shards onto whichever device's
-// freshly-updated score dips lowest whenever shard executions serialize
-// (a starved host, or more shards than free devices).
+// stripeOrder snapshots up to nShards live devices in rankedLocked order —
+// the dispatch hints ForwardBatch stripes its shards across. Without
+// striping, the greedy scored acquire piles consecutive shards onto
+// whichever device's freshly-updated score dips lowest whenever shard
+// executions serialize (a starved host, or more shards than free devices).
 func (p *DevicePool) stripeOrder(nShards int) []*device {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.rankedLocked(nShards)
+}
+
+// rankedLocked returns up to n live devices, idle ones first and the
+// healthiest first within each group, ties in slot order. The caller holds
+// p.mu.
+func (p *DevicePool) rankedLocked(n int) []*device {
 	var live []*device
 	for _, d := range p.devs {
 		if !d.health.Quarantined {
 			live = append(live, d)
 		}
 	}
-	sort.Slice(live, func(i, j int) bool { return live[i].health.Score() < live[j].health.Score() })
-	if len(live) > nShards {
-		live = live[:nShards]
-	}
-	return live
+	sort.SliceStable(live, func(i, j int) bool {
+		if idle := live[i].busy == 0; idle != (live[j].busy == 0) {
+			return idle
+		}
+		return live[i].health.Score() < live[j].health.Score()
+	})
+	return live[:min(n, len(live))]
 }
 
-// noteShard records one completed shard attempt on d: frees the device
-// and folds the attempt into its health ladder, which may quarantine it.
+// noteShard records one completed shard attempt on d: releases the call's
+// hold on the device and folds the attempt into its health ladder, which
+// may quarantine it.
 func (p *DevicePool) noteShard(d *device, samples int, elapsed time.Duration, err error) {
 	d.shards.Add(1)
 	d.busyNanos.Add(int64(elapsed))
 	p.mu.Lock()
-	d.busy = false
+	d.busy--
 	d.lastErr = err
 	if err == nil {
 		d.samples.Add(uint64(samples))
@@ -285,12 +296,6 @@ type DeviceHealth struct {
 	Busy time.Duration
 	// LastError is the most recent shard or probe error ("" when clean).
 	LastError string
-}
-
-// Score is the row's scheduling rank — HealthScore over the row's EWMA
-// latency and consecutive-fault run (lower is healthier).
-func (h DeviceHealth) Score() float64 {
-	return HealthScore(float64(h.EWMALatency), h.ConsecFaults)
 }
 
 // DeviceHealth returns one row per device, in slot order.

@@ -1,9 +1,10 @@
 // Intra-sample execution: output-channel sharding. Sample sharding
 // (pool.go) scales batch throughput with pool size but leaves batch-1
 // latency at one device's serial time; channel sharding spends the pool on
-// a SINGLE inference.
+// a SINGLE inference. ForwardBatch picks between them per call
+// (channelParts).
 //
-// Channel sharding splits every engine layer's output channels across the
+// Channel sharding splits every engine layer's output channels across
 // live devices and merges partial activations. Bit-identity to
 // single-engine execution holds because the per-(call, term, group)
 // readout-substream keys are position-derived (the same first/stride
@@ -91,32 +92,28 @@ func pad2(c *nn.ConvGeom) int {
 	return 0
 }
 
-// liveDevices snapshots the live devices in slot order, capped at the
-// request shard ceiling.
-func (p *DevicePool) liveDevices() []*device {
+// holdLive takes a hold on up to parts live devices in rankedLocked order,
+// so sample shards of concurrent calls go to other devices while the
+// ranges run; noteShard releases each hold.
+func (p *DevicePool) holdLive(parts int) []*device {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var live []*device
-	for _, d := range p.devs {
-		if !d.health.Quarantined {
-			live = append(live, d)
-		}
+	devs := p.rankedLocked(parts)
+	for _, d := range devs {
+		d.busy++
 	}
-	if len(live) > p.opts.MaxShards {
-		live = live[:p.opts.MaxShards]
-	}
-	return live
+	return devs
 }
 
-// forwardChannel serves one request with every live device cooperating on
-// every layer: engine convolutions split by output-channel range
-// (two-phase: sweep+maxima on all devices, combine scales, then readout),
-// CPU steps run once on the host. Requests are serialized (intraMu) — the
-// strategy occupies the whole pool by design.
-func (p *DevicePool) forwardChannel(x *tensor.Tensor, base, req uint64) (*tensor.Tensor, error) {
+// forwardChannel serves one request with up to parts live devices
+// cooperating on every layer: engine convolutions split by output-channel
+// range (two-phase: sweep+maxima on all devices, combine scales, then
+// readout), CPU steps run once on the host. Requests are serialized
+// (intraMu): one occupies its devices in lockstep.
+func (p *DevicePool) forwardChannel(x *tensor.Tensor, base, req uint64, parts int) (*tensor.Tensor, error) {
 	p.intraMu.Lock()
 	defer p.intraMu.Unlock()
-	devs := p.liveDevices()
+	devs := p.holdLive(parts)
 	if len(devs) == 0 {
 		p.exhausted.Add(1)
 		return nil, p.exhaustedErr(nil)

@@ -5,7 +5,8 @@
 // needs: per-device health scoring feeding a quarantine → background probe
 // → readmit state machine (Ladder, which the fleet simulator runs too),
 // retry of failed shards on other live devices, and graceful degradation of
-// the effective batch ceiling as devices die.
+// the effective batch ceiling as devices die. Each call is split by sample
+// or, for a lone batch-1 call, by output channel.
 //
 // Bit-identity rests on the call-reservation keying of the compiled batch
 // path (see nn/shard.go and DESIGN.md): a compiled plan consumes a fixed
@@ -22,7 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,19 +31,6 @@ import (
 	"photofourier/internal/backend"
 	"photofourier/internal/nn"
 	"photofourier/internal/tensor"
-)
-
-// Shard strategies (Options.Shard / the shard= spec key).
-const (
-	// ShardSample splits a request's samples across devices (the default):
-	// throughput scales with pool size, batch-1 latency does not.
-	ShardSample = "sample"
-	// ShardChannel splits every layer's output channels across devices and
-	// merges partial activations — intra-sample parallelism that cuts
-	// batch-1 latency. Requires a homogeneous pool and channel-shardable
-	// plans (see nn.ChannelShardSteps): no percentile ADC calibration and
-	// no shot-rate faults. New rejects any other pool.
-	ShardChannel = "channel"
 )
 
 // Typed sentinel errors; test with errors.Is.
@@ -65,8 +53,8 @@ type Options struct {
 	// entry (possibly heterogeneous, each with its own fault= injector and
 	// seed). Required.
 	Specs []string
-	// MaxShards caps how many shards one ForwardBatch splits into
-	// (default: pool size).
+	// MaxShards caps the sample shards or channel ranges one ForwardBatch
+	// splits into (default: pool size).
 	MaxShards int
 	// QuarantineThreshold is how many consecutive shard faults quarantine
 	// a device (default 3).
@@ -74,15 +62,8 @@ type Options struct {
 	// ProbeInterval is the background probe cadence for quarantined
 	// devices (default 50ms).
 	ProbeInterval time.Duration
-
-	// Shard selects the execution strategy: ShardSample (default) or
-	// ShardChannel.
-	Shard string
-	// Debug enables the scheduling decision log: one line per device/shard
-	// assignment, written to DecisionLog.
-	Debug bool
-	// DecisionLog receives decision-log lines when Debug is set (default
-	// os.Stderr). Writes are serialized by the pool.
+	// DecisionLog, when non-nil, receives the scheduling decision log: one
+	// line per device/shard assignment. Writes are serialized by the pool.
 	DecisionLog io.Writer
 
 	// Test seams (package-internal): deterministic clock and timer.
@@ -97,12 +78,6 @@ func (o Options) validate() error {
 	if o.MaxShards < 0 || o.QuarantineThreshold < 0 || o.ProbeInterval < 0 {
 		return fmt.Errorf("%w: negative option", ErrBadPool)
 	}
-	switch o.Shard {
-	case "", ShardSample, ShardChannel:
-	default:
-		return fmt.Errorf("%w: unknown shard strategy %q (want %s|%s)",
-			ErrBadPool, o.Shard, ShardSample, ShardChannel)
-	}
 	return nil
 }
 
@@ -116,12 +91,6 @@ func (o Options) withDefaults() Options {
 	if o.ProbeInterval < 1 {
 		o.ProbeInterval = 50 * time.Millisecond
 	}
-	if o.Shard == "" {
-		o.Shard = ShardSample
-	}
-	if o.Debug && o.DecisionLog == nil {
-		o.DecisionLog = os.Stderr
-	}
 	if o.now == nil {
 		o.now = time.Now
 	}
@@ -132,18 +101,25 @@ func (o Options) withDefaults() Options {
 }
 
 // DevicePool is a farm of registry-opened engines, each carrying its own
-// compiled plan of one shared source network, with a sample-sharding
-// scheduler on top. It is safe for concurrent ForwardBatch calls.
+// compiled plan of one shared source network, with a scheduler on top that
+// splits each call by sample or by output channel. It is safe for
+// concurrent ForwardBatch calls.
 type DevicePool struct {
 	net    *nn.Network
 	opts   Options
 	devs   []*device
 	stride uint64 // engine call indices per sample (0: nothing keyed)
 	spec   string // canonical pool spec (Open) or synthesized (New)
+	// channelOK marks a pool whose devices were all lowered for channel
+	// ranges by New.
+	channelOK bool
 
 	// calls is the pool's logical call frontier: the single counter a
 	// lone engine serving every sample in order would have.
 	calls atomic.Uint64
+	// inflight counts ForwardBatch calls in progress; a call that finds
+	// no other in flight may take channel ranges.
+	inflight atomic.Int64
 
 	// batchInvariant caches whether every device is noise-free (so
 	// co-batching and sharding are invisible for capability queries).
@@ -156,8 +132,8 @@ type DevicePool struct {
 	// background probe of quarantined devices.
 	canary *tensor.Tensor
 
-	// intraMu serializes channel-sharded requests, which occupy every live
-	// device in lockstep (sample-sharded requests run concurrently and
+	// intraMu serializes channel-range requests, which occupy their
+	// devices in lockstep (sample-sharded requests run concurrently and
 	// never take it).
 	intraMu sync.Mutex
 	// logMu serializes decision-log writes.
@@ -216,27 +192,43 @@ func New(net *nn.Network, opts Options) (*DevicePool, error) {
 		}
 		p.devs = append(p.devs, &device{id: i, spec: eng.String(), plan: plan})
 	}
-	if p.opts.Shard == ShardChannel {
-		for _, d := range p.devs {
-			if d.spec != p.devs[0].spec {
-				return nil, fmt.Errorf("%w: shard=channel needs a homogeneous pool: device %d spec %q differs from %q (every device must hold the full weight set and seed)",
-					ErrBadPool, d.id, d.spec, p.devs[0].spec)
-			}
-			steps, err := d.plan.ChannelShardSteps()
-			if err != nil {
-				return nil, fmt.Errorf("%w: shard=channel: device %d: %v", ErrBadPool, d.id, err)
-			}
-			d.chanSteps = steps
+	// Channel ranges split one logical engine, so they need every device on
+	// one spec (the same weights, seed and operating point) and every layer
+	// decomposable over output-channel ranges (nn.ChannelShardSteps: no
+	// percentile ADC calibration, no shot-rate faults). A pool that fails
+	// either check splits by sample only.
+	p.channelOK = true
+	for _, d := range p.devs {
+		steps, err := d.plan.ChannelShardSteps()
+		if err != nil || d.spec != p.devs[0].spec {
+			p.channelOK = false
+			break
 		}
+		d.chanSteps = steps
 	}
 	p.spec = synthesizeSpec(p.opts)
 	go p.probeLoop()
 	return p, nil
 }
 
-// logf emits one scheduling decision-log line (no-op unless Options.Debug).
+// channelParts is the split rule: how many output-channel ranges a call of
+// n samples takes, or 0 for sample shards. Ranges are taken only by an
+// eligible pool's lone batch-1 call: concurrent calls already fill the
+// devices by sample, and batch-1 calls are the only ones measured to gain
+// from ranges. They are capped at the CPUs, since each range is a
+// goroutine and ranges past the CPU count time-share cores.
+func channelParts(n, live, maxShards, procs int, alone, eligible bool) int {
+	parts := min(live, maxShards, procs)
+	if !eligible || !alone || parts < 2 || n != 1 {
+		return 0
+	}
+	return parts
+}
+
+// logf emits one scheduling decision-log line (no-op without a
+// DecisionLog).
 func (p *DevicePool) logf(format string, args ...any) {
-	if !p.opts.Debug || p.opts.DecisionLog == nil {
+	if p.opts.DecisionLog == nil {
 		return
 	}
 	p.logMu.Lock()
@@ -342,11 +334,13 @@ func (p *DevicePool) isClosed() bool {
 
 // ForwardBatch runs one NCHW batch with the single-engine per-sample batch
 // contract: results are bit-identical to one engine of the devices' spec
-// serving every request in order, including keyed readout noise — sample
-// sharding, device choice, and retries are all invisible in the output.
-// Shards fail over across live devices; the request errors only when a
-// shard has exhausted every live device (ErrPoolExhausted when none remain
-// at all).
+// serving every request in order, including keyed readout noise — the
+// split, device choice, and retries are all invisible in the output.
+// Each call picks its split (channelParts): output-channel ranges for a
+// lone batch-1 call, sample shards otherwise.
+// Sample shards fail over across live devices; the request errors only
+// when a shard has exhausted every live device (ErrPoolExhausted when none
+// remain at all). A channel-range call fails as a whole on a device fault.
 func (p *DevicePool) ForwardBatch(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if x == nil || x.Rank() != 4 {
 		return nil, fmt.Errorf("pool: %w: ForwardBatch wants NCHW input", nn.ErrShapeMismatch)
@@ -358,18 +352,20 @@ func (p *DevicePool) ForwardBatch(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if p.isClosed() {
 		return nil, ErrPoolClosed
 	}
+	alone := p.inflight.Add(1) == 1
+	defer p.inflight.Add(-1)
 	req := p.requests.Add(1)
 	p.ensureCanary(x)
 	// Reserve the request's call block on the logical frontier exactly as
 	// the single-engine ForwardBatch would have.
 	base := p.calls.Add(uint64(n)*p.stride) - uint64(n)*p.stride
-	if p.opts.Shard == ShardChannel {
-		return p.forwardChannel(x, base, req)
-	}
 	live := p.Live()
 	if live == 0 {
 		p.exhausted.Add(1)
 		return nil, p.exhaustedErr(nil)
+	}
+	if parts := channelParts(n, live, p.opts.MaxShards, runtime.GOMAXPROCS(0), alone, p.channelOK); parts > 0 {
+		return p.forwardChannel(x, base, req, parts)
 	}
 	shards := min(live, n, p.opts.MaxShards)
 	order := p.stripeOrder(shards)

@@ -1,9 +1,11 @@
 package pool
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -101,6 +103,90 @@ func TestPoolGoldenMatchesSingleEngine(t *testing.T) {
 	}
 }
 
+// TestPoolMixedTrafficMatchesSingleEngine mixes the two splits on one
+// noise-free 2-device pool at 2 or more CPUs: batch-1 calls run one after
+// another, and the first of them is alone, so it takes channel ranges.
+// Each channel decision line starts the next batch-8 call, so batch-8 calls
+// arrive while a channel call holds the devices, and later batch-1 calls
+// meet batch-8 calls in flight. Every call must return the single engine's
+// bits (run under -race, this checks the mix), and must release its holds
+// on the devices.
+func TestPoolMixedTrafficMatchesSingleEngine(t *testing.T) {
+	setProcs(t, max(2, runtime.GOMAXPROCS(0)))
+	for _, net := range poolNets() {
+		for _, spec := range []string{"accelerator?workers=1", "accelerator?tiled=true,workers=1"} {
+			name := fmt.Sprintf("%s/%s", net.Name, spec)
+			eng, err := backend.Open(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			single, err := net.Compile(eng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Even indices are batch-1 calls, odd ones batch-8 calls.
+			xs := make([]*tensor.Tensor, 16)
+			wants := make([]*tensor.Tensor, len(xs))
+			for i := range xs {
+				xs[i] = poolBatch(int64(700+i), 1+7*(i%2))
+				if wants[i], err = single.ForwardBatch(xs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			gots := make([]*tensor.Tensor, len(xs))
+			errs := make([]error, len(xs))
+			var (
+				p    *DevicePool
+				wg   sync.WaitGroup
+				next = 1 // the next batch-8 call to start
+			)
+			// Channel lines are written only by the batch-1 calls, all on
+			// this goroutine, so next needs no lock.
+			log := writerFunc(func(b []byte) (int, error) {
+				if bytes.Contains(b, []byte("mode=channel")) && next < len(xs) {
+					i := next
+					next += 2
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						gots[i], errs[i] = p.ForwardBatch(xs[i])
+					}()
+				}
+				return len(b), nil
+			})
+			p = mustPool(t, net, Options{Specs: repeatSpec(spec, 2), DecisionLog: log})
+			for i := 0; i < len(xs); i += 2 {
+				gots[i], errs[i] = p.ForwardBatch(xs[i])
+			}
+			wg.Wait()
+			if next == 1 {
+				t.Fatalf("%s: no batch-1 call took channel ranges", name)
+			}
+			for ; next < len(xs); next += 2 {
+				gots[next], errs[next] = p.ForwardBatch(xs[next])
+			}
+			for i := range xs {
+				if errs[i] != nil {
+					t.Fatalf("%s: request %d: %v", name, i, errs[i])
+				}
+				assertSameData(t, name, i, wants[i], gots[i])
+			}
+			p.mu.Lock()
+			for _, d := range p.devs {
+				if d.busy != 0 {
+					t.Errorf("%s: device %d holds %d after every call returned", name, d.id, d.busy)
+				}
+			}
+			p.mu.Unlock()
+			p.Close()
+		}
+	}
+}
+
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(b []byte) (int, error) { return f(b) }
+
 // TestPoolStride pins the sharding stride to the networks' engine-backed
 // layer counts — the quantity the keying proof rests on.
 func TestPoolStride(t *testing.T) {
@@ -141,13 +227,18 @@ func TestPoolChaosOutageMidRun(t *testing.T) {
 	// Threshold 1: the health score already steers shards away from a
 	// faulted device, so on one CPU it may never accumulate a longer
 	// consecutive-fault run — one outage fault is enough evidence here.
+	// The test owns the probe clock and ticks it once between requests.
+	tick := make(chan time.Time)
 	p := mustPool(t, net, Options{
 		Specs:               append(repeatSpec(healthy, 3), dying),
 		QuarantineThreshold: 1,
-		ProbeInterval:       time.Millisecond,
+		after:               func(time.Duration) <-chan time.Time { return tick },
 	})
 	const requests, batch = 24, 6
 	for r := 0; r < requests; r++ {
+		if r > 0 {
+			tick <- time.Time{}
+		}
 		x := poolBatch(int64(500+r), batch)
 		want, err := single.ForwardBatch(x)
 		if err != nil {
@@ -197,10 +288,12 @@ func TestPoolConcurrentChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every client ticks the test-owned probe clock between its requests.
+	tick := make(chan time.Time)
 	p := mustPool(t, net, Options{
 		Specs:               append(repeatSpec(healthy, 3), "accelerator?workers=1,fault=outage:20,faultseed=9"),
 		QuarantineThreshold: 1,
-		ProbeInterval:       time.Millisecond,
+		after:               func(time.Duration) <-chan time.Time { return tick },
 	})
 	const clients, perClient = 4, 6
 	var wg sync.WaitGroup
@@ -209,6 +302,9 @@ func TestPoolConcurrentChaos(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for r := 0; r < perClient; r++ {
+				if r > 0 {
+					tick <- time.Time{}
+				}
 				n := 1 + (c+r)%4
 				x := poolBatch(int64(c*100+r), n)
 				got, err := p.ForwardBatch(x)
@@ -433,25 +529,28 @@ func (c *fakeClock) now() time.Time {
 // TestPoolTimingReadsInjectedClock: shard timing reads the pool's clock,
 // not the wall clock, so EWMA latency and busy time are exact on a fake
 // clock that advances 1 ms per reading. A sample shard reads it twice
-// (1 ms); a channel-shard request reads it twice per CPU step and twice per
-// phase of every range step.
+// (1 ms); a channel-range request reads it twice per CPU step and twice
+// per phase of every range step.
 func TestPoolTimingReadsInjectedClock(t *testing.T) {
 	net := nn.SmallCNN([2]int{4, 8}, 10, 99)
 	never := func(time.Duration) <-chan time.Time { return make(chan time.Time) }
-	for _, shard := range []string{ShardSample, ShardChannel} {
-		t.Run(shard, func(t *testing.T) {
+	for _, mode := range []string{"sample", "channel"} {
+		t.Run(mode, func(t *testing.T) {
 			clk := &fakeClock{t: time.Unix(0, 0), step: time.Millisecond}
 			p := mustPool(t, net, Options{
 				Specs: []string{"accelerator?workers=1"},
-				Shard: shard,
 				now:   clk.now,
 				after: never,
 			})
-			if _, err := p.ForwardBatch(poolBatch(5, 2)); err != nil {
+			forward := p.ForwardBatch // one device: always sample shards
+			if mode == "channel" {
+				forward = func(x *tensor.Tensor) (*tensor.Tensor, error) { return channelForward(p, x) }
+			}
+			if _, err := forward(poolBatch(5, 2)); err != nil {
 				t.Fatal(err)
 			}
 			want := time.Millisecond
-			if shard == ShardChannel {
+			if mode == "channel" {
 				want = 0
 				for _, s := range p.devs[0].chanSteps {
 					if s.Range == nil {

@@ -13,13 +13,14 @@
 //
 //	quarantine=N      consecutive faults before quarantine (default 3)
 //	probe=DUR         background probe cadence (default 50ms)
-//	maxshards=N       shard cap per request (default: pool size)
-//	shard=S           execution strategy: sample (default) | channel
+//	maxshards=N       cap on sample shards and channel ranges per request
+//	                  (default: pool size; ForwardBatch picks the split)
 //	debug=BOOL        log scheduling decisions to stderr (default false)
 package pool
 
 import (
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -90,10 +91,13 @@ func ParseSpec(spec string) (Options, error) {
 				o.ProbeInterval, err = time.ParseDuration(val)
 			case "maxshards":
 				o.MaxShards, err = strconv.Atoi(val)
-			case "shard":
-				o.Shard = val
 			case "debug":
-				o.Debug, err = strconv.ParseBool(val)
+				var on bool
+				on, err = strconv.ParseBool(val)
+				o.DecisionLog = nil
+				if on {
+					o.DecisionLog = os.Stderr
+				}
 			default:
 				return o, fmt.Errorf("%w: spec %q: unknown parameter %q (devices= must come last)", ErrBadPool, spec, key)
 			}
@@ -126,10 +130,7 @@ func Open(net *nn.Network, spec string) (*DevicePool, error) {
 func synthesizeSpec(o Options) string {
 	var b strings.Builder
 	b.WriteString(Name + "?")
-	if o.Shard != "" && o.Shard != ShardSample {
-		fmt.Fprintf(&b, "shard=%s,", o.Shard)
-	}
-	if o.Debug {
+	if o.DecisionLog != nil {
 		b.WriteString("debug=true,")
 	}
 	fmt.Fprintf(&b, "quarantine=%d,probe=%s,", o.QuarantineThreshold, o.ProbeInterval)

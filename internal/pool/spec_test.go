@@ -54,19 +54,20 @@ func TestParseSpecReplication(t *testing.T) {
 
 func TestParseSpecRejects(t *testing.T) {
 	bad := []string{
-		"accelerator",                       // not a pool spec
-		"pool",                              // no devices
-		"pool?hedge=true",                   // no devices
-		"pool?devices=",                     // empty device list
-		"pool?devices=a||b",                 // empty entry
-		"pool?devices=accelerator*0",        // bad replication
-		"pool?bogus=1,devices=accelerator",  // unknown parameter
-		"pool?hedge,devices=accelerator",    // not key=value
-		"pool?probe=xyz,devices=reference",  // bad duration
-		"pool?hedge=true,devices=reference", // unknown parameter: no hedging
-		"pool?devices=a*2*3",                // nested replication
-		"pool?devices= *2",                  // replicated empty entry
-		"pool?devices=a*1000|b*25",          // more than maxDevices devices
+		"accelerator",                            // not a pool spec
+		"pool",                                   // no devices
+		"pool?hedge=true",                        // no devices
+		"pool?devices=",                          // empty device list
+		"pool?devices=a||b",                      // empty entry
+		"pool?devices=accelerator*0",             // bad replication
+		"pool?bogus=1,devices=accelerator",       // unknown parameter
+		"pool?hedge,devices=accelerator",         // not key=value
+		"pool?probe=xyz,devices=reference",       // bad duration
+		"pool?hedge=true,devices=reference",      // unknown parameter: no hedging
+		"pool?shard=channel,devices=accelerator", // unknown parameter: the split is per call
+		"pool?devices=a*2*3",                     // nested replication
+		"pool?devices= *2",                       // replicated empty entry
+		"pool?devices=a*1000|b*25",               // more than maxDevices devices
 	}
 	for _, spec := range bad {
 		if _, err := ParseSpec(spec); !errors.Is(err, ErrBadPool) {
@@ -119,7 +120,7 @@ func FuzzPoolSpec(f *testing.F) {
 	f.Add("pool?maxshards=1,devices=reference*2")
 	f.Add("pool?devices=a*2*3")
 	f.Add("pool?devices=reference *2") // the space before *2 is trimmed
-	f.Add("pool?shard=channel,debug=true,probe=1h,devices=accelerator?workers=1*4")
+	f.Add("pool?debug=true,probe=1h,devices=accelerator?workers=1*4")
 	f.Fuzz(func(t *testing.T, spec string) {
 		o, err := ParseSpec(spec)
 		if err != nil || o.validate() != nil {

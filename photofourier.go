@@ -204,14 +204,15 @@ type (
 	SessionOptions = serve.Options
 	// Prediction is the per-sample result of one served inference.
 	Prediction = serve.Prediction
-	// DevicePool shards batched inference by sample (or by output
-	// channel) across N registry-opened devices, bit-identically to a
-	// single engine, with per-device health scoring, quarantine/probe/
-	// readmit, and retry of failed shards on other live devices (see
-	// DESIGN.md's pool section).
+	// DevicePool shards batched inference across N registry-opened
+	// devices, bit-identically to a single engine: each call is split by
+	// sample, or, when it is a lone batch-1 call and the CPUs and devices
+	// can run two or more ranges, by output channel. It adds per-device
+	// health scoring, quarantine/probe/readmit, and retry of failed shards
+	// on other live devices (see DESIGN.md's pool section).
 	DevicePool = pool.DevicePool
 	// PoolOptions configures a DevicePool (device specs, shard cap,
-	// quarantine threshold, probe interval, shard strategy, decision log).
+	// quarantine threshold, probe interval, decision log).
 	PoolOptions = pool.Options
 	// PoolDeviceHealth is one pool device's point-in-time health row, as
 	// surfaced by DevicePool.DeviceHealth and InferenceSession.Health.
@@ -241,7 +242,7 @@ func NewPoolInferenceSession(p *DevicePool, opts SessionOptions) (*InferenceSess
 // e.g. "pool?quarantine=2,devices=accelerator?workers=1*4".
 // devices= must come last (device specs may themselves contain ',' and
 // ';'); a *N suffix replicates one device spec. Prefix keys: maxshards,
-// quarantine, probe, shard, debug. Malformed specs yield ErrBadPool;
+// quarantine, probe, debug. Malformed specs yield ErrBadPool;
 // device specs are opened through the backend registry, so unknown names
 // yield ErrUnknownBackend.
 func OpenDevicePool(net *Network, spec string) (*DevicePool, error) {
