@@ -29,6 +29,15 @@ func shotFaults(e *Engine) {
 	e.Faults = inj
 }
 
+// nta2 and nta2ShotFaults run a layer in operating groups of two channels,
+// the second with shot faults too.
+func nta2(e *Engine) { e.NTA = 2 }
+
+func nta2ShotFaults(e *Engine) {
+	shotFaults(e)
+	e.NTA = 2
+}
+
 // nonNegSample0 replaces sample 0 by its absolute values, so that sample
 // lacks the negative part the rest of the batch carries.
 func nonNegSample0(x *tensor.Tensor) {
@@ -134,6 +143,13 @@ func TestForwardBatchCallsTiledBitIdentityAndPacking(t *testing.T) {
 		{3, 4, 3, 12, 12, 3, 128, tensor.Valid, 0, true, false, percentileCalib}, // quantile ADC calibration
 		{4, 4, 3, 12, 12, 3, 128, tensor.Valid, 0.005, true, false, shotFaults},  // guarded, retried misfires
 		{4, 2, 3, 11, 16, 3, 40, tensor.Valid, 0.01, true, false, nil},           // partial row tiling, OutH 9: odd short-pass segments pair across samples
+		// cin 5 at NTA 2: operating groups of 2+2+1 channels, each summed
+		// in the frequency domain.
+		{3, 5, 4, 16, 16, 3, 256, tensor.Same, 0, true, false, nta2},                // row tiling
+		{4, 5, 3, 10, 16, 3, 40, tensor.Valid, 0.01, false, false, nta2},            // partial row tiling, readout noise
+		{2, 5, 2, 6, 20, 3, 12, tensor.Valid, 0.005, false, true, nta2},             // row partitioning, readout noise, sample 0 lacks the negative part
+		{4, 5, 3, 12, 12, 3, 128, tensor.Valid, 0.005, true, false, nta2ShotFaults}, // row tiling, guarded, retried misfires
+		{9, 5, 2, 12, 12, 3, 128, tensor.Same, 0.005, false, false, nta2ShotFaults}, // more samples than one lockstep chunk; no two tail segments fit one aperture
 	} {
 		x := tensor.New(tc.n, tc.cin, tc.h, tc.w)
 		x.RandN(rng, 1)

@@ -131,16 +131,19 @@ func (e *RowTiledEngine) conv2D(input, weight *tensor.Tensor, bias []float64, st
 	full := tensor.New(n, cout, p.OutH, p.OutW)
 	err = parallelFor(n*cout, workers, func(item int) error {
 		b, oc := item/cout, item%cout
-		inPlane := make([][]float64, h)
-		acc := full.Data[((b*cout)+oc)*p.OutH*p.OutW : ((b*cout)+oc+1)*p.OutH*p.OutW]
-		for ic := 0; ic < cin; ic++ {
+		// All cin channels are one accumulation group: each shot sums
+		// their kernel products in the frequency domain.
+		planes := make([][][]float64, cin)
+		for ic := range planes {
 			base := ((b * cin) + ic) * h * w
+			planes[ic] = make([][]float64, h)
 			for r := 0; r < h; r++ {
-				inPlane[r] = input.Data[base+r*w : base+(r+1)*w]
+				planes[ic][r] = input.Data[base+r*w : base+(r+1)*w]
 			}
-			if err := p.Conv2DPlannedAccum(inPlane, kplans[oc*cin+ic], acc); err != nil {
-				return err
-			}
+		}
+		acc := full.Data[((b*cout)+oc)*p.OutH*p.OutW : ((b*cout)+oc+1)*p.OutH*p.OutW]
+		if err := p.Conv2DPlannedAccum(planes, kplans[oc*cin:(oc+1)*cin], acc); err != nil {
+			return err
 		}
 		if bias != nil {
 			for i := range acc {
@@ -445,8 +448,10 @@ func (e *Engine) groupPsums(x, wt *tensor.Tensor, groups [][2]int, pad tensor.Pa
 	return out, nil
 }
 
-// groupPsumsTiled is the full-fidelity path: every plane convolution runs
-// through exact 1D row-tiled shots.
+// groupPsumsTiled is the full-fidelity path: every group's plane
+// convolution runs through exact 1D row-tiled shots, its channels summed in
+// the frequency domain (one conv2D call per group), which makes it the
+// bitwise oracle of the planned tiled executor.
 func (e *Engine) groupPsumsTiled(x, wt *tensor.Tensor, groups [][2]int, pad tensor.PadMode) ([]*tensor.Tensor, error) {
 	// The long-lived inner engine parallelizes each group's (batch x
 	// output-channel) sweep; groups stay serial so Detect consumes detector

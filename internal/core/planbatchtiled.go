@@ -8,48 +8,39 @@ import (
 )
 
 // Pooled scratch for the batch-major tiled sweep: kernel-plan tables, the
-// per-sample row-view tables, and the operand struct itself all recycle
-// across calls so the steady state allocates nothing.
+// (sample, channel) row-view tables, and the operand struct itself all
+// recycle across calls so the steady state allocates nothing.
 var (
 	kernelPlanPool    buf.Pool[*tiling.KernelPlan]
 	rowTabPool        buf.Pool[[][]float64]
 	batchOperandsPool sync.Pool
 )
 
-// rowTableFor builds the per-sample row-view tables of one activation part:
-// all[b] is an h-row window into the flat pooled backing, nil when the
-// sample lacks the part. Returns the table and its backing for release.
-func rowTableFor(part []float64, has []bool, n, h int) ([][][]float64, [][]float64) {
+// rowTableFor builds the (sample, channel) row-view table of one activation
+// part over the input channels of group g: all[b*G+c] is sample b's channel
+// g[0]+c as h rows of part, nil when the sample lacks the part. Returns
+// the table and its flat pooled backing for release.
+func rowTableFor(part []float64, has []bool, g [2]int, n, cin, h, w int) ([][][]float64, [][]float64) {
 	if part == nil {
 		return nil, nil
 	}
-	flat := getViews(n * h)
-	all := rowTabPool.GetZeroed(n)
+	gc := g[1] - g[0]
+	flat := getViews(n * gc * h)
+	all := rowTabPool.GetZeroed(n * gc)
 	for b := 0; b < n; b++ {
-		if has[b] {
-			all[b] = flat[b*h : (b+1)*h]
+		if !has[b] {
+			continue
+		}
+		for c := 0; c < gc; c++ {
+			rows := flat[(b*gc+c)*h : (b*gc+c+1)*h]
+			base := (b*cin + g[0] + c) * h * w
+			for r := range rows {
+				rows[r] = part[base+r*w : base+(r+1)*w]
+			}
+			all[b*gc+c] = rows
 		}
 	}
 	return all, flat
-}
-
-// bindSampleRows repoints every present sample's row views at channel ic of
-// part.
-func bindSampleRows(all [][][]float64, part []float64, ic, n, cin, h, w int) [][][]float64 {
-	if all == nil {
-		return nil
-	}
-	for b := 0; b < n; b++ {
-		rows := all[b]
-		if rows == nil {
-			continue
-		}
-		base := (b*cin + ic) * h * w
-		for r := 0; r < h; r++ {
-			rows[r] = part[base+r*w : base+(r+1)*w]
-		}
-	}
-	return all
 }
 
 // accTableForRange builds one term's (sample, kernel) → accumulator-plane
@@ -77,49 +68,33 @@ func accTableForRange(ps *psumSet, bp *batchParts, term, gi, n, rc, plane int) [
 }
 
 // tiledBatchGroupRange runs one operating group's batch-major sweep over
-// output channels [ocLo, ocHi): pooled row/kernel/accumulator tables are
-// bound, every input channel of the group walks the packed executor, and
-// the scratch returns to its pools (abandoned to the GC on the exceptional
+// output channels [ocLo, ocHi) as ONE executor call: pooled row, kernel and
+// accumulator tables over the group's channels are bound once, the packed
+// executor sums the group's channels in the frequency domain, and the
+// scratch returns to its pools (abandoned to the GC on the exceptional
 // error paths). Only the range's kernels are correlated (and counted as
 // shots), and each accumulator receives exactly the additions the
 // full-plane executor would deliver to that (sample, channel) plane, in the
 // same shot order.
 func (lp *LayerPlan) tiledBatchGroupRange(bp *batchParts, geo *layerGeo, ps *psumSet, g [2]int, gi, n, cin, h, w, oh, ow, ocLo, ocHi int) error {
-	rc := ocHi - ocLo
-	rowsPos, rowsPosFlat := rowTableFor(bp.pos, bp.hasPos, n, h)
-	rowsNeg, rowsNegFlat := rowTableFor(bp.neg, bp.hasNeg, n, h)
-	var kbufPos, kbufNeg []*tiling.KernelPlan
-	if geo.kpos != nil {
-		kbufPos = kernelPlanPool.Get(rc)
-	}
-	if geo.kneg != nil {
-		kbufNeg = kernelPlanPool.Get(rc)
-	}
+	rc, gc := ocHi-ocLo, g[1]-g[0]
+	rowsPos, rowsPosFlat := rowTableFor(bp.pos, bp.hasPos, g, n, cin, h, w)
+	rowsNeg, rowsNegFlat := rowTableFor(bp.neg, bp.hasNeg, g, n, cin, h, w)
+	kbufPos := groupKernels(geo.kpos, g, cin, ocLo, rc)
+	kbufNeg := groupKernels(geo.kneg, g, cin, ocLo, rc)
 	op, _ := batchOperandsPool.Get().(*tiling.BatchConvOperands)
 	if op == nil {
 		op = &tiling.BatchConvOperands{}
 	}
+	op.Channels = gc
+	op.Pos, op.Neg = rowsPos, rowsNeg
 	op.KPos, op.KNeg = kbufPos, kbufNeg
 	op.Accs[0] = accTableForRange(ps, bp, termPosPos, gi, n, rc, oh*ow)
 	op.Accs[1] = accTableForRange(ps, bp, termPosNeg, gi, n, rc, oh*ow)
 	op.Accs[2] = accTableForRange(ps, bp, termNegPos, gi, n, rc, oh*ow)
 	op.Accs[3] = accTableForRange(ps, bp, termNegNeg, gi, n, rc, oh*ow)
-	for ic := g[0]; ic < g[1]; ic++ {
-		op.Pos = bindSampleRows(rowsPos, bp.pos, ic, n, cin, h, w)
-		op.Neg = bindSampleRows(rowsNeg, bp.neg, ic, n, cin, h, w)
-		if kbufPos != nil {
-			for j := 0; j < rc; j++ {
-				kbufPos[j] = geo.kpos[(ocLo+j)*cin+ic]
-			}
-		}
-		if kbufNeg != nil {
-			for j := 0; j < rc; j++ {
-				kbufNeg[j] = geo.kneg[(ocLo+j)*cin+ic]
-			}
-		}
-		if err := geo.tp.Conv2DPlannedAccumBatch(op); err != nil {
-			return err
-		}
+	if err := geo.tp.Conv2DPlannedAccumBatch(op); err != nil {
+		return err
 	}
 	for i, accs := range op.Accs {
 		if accs != nil {
@@ -151,4 +126,20 @@ func (lp *LayerPlan) tiledBatchGroupRange(bp *batchParts, geo *layerGeo, ps *psu
 	*op = tiling.BatchConvOperands{}
 	batchOperandsPool.Put(op)
 	return nil
+}
+
+// groupKernels returns a pooled table of the kernel plans of output
+// channels [ocLo, ocLo+rc) over the input channels of group g, as the
+// executor indexes them: entry j*G+c latches output channel ocLo+j's input
+// channel g[0]+c. nil when the weight sign is absent.
+func groupKernels(kps []*tiling.KernelPlan, g [2]int, cin, ocLo, rc int) []*tiling.KernelPlan {
+	if kps == nil {
+		return nil
+	}
+	gc := g[1] - g[0]
+	out := kernelPlanPool.Get(rc * gc)
+	for j := 0; j < rc; j++ {
+		copy(out[j*gc:(j+1)*gc], kps[(ocLo+j)*cin+g[0]:(ocLo+j)*cin+g[1]])
+	}
+	return out
 }

@@ -8,6 +8,8 @@ package core
 // elementwise faults.
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -47,6 +49,25 @@ func rangeCases() []rangeCase {
 				}
 				e.Faults = inj
 			}},
+		// cin 5 at NTA 2: operating groups of 2+2+1 channels, each summed in
+		// the frequency domain, in every tiling regime.
+		{name: "tiled-groups", n: 3, cin: 5, cout: 6, h: 12, w: 12, k: 3, stride: 1, pad: tensor.Same, bias: true,
+			tune: func(e *Engine) { e.UseTiledPath = true; e.NConv = 128; e.NTA = 2 }},
+		{name: "tiled-groups-partial-noisy", n: 2, cin: 5, cout: 5, h: 10, w: 16, k: 3, stride: 1, pad: tensor.Valid,
+			tune: func(e *Engine) { e.UseTiledPath = true; e.NConv = 40; e.NTA = 2; e.ReadoutNoise = 0.01 }},
+		{name: "tiled-groups-partitioned-noisy", n: 2, cin: 5, cout: 4, h: 6, w: 20, k: 3, stride: 2, pad: tensor.Same, bias: true,
+			tune: func(e *Engine) { e.UseTiledPath = true; e.NConv = 12; e.NTA = 2; e.ReadoutNoise = 0.005 }},
+		{name: "tiled-groups-drift-stuck", n: 3, cin: 5, cout: 6, h: 10, w: 10, k: 3, stride: 1, pad: tensor.Same,
+			tune: func(e *Engine) {
+				inj, err := fault.Parse("drift:1e-3;probe:2;stuckbit:5", 11)
+				if err != nil {
+					panic(err)
+				}
+				e.Faults = inj
+				e.UseTiledPath = true
+				e.NConv = 128
+				e.NTA = 2
+			}},
 	}
 }
 
@@ -77,60 +98,122 @@ func TestChannelRangeBitIdentity(t *testing.T) {
 				bias[i] = rng.NormFloat64()
 			}
 		}
-		mk := func() *LayerPlan {
-			e := NewEngine()
-			e.Parallelism = 4
-			tc.tune(e)
-			p, err := e.PlanConv(w, bias, tc.stride, tc.pad)
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-			return p.(*LayerPlan)
-		}
-		ref := mk()
-		first := ref.ReserveCalls(uint64(tc.n)) + 1
-		want, err := ref.ForwardBatchCalls(x, first, 1)
-		if err != nil {
-			t.Fatalf("%s: full batch: %v", tc.name, err)
-		}
 		for _, parts := range []int{1, 2, 3} {
-			splits := rangeSplits(tc.cout, parts)
-			runs := make([]nn.ChannelRangeRun, len(splits))
-			maxima := make([]nn.RangeMaxima, len(splits))
-			for i, sp := range splits {
-				lp := mk()
-				run, err := lp.BeginBatchRange(x, sp[0], sp[1], first, 1)
-				if err != nil {
-					t.Fatalf("%s/%d: begin [%d,%d): %v", tc.name, parts, sp[0], sp[1], err)
-				}
-				runs[i] = run
-				maxima[i] = run.Maxima()
-			}
-			scales, err := nn.CombineRangeScales(maxima)
-			if err != nil {
-				t.Fatalf("%s/%d: combine: %v", tc.name, parts, err)
-			}
-			got := tensor.New(want.Shape...)
-			oh, ow := want.Shape[2], want.Shape[3]
-			for i, sp := range splits {
-				part, err := runs[i].Finish(scales)
-				if err != nil {
-					t.Fatalf("%s/%d: finish [%d,%d): %v", tc.name, parts, sp[0], sp[1], err)
-				}
-				rc := sp[1] - sp[0]
-				for b := 0; b < tc.n; b++ {
-					dst := got.Data[(b*tc.cout+sp[0])*oh*ow : (b*tc.cout+sp[1])*oh*ow]
-					copy(dst, part.Data[b*rc*oh*ow:(b+1)*rc*oh*ow])
-				}
-				tensor.PutScratch(part)
-			}
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("%s split into %d ranges: elem %d: %v != %v", tc.name, parts, i, got.Data[i], want.Data[i])
-				}
-			}
+			checkRangeStitch(t, fmt.Sprintf("%s split into %d ranges", tc.name, parts), x, w, bias, tc.stride, tc.pad, tc.tune, rangeSplits(tc.cout, parts))
 		}
 	}
+}
+
+// checkRangeStitch runs x through one fresh plan of w per output channel
+// range of splits, stitches the ranges back together and requires the
+// result to equal ForwardBatchCalls on another fresh plan bit for bit.
+// tune configures each plan's engine.
+func checkRangeStitch(t *testing.T, what string, x, w *tensor.Tensor, bias []float64, stride int, pad tensor.PadMode, tune func(e *Engine), splits [][2]int) {
+	t.Helper()
+	mk := func() *LayerPlan {
+		e := NewEngine()
+		e.Parallelism = 4
+		tune(e)
+		p, err := e.PlanConv(w, bias, stride, pad)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		return p.(*LayerPlan)
+	}
+	n, cout := x.Shape[0], w.Shape[0]
+	ref := mk()
+	first := ref.ReserveCalls(uint64(n)) + 1
+	want, err := ref.ForwardBatchCalls(x, first, 1)
+	if err != nil {
+		t.Fatalf("%s: full batch: %v", what, err)
+	}
+	runs := make([]nn.ChannelRangeRun, len(splits))
+	maxima := make([]nn.RangeMaxima, len(splits))
+	for i, sp := range splits {
+		run, err := mk().BeginBatchRange(x, sp[0], sp[1], first, 1)
+		if err != nil {
+			t.Fatalf("%s: begin [%d,%d): %v", what, sp[0], sp[1], err)
+		}
+		runs[i] = run
+		maxima[i] = run.Maxima()
+	}
+	scales, err := nn.CombineRangeScales(maxima)
+	if err != nil {
+		t.Fatalf("%s: combine: %v", what, err)
+	}
+	got := tensor.New(want.Shape...)
+	oh, ow := want.Shape[2], want.Shape[3]
+	for i, sp := range splits {
+		part, err := runs[i].Finish(scales)
+		if err != nil {
+			t.Fatalf("%s: finish [%d,%d): %v", what, sp[0], sp[1], err)
+		}
+		rc := sp[1] - sp[0]
+		for b := 0; b < n; b++ {
+			dst := got.Data[(b*cout+sp[0])*oh*ow : (b*cout+sp[1])*oh*ow]
+			copy(dst, part.Data[b*rc*oh*ow:(b+1)*rc*oh*ow])
+		}
+		tensor.PutScratch(part)
+	}
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: elem %d: %v != %v", what, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// FuzzChannelRange checks range ≡ full layer over generated layers and
+// random cuts: cout 1 to 12 cut after any subset of its channels, cin 1 to
+// 6 at NTA 1 to 4 (ragged groups included), inputs up to 8x8 in batches of
+// 1 to 3, kernel 1 or 3, Same or Valid padding, stride 1 or 2, the direct
+// or the tiled path (aperture 4 to 64, so every tiling regime), with or
+// without readout noise. The stitched BeginBatchRange/Finish ranges must
+// equal ForwardBatchCalls bit for bit.
+func FuzzChannelRange(f *testing.F) {
+	f.Add(int64(1), uint8(6), uint8(5), uint8(2), uint8(3), uint8(8), uint8(8), uint8(40), uint8(0), uint16(0b100100), true, true)
+	f.Add(int64(2), uint8(12), uint8(3), uint8(1), uint8(2), uint8(6), uint8(7), uint8(5), uint8(3), uint16(0xFFF), true, false)
+	f.Add(int64(3), uint8(1), uint8(4), uint8(4), uint8(1), uint8(3), uint8(5), uint8(20), uint8(1), uint16(0), false, true)
+	f.Add(int64(4), uint8(7), uint8(6), uint8(4), uint8(3), uint8(8), uint8(8), uint8(12), uint8(2), uint16(0b1010), true, true)
+	f.Fuzz(func(t *testing.T, seed int64, cout, cin, nta, n, h, w, nconv, shape uint8, cuts uint16, tiled, noisy bool) {
+		co := 1 + int(cout)%12
+		ci := 1 + int(cin)%6
+		depth := 1 + int(nta)%4
+		k := 1 + 2*int(shape&1)
+		pad := tensor.Same
+		if shape&2 != 0 {
+			pad = tensor.Valid
+		}
+		stride := 1 + int(shape>>2&1)
+		hh, ww := k+int(h)%(9-k), k+int(w)%(9-k)
+		aperture := 4 + int(nconv)%61
+		var splits [][2]int
+		lo := 0
+		for c := 1; c <= co; c++ {
+			if c == co || cuts>>(c-1)&1 != 0 {
+				splits = append(splits, [2]int{lo, c})
+				lo = c
+			}
+		}
+		rng := rand.New(rand.NewSource(seed))
+		x := tensor.New(1+int(n)%3, ci, hh, ww)
+		x.RandN(rng, 1)
+		wt := tensor.New(co, ci, k, k)
+		wt.RandN(rng, 0.5)
+		bias := make([]float64, co)
+		for i := range bias {
+			bias[i] = rng.NormFloat64()
+		}
+		tune := func(e *Engine) {
+			e.NTA = depth
+			e.UseTiledPath = tiled
+			e.NConv = aperture
+			if noisy {
+				e.ReadoutNoise = 0.01
+			}
+		}
+		what := fmt.Sprintf("x %v w %v stride %d pad %v nta %d tiled %v aperture %d noisy %v ranges %v", x.Shape, wt.Shape, stride, pad, depth, tiled, aperture, noisy, splits)
+		checkRangeStitch(t, what, x, wt, bias, stride, pad, tune, splits)
+	})
 }
 
 // TestChannelRangeRejections: configurations whose calibration or fault

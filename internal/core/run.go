@@ -144,14 +144,15 @@ func (r *convRun) beginDirect(x *tensor.Tensor) error {
 }
 
 // beginTiled sweeps through exact row-tiled shots against the plan's
-// latched kernel spectra with the packed batch executor, in both
-// calibration domains: every distinct (sample, channel, shot, activation
-// part) signal is transformed once into the spectrum arena and reused
-// across output channels and both weight signs, and jtc.Shots advances by
-// the packed BatchPlan schedule of the samples that carry each part. The
-// planes come out compact, so the views alias the psum set until release.
-// The tiled path detects per operating group, matching the unplanned
-// groupPsumsTiled (see DESIGN.md).
+// latched kernel spectra with the packed batch executor, one call per
+// operating group, in both calibration domains: every distinct (sample,
+// channel, shot, activation part) signal is transformed once into the
+// spectrum arena and reused across output channels and both weight signs,
+// each group's channels sum in the frequency domain before one inverse
+// transform, and jtc.Shots advances by the packed BatchPlan schedule of the
+// samples that carry each part. The planes come out compact, so the views
+// alias the psum set until release. The tiled path detects per operating
+// group, matching the unplanned groupPsumsTiled (see DESIGN.md).
 func (r *convRun) beginTiled(x *tensor.Tensor) error {
 	lp, e := r.lp, r.lp.engine
 	n, oh, ow, ocLo, ocHi := r.n, r.oh, r.ow, r.ocLo, r.ocHi

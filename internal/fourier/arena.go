@@ -61,6 +61,12 @@ func (a *SpectrumArena) Slot(i int) (re, im []float64) {
 	return a.re[i*a.bins : (i+1)*a.bins], a.im[i*a.bins : (i+1)*a.bins]
 }
 
+// SlotRange returns the planes of the n consecutive slots from slot i,
+// back to back: the layout a channel-group ConvLane reads.
+func (a *SpectrumArena) SlotRange(i, n int) (re, im []float64) {
+	return a.re[i*a.bins : (i+n)*a.bins], a.im[i*a.bins : (i+n)*a.bins]
+}
+
 // TransformSignalSoA computes the forward half-spectrum of the zero-padded
 // signal into arena slot i. The transform is the rfft TransformSignal runs,
 // followed by a pure layout split into the re/im planes — bit-identical

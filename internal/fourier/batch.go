@@ -474,51 +474,63 @@ func (w Window) check(outLen, accLen int) error {
 	return nil
 }
 
-// ConvLane names one lane of a lockstep batched convolution: the arena slot
-// planes holding a transformed signal spectrum, the kernel plan whose
-// spectrum multiplies it, and the accumulator window that receives the
-// samples of the inverse transform the caller reads.
+// ConvLane names one lane of a lockstep batched convolution: the spectra
+// of one accumulation group's channels, the kernel plan whose spectrum
+// multiplies each, and the accumulator window that receives the samples of
+// the one inverse transform of their sum.
 type ConvLane struct {
-	// Plan supplies the kernel spectrum. All lanes of one call must share
-	// transform geometry (SharesTransform).
-	Plan *ConvPlan
-	// SpecRe and SpecIm are the slot's split spectrum planes, e.g. from
-	// SpectrumArena.Slot — SpectrumLen entries each.
+	// Plans supply the kernel spectra, one per channel of the lane's group.
+	// All plans of one call must share transform geometry
+	// (SharesTransform), and all lanes of one call carry the same number
+	// of channels.
+	Plans []*ConvPlan
+	// SpecRe and SpecIm hold the channels' split spectrum planes back to
+	// back, SpectrumLen entries each: channel c starts at c*SpectrumLen,
+	// e.g. consecutive slots from SpectrumArena.SlotRange.
 	SpecRe, SpecIm []float64
 	// Acc accumulates the Window of the OutLen(sigLen) convolution samples.
 	Acc []float64
 	Window
 }
 
-// ConvolveLanesSoA completes many independent convolutions in lockstep
-// groups of up to LockstepWidth: each lane's spectrum multiplies its plan's
-// kernel spectrum, inverse-transforms, and its window of the result adds
-// into its Acc. Lanes may mix kernels and slots freely (e.g. every (kernel,
-// sample) pair of one shot) as long as all plans share transform geometry.
-// sigLen is the original signal length common to all lanes. Lanes add in
-// lane order, and each window sample is bit-identical to the same sample of
-// ConvolveSoAInto on that (slot, kernel) pair.
+// ConvolveLanesSoA completes many independent channel-group convolutions
+// in lockstep groups of up to LockstepWidth: each lane multiplies every
+// channel spectrum by its plan's kernel spectrum and sums the products in
+// the frequency domain (the first channel stores, later channels add, in
+// channel order, with no fused multiply-add), inverse-transforms the sum
+// once, and adds its window of the result into its Acc. Lanes may mix
+// kernels and slots freely (e.g. every (kernel, sample) pair of one shot)
+// as long as all plans share transform geometry. sigLen is the original
+// signal length common to all lanes. Lanes add in lane order, and each
+// window sample is bit-identical to the same sample of ConvolveSumInto on
+// the lane's signals; a one-channel lane is ConvolveSoAInto on its slot.
 func ConvolveLanesSoA(sigLen int, lanes []ConvLane) error {
 	if len(lanes) == 0 {
 		return nil
 	}
-	ref := lanes[0].Plan
-	if ref == nil {
+	g := len(lanes[0].Plans)
+	if g == 0 || lanes[0].Plans[0] == nil {
 		return fmt.Errorf("fourier: conv lane 0 has no plan")
 	}
+	ref := lanes[0].Plans[0]
 	if sigLen < 1 || sigLen > ref.maxSig {
 		return fmt.Errorf("fourier: signal length %d out of plan range [1,%d]", sigLen, ref.maxSig)
 	}
 	bins := ref.SpectrumLen()
 	for i := range lanes {
 		l := &lanes[i]
-		if l.Plan == nil || !ref.SharesTransform(l.Plan) {
-			return fmt.Errorf("fourier: conv lane %d does not share transform geometry", i)
+		if len(l.Plans) != g {
+			return fmt.Errorf("fourier: conv lane %d carries %d channels, lane 0 %d", i, len(l.Plans), g)
 		}
-		if len(l.SpecRe) != bins || len(l.SpecIm) != bins {
-			return fmt.Errorf("fourier: conv lane %d spectrum planes %d/%d, plan needs %d bins", i, len(l.SpecRe), len(l.SpecIm), bins)
+		for c, cp := range l.Plans {
+			if !ref.SharesTransform(cp) {
+				return fmt.Errorf("fourier: conv lane %d channel %d does not share transform geometry", i, c)
+			}
 		}
-		if err := l.Window.check(l.Plan.OutLen(sigLen), len(l.Acc)); err != nil {
+		if len(l.SpecRe) != g*bins || len(l.SpecIm) != g*bins {
+			return fmt.Errorf("fourier: conv lane %d spectrum planes %d/%d, %d channels need %d bins each", i, len(l.SpecRe), len(l.SpecIm), g, bins)
+		}
+		if err := l.Window.check(ref.OutLen(sigLen), len(l.Acc)); err != nil {
 			return fmt.Errorf("fourier: conv lane %d: %w", i, err)
 		}
 	}
@@ -530,7 +542,10 @@ func ConvolveLanesSoA(sigLen int, lanes []ConvLane) error {
 			if l.Width == 0 {
 				continue
 			}
-			y0 := l.SpecRe[0] * l.Plan.k0
+			y0 := l.SpecRe[0] * l.Plans[0].k0
+			for c := 1; c < g; c++ {
+				y0 += l.SpecRe[c] * l.Plans[c].k0
+			}
 			for t := 0; t < l.Rows; t++ {
 				l.Acc[t*l.AccStride] += y0
 			}
@@ -542,18 +557,19 @@ func ConvolveLanesSoA(sigLen int, lanes []ConvLane) error {
 		if w > lw {
 			w = lw
 		}
-		convolveLanesGroup(ref.rp, lanes[:w])
+		convolveLanesGroup(ref.rp, g, lanes[:w])
 		lanes = lanes[w:]
 	}
 	return nil
 }
 
-// convolveLanesGroup runs one lockstep group: the kernel-spectrum multiply
-// gathers each lane's slot spectrum straight into the bin-major work planes
-// (fusing what the scalar path does as sa[i] = spec[i]*kspec[i]), one
-// lockstep inverse real transform runs without its normalization pass, and
-// each lane's window reads straight from the planes.
-func convolveLanesGroup(rp *RealPlan, lanes []ConvLane) {
+// convolveLanesGroup runs one lockstep group of g-channel lanes: the
+// kernel-spectrum multiply gathers each lane's channel spectra straight
+// into the bin-major work planes, channel 0 storing and later channels
+// adding (fusing what the scalar path does as sum[i] += spec[i]*kspec[i]),
+// one lockstep inverse real transform runs without its normalization
+// pass, and each lane's window reads straight from the planes.
+func convolveLanesGroup(rp *RealPlan, g int, lanes []ConvLane) {
 	w := len(lanes)
 	hm := rp.hm
 	bins := hm + 1
@@ -562,19 +578,24 @@ func convolveLanesGroup(rp *RealPlan, lanes []ConvLane) {
 	if w == lw {
 		// Full-width fast path: the lanes stream their spectra and kernel
 		// spectra straight into the bin-major work planes.
-		gatherMulGroup(sre, sim, bins, lanes)
+		for c := 0; c < g; c++ {
+			gatherMulGroup(sre, sim, bins, lanes, c)
+		}
 	} else {
 		for s := 0; s < w; s++ {
-			l := &lanes[s]
-			ar := l.SpecRe
-			ai := l.SpecIm
-			kspec := l.Plan.kspec
-			for k := 0; k < bins; k++ {
-				kv := kspec[k]
-				kr, ki := real(kv), imag(kv)
-				xr, xi := ar[k], ai[k]
-				sre[k*lw+s] = xr*kr - xi*ki
-				sim[k*lw+s] = xr*ki + xi*kr
+			for c := 0; c < g; c++ {
+				ar, ai, kspec := lanes[s].channelPlanes(c, bins)
+				for k := 0; k < bins; k++ {
+					kv := kspec[k]
+					kr, ki := real(kv), imag(kv)
+					xr, xi := ar[k], ai[k]
+					pr, pi := xr*kr-xi*ki, xr*ki+xi*kr
+					if c > 0 {
+						pr += sre[k*lw+s]
+						pi += sim[k*lw+s]
+					}
+					sre[k*lw+s], sim[k*lw+s] = pr, pi
+				}
 			}
 		}
 		zeroLaneTail(sre, bins, w)
@@ -619,31 +640,44 @@ func (l *ConvLane) addWindow(re, im []float64, s int, c float64) {
 	}
 }
 
+// channelPlanes returns channel c's spectrum planes and kernel spectrum of
+// lane l, whose channel spectra are bins long.
+func (l *ConvLane) channelPlanes(c, bins int) (xr, xi []float64, kspec []complex128) {
+	return l.SpecRe[c*bins : (c+1)*bins], l.SpecIm[c*bins : (c+1)*bins], l.Plans[c].kspec
+}
+
 // gatherMulGroupGeneric is the portable full-group kernel-spectrum
-// multiply: four lane-pair multiplies fill all lw lanes of dre/dim.
-func gatherMulGroupGeneric(dre, dim []float64, bins int, lanes []ConvLane) {
+// multiply of channel c: four lane-pair multiplies fill all lw lanes of
+// dre/dim, storing for channel 0 and adding for later channels.
+func gatherMulGroupGeneric(dre, dim []float64, bins int, lanes []ConvLane, c int) {
 	for p := 0; p < lw; p += 2 {
-		l0, l1 := &lanes[p], &lanes[p+1]
-		gatherMulPairGeneric(dre[p:], dim[p:], bins,
-			l0.SpecRe, l0.SpecIm, l0.Plan.kspec,
-			l1.SpecRe, l1.SpecIm, l1.Plan.kspec)
+		xr0, xi0, k0 := lanes[p].channelPlanes(c, bins)
+		xr1, xi1, k1 := lanes[p+1].channelPlanes(c, bins)
+		gatherMulPairGeneric(dre[p:], dim[p:], bins, xr0, xi0, k0, xr1, xi1, k1, c > 0)
 	}
 }
 
 // gatherMulPairGeneric is the portable kernel-spectrum multiply for two
 // lanes: lane 0 writes dre/dim[k*lw], lane 1 writes dre/dim[k*lw+1], each
-// running the exact complex multiply of the scalar path.
-func gatherMulPairGeneric(dre, dim []float64, bins int, xr0, xi0 []float64, k0 []complex128, xr1, xi1 []float64, k1 []complex128) {
+// running the exact complex multiply of the scalar path and, when acc is
+// set, adding the product to the entry instead of storing it.
+func gatherMulPairGeneric(dre, dim []float64, bins int, xr0, xi0 []float64, k0 []complex128, xr1, xi1 []float64, k1 []complex128, acc bool) {
 	for k := 0; k < bins; k++ {
 		kv := k0[k]
 		kr, ki := real(kv), imag(kv)
 		xr, xi := xr0[k], xi0[k]
-		dre[k*lw] = xr*kr - xi*ki
-		dim[k*lw] = xr*ki + xi*kr
+		pr0, pi0 := xr*kr-xi*ki, xr*ki+xi*kr
 		kv = k1[k]
 		kr, ki = real(kv), imag(kv)
 		xr, xi = xr1[k], xi1[k]
-		dre[k*lw+1] = xr*kr - xi*ki
-		dim[k*lw+1] = xr*ki + xi*kr
+		pr1, pi1 := xr*kr-xi*ki, xr*ki+xi*kr
+		if acc {
+			pr0 += dre[k*lw]
+			pi0 += dim[k*lw]
+			pr1 += dre[k*lw+1]
+			pi1 += dim[k*lw+1]
+		}
+		dre[k*lw], dim[k*lw] = pr0, pi0
+		dre[k*lw+1], dim[k*lw+1] = pr1, pi1
 	}
 }

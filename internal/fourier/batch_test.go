@@ -11,10 +11,11 @@ import (
 var batchCounts = []int{1, LockstepWidth - 1, LockstepWidth, 3*LockstepWidth + 1}
 
 // TestLockstepConvBitIdentity checks the arena-level lockstep APIs
-// (TransformSlotsSoA, ConvolveLanesSoA over window lanes) against the
-// scalar TransformSignalSoA/ConvolveSoAInto path bit-for-bit, across
-// kernel/signal geometries that exercise degenerate (m==1) and general
-// plans, with mixed kernels per lockstep group.
+// (TransformSlotsSoA, ConvolveLanesSoA over window lanes of one and of
+// several channels) against the scalar TransformSignalSoA/ConvolveSumInto
+// path bit-for-bit, across kernel/signal geometries that exercise
+// degenerate (m==1) and general plans, with kernels mixed per lane and per
+// channel.
 func TestLockstepConvBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	cases := []struct{ kLen, maxSig int }{
@@ -27,40 +28,45 @@ func TestLockstepConvBitIdentity(t *testing.T) {
 		{7, 1000},  // m == 1024: inner length 512 runs final2
 	}
 	for _, tc := range cases {
-		cp, cp2 := twoConvPlans(t, rng, tc.kLen, tc.maxSig)
-		for _, count := range batchCounts {
-			checkLockstepConv(t, rng, cp, cp2, 1+rng.Intn(tc.maxSig), count)
+		plans := convPlans(t, rng, tc.kLen, tc.maxSig)
+		for _, channels := range []int{1, 3} {
+			for _, count := range batchCounts {
+				checkLockstepConv(t, rng, plans, 1+rng.Intn(tc.maxSig), count, channels)
+			}
 		}
 	}
 }
 
-// FuzzConvolveLanesWindow checks window lanes against the scalar path over
-// generated geometries: kernel length, maximum signal length (m up to 1024),
-// signal length, slot count (1 to 2*LockstepWidth+2 slots, one left empty
-// past three, so 1 to 2*LockstepWidth+1 lanes mixing two kernels) and each
-// lane's window (even and odd offsets, source strides wider than the width)
-// all derive from the inputs.
+// FuzzConvolveLanesWindow checks channel-group window lanes against the
+// scalar grouped convolution over generated geometries: kernel length,
+// maximum signal length (m up to 1024), signal length, slot count (1 to
+// 2*LockstepWidth+2 samples, one left empty past three, so 1 to
+// 2*LockstepWidth+1 lanes), channels per lane (1 to 16, the kernels mixed
+// per lane and per channel) and each lane's window (even and odd offsets,
+// source strides wider than the width) all derive from the inputs.
 func FuzzConvolveLanesWindow(f *testing.F) {
-	f.Add(uint16(1), uint16(1), uint16(1), uint8(1), int64(1))        // m == 1
-	f.Add(uint16(1), uint16(2), uint16(2), uint8(3), int64(2))        // m == 2
-	f.Add(uint16(133), uint16(256), uint16(256), uint8(18), int64(3)) // AlexNetS conv1, 17 lanes
-	f.Add(uint16(35), uint16(256), uint16(256), uint8(9), int64(4))   // AlexNetS conv2, 8 lanes
-	f.Add(uint16(19), uint16(256), uint16(256), uint8(8), int64(5))   // AlexNetS conv3, 7 lanes
-	f.Fuzz(func(t *testing.T, kLen, maxSig, sigLen uint16, slots uint8, seed int64) {
+	f.Add(uint16(1), uint16(1), uint16(1), uint8(1), uint8(1), int64(1))        // m == 1
+	f.Add(uint16(1), uint16(2), uint16(2), uint8(3), uint8(2), int64(2))        // m == 2
+	f.Add(uint16(133), uint16(256), uint16(256), uint8(18), uint8(3), int64(3)) // AlexNetS conv1, 17 lanes
+	f.Add(uint16(35), uint16(256), uint16(256), uint8(9), uint8(1), int64(4))   // AlexNetS conv2 per channel, 8 lanes
+	f.Add(uint16(19), uint16(256), uint16(256), uint8(8), uint8(1), int64(5))   // AlexNetS conv3 per channel, 7 lanes
+	f.Add(uint16(35), uint16(256), uint16(256), uint8(9), uint8(12), int64(6))  // AlexNetS conv2 group, 12 channels
+	f.Add(uint16(19), uint16(256), uint16(256), uint8(8), uint8(16), int64(7))  // AlexNetS conv3 group, 16 channels
+	f.Fuzz(func(t *testing.T, kLen, maxSig, sigLen uint16, slots, channels uint8, seed int64) {
 		const maxM = 1024
 		k := 1 + int(kLen-1)%maxM
 		ms := 1 + int(maxSig-1)%(maxM+1-k)
 		rng := rand.New(rand.NewSource(seed))
-		cp, cp2 := twoConvPlans(t, rng, k, ms)
-		checkLockstepConv(t, rng, cp, cp2, 1+int(sigLen-1)%ms, 1+int(slots-1)%(2*LockstepWidth+2))
+		plans := convPlans(t, rng, k, ms)
+		checkLockstepConv(t, rng, plans, 1+int(sigLen-1)%ms, 1+int(slots-1)%(2*LockstepWidth+2), 1+int(channels-1)%16)
 	})
 }
 
-// twoConvPlans builds two plans of one transform geometry over random
+// convPlans builds three plans of one transform geometry over random
 // kernels of length kLen.
-func twoConvPlans(t *testing.T, rng *rand.Rand, kLen, maxSig int) (*ConvPlan, *ConvPlan) {
+func convPlans(t *testing.T, rng *rand.Rand, kLen, maxSig int) []*ConvPlan {
 	t.Helper()
-	var plans [2]*ConvPlan
+	plans := make([]*ConvPlan, 3)
 	for i := range plans {
 		kernel := make([]float64, kLen)
 		for j := range kernel {
@@ -72,30 +78,33 @@ func twoConvPlans(t *testing.T, rng *rand.Rand, kLen, maxSig int) (*ConvPlan, *C
 		}
 		plans[i] = cp
 	}
-	return plans[0], plans[1]
+	return plans
 }
 
-// checkLockstepConv transforms count random signals of length sigLen (slot 3
-// left empty) through TransformSlotsSoA and TransformSignalSoA and requires
-// bitwise equal spectra. It then runs one window lane per filled slot,
-// alternating cp and cp2, into accumulators holding nonzero values, and
-// requires every accumulator entry to equal, bit for bit, ConvolveSoAInto's
-// output added through the same window.
-func checkLockstepConv(t *testing.T, rng *rand.Rand, cp, cp2 *ConvPlan, sigLen, count int) {
+// checkLockstepConv transforms count samples of channels random signals of
+// length sigLen each (sample 3 left empty) through TransformSlotsSoA and
+// TransformSignalSoA and requires bitwise equal spectra. It then runs one
+// window lane per filled sample, whose channels each take a random plan of
+// plans, into accumulators holding nonzero values, and requires every
+// accumulator entry to equal, bit for bit, ConvolveSumInto's output on the
+// sample's signals added through the same window. A one-channel lane must
+// also equal ConvolveSoAInto on its slot.
+func checkLockstepConv(t *testing.T, rng *rand.Rand, plans []*ConvPlan, sigLen, count, channels int) {
 	t.Helper()
-	signals := make([][]float64, count)
+	cp := plans[0]
+	signals := make([][]float64, count*channels)
 	for i := range signals {
+		if count > 3 && i/channels == 3 {
+			continue
+		}
 		sig := make([]float64, sigLen)
 		for j := range sig {
 			sig[j] = rng.NormFloat64()
 		}
 		signals[i] = sig
 	}
-	if count > 3 {
-		signals[3] = nil
-	}
-	want := NewSpectrumArena(count, cp.SpectrumLen())
-	got := NewSpectrumArena(count, cp.SpectrumLen())
+	want := NewSpectrumArena(len(signals), cp.SpectrumLen())
+	got := NewSpectrumArena(len(signals), cp.SpectrumLen())
 	for i, sig := range signals {
 		if sig == nil {
 			continue
@@ -121,22 +130,34 @@ func checkLockstepConv(t *testing.T, rng *rand.Rand, cp, cp2 *ConvPlan, sigLen, 
 	var lanes []ConvLane
 	var accWant [][]float64
 	y := make([]float64, outLen)
-	for slot, sig := range signals {
-		if sig == nil {
+	for b := 0; b < count; b++ {
+		sigs := signals[b*channels : (b+1)*channels]
+		if sigs[0] == nil {
 			continue
 		}
-		plan := cp
-		if len(lanes)%2 == 1 {
-			plan = cp2
+		lanePlans := make([]*ConvPlan, channels)
+		for c := range lanePlans {
+			lanePlans[c] = plans[rng.Intn(len(plans))]
 		}
 		win := randWindow(rng, outLen)
 		acc := make([]float64, (win.Rows-1)*win.AccStride+win.Width+rng.Intn(3))
 		for i := range acc {
 			acc[i] = rng.NormFloat64()
 		}
-		full, err := plan.ConvolveSoAInto(y, want, slot, sigLen)
+		full, err := ConvolveSumInto(y, lanePlans, sigs)
 		if err != nil {
-			t.Fatalf("scalar ConvolveSoAInto: %v", err)
+			t.Fatalf("scalar ConvolveSumInto: %v", err)
+		}
+		if channels == 1 {
+			one, err := lanePlans[0].ConvolveSoAInto(make([]float64, outLen), want, b, sigLen)
+			if err != nil {
+				t.Fatalf("scalar ConvolveSoAInto: %v", err)
+			}
+			for i, v := range one {
+				if math.Float64bits(v) != math.Float64bits(full[i]) {
+					t.Fatalf("kLen=%d m=%d sigLen=%d sample %d: ConvolveSumInto sample %d = %v, ConvolveSoAInto %v", cp.kLen, cp.m, sigLen, b, i, full[i], v)
+				}
+			}
 		}
 		ref := append([]float64(nil), acc...)
 		for r := 0; r < win.Rows; r++ {
@@ -144,8 +165,8 @@ func checkLockstepConv(t *testing.T, rng *rand.Rand, cp, cp2 *ConvPlan, sigLen, 
 				ref[r*win.AccStride+c] += full[win.Off+r*win.SrcStride+c]
 			}
 		}
-		re, im := got.Slot(slot)
-		lanes = append(lanes, ConvLane{Plan: plan, SpecRe: re, SpecIm: im, Acc: acc, Window: win})
+		re, im := got.SlotRange(b*channels, channels)
+		lanes = append(lanes, ConvLane{Plans: lanePlans, SpecRe: re, SpecIm: im, Acc: acc, Window: win})
 		accWant = append(accWant, ref)
 	}
 	if err := ConvolveLanesSoA(sigLen, lanes); err != nil {
@@ -154,8 +175,8 @@ func checkLockstepConv(t *testing.T, rng *rand.Rand, cp, cp2 *ConvPlan, sigLen, 
 	for li, l := range lanes {
 		for i, v := range l.Acc {
 			if math.Float64bits(v) != math.Float64bits(accWant[li][i]) {
-				t.Fatalf("kLen=%d m=%d sigLen=%d count=%d lane %d window %+v entry %d: scalar %v lockstep %v",
-					cp.kLen, cp.m, sigLen, count, li, l.Window, i, accWant[li][i], v)
+				t.Fatalf("kLen=%d m=%d sigLen=%d count=%d channels=%d lane %d window %+v entry %d: scalar %v lockstep %v",
+					cp.kLen, cp.m, sigLen, count, channels, li, l.Window, i, accWant[li][i], v)
 			}
 		}
 	}
@@ -206,7 +227,7 @@ func TestConvolveLanesWindowBounds(t *testing.T) {
 		{"empty", 2, Window{Off: 100, Rows: 5, SrcStride: 100, AccStride: 100}, true},
 	} {
 		acc := make([]float64, tc.accLen)
-		lanes := []ConvLane{{Plan: cp, SpecRe: re, SpecIm: im, Acc: acc, Window: tc.win}}
+		lanes := []ConvLane{{Plans: []*ConvPlan{cp}, SpecRe: re, SpecIm: im, Acc: acc, Window: tc.win}}
 		if err := ConvolveLanesSoA(6, lanes); (err == nil) != tc.ok {
 			t.Errorf("%s: window %+v over %d accumulator entries: err %v, want ok=%v", tc.name, tc.win, tc.accLen, err, tc.ok)
 		}
@@ -255,7 +276,7 @@ func newWindowFixture(tb testing.TB, nsig int) *windowFixture {
 	win := Window{Off: kLen - 1 - 2, Rows: rows, Width: rowLen, SrcStride: rowLen, AccStride: rowLen}
 	for i := range signals {
 		re, im := f.a.Slot(i)
-		f.lanes = append(f.lanes, ConvLane{Plan: cp, SpecRe: re, SpecIm: im, Acc: make([]float64, rows*rowLen), Window: win})
+		f.lanes = append(f.lanes, ConvLane{Plans: []*ConvPlan{cp}, SpecRe: re, SpecIm: im, Acc: make([]float64, rows*rowLen), Window: win})
 	}
 	return f
 }

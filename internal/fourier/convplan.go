@@ -84,29 +84,68 @@ func (cp *ConvPlan) Convolve(signal []float64) ([]float64, error) {
 // samples. It returns the filled prefix of dst. Scratch comes from the
 // package buffer pool, so a hot loop reusing dst performs no allocation.
 func (cp *ConvPlan) ConvolveInto(dst, signal []float64) ([]float64, error) {
-	if len(signal) == 0 {
+	return ConvolveSumInto(dst, []*ConvPlan{cp}, [][]float64{signal})
+}
+
+// ConvolveSumInto computes the sum over c of the full linear convolutions
+// of signals[c] with plans[c]'s kernel into dst, the way a detector sums an
+// accumulation group's channels as charge and reads out once: every signal
+// is transformed, the kernel products are summed in the frequency domain
+// (the first channel stores, later channels add, in channel order) and the
+// sum is inverse-transformed once. The plans must share transform geometry
+// and the signals one length; dst must have room for its OutLen samples.
+// With one channel it is ConvolveInto.
+func ConvolveSumInto(dst []float64, plans []*ConvPlan, signals [][]float64) ([]float64, error) {
+	if len(plans) == 0 || len(plans) != len(signals) {
+		return nil, fmt.Errorf("fourier: %d conv plans for %d signals", len(plans), len(signals))
+	}
+	ref := plans[0]
+	sigLen := len(signals[0])
+	for c, cp := range plans {
+		if !ref.SharesTransform(cp) {
+			return nil, fmt.Errorf("fourier: conv plan %d does not share transform geometry", c)
+		}
+		if len(signals[c]) != sigLen {
+			return nil, fmt.Errorf("fourier: signal %d length %d, signal 0 length %d", c, len(signals[c]), sigLen)
+		}
+	}
+	if sigLen == 0 {
 		return nil, fmt.Errorf("fourier: conv plan signal is empty")
 	}
-	if len(signal) > cp.maxSig {
-		return nil, fmt.Errorf("fourier: signal length %d exceeds conv plan max %d", len(signal), cp.maxSig)
+	if sigLen > ref.maxSig {
+		return nil, fmt.Errorf("fourier: signal length %d exceeds conv plan max %d", sigLen, ref.maxSig)
 	}
-	outLen := cp.OutLen(len(signal))
+	outLen := ref.OutLen(sigLen)
 	if len(dst) < outLen {
 		return nil, fmt.Errorf("fourier: conv plan dst length %d < output length %d", len(dst), outLen)
 	}
 	dst = dst[:outLen]
-	if cp.m == 1 {
-		dst[0] = signal[0] * cp.k0
+	if ref.m == 1 {
+		y0 := signals[0][0] * ref.k0
+		for c := 1; c < len(plans); c++ {
+			y0 += signals[c][0] * plans[c].k0
+		}
+		dst[0] = y0
 		return dst, nil
 	}
-	rp := cp.rp
-	sa := getComplex(rp.hm + 1)
-	rp.rfft(signal, sa)
-	for i := range sa {
-		sa[i] *= cp.kspec[i]
+	rp := ref.rp
+	sum := getComplex(rp.hm + 1)
+	rp.rfft(signals[0], sum)
+	for i := range sum {
+		sum[i] *= ref.kspec[i]
 	}
-	rp.irfft(sa, dst)
-	putComplex(sa)
+	if len(plans) > 1 {
+		sa := getComplex(rp.hm + 1)
+		for c := 1; c < len(plans); c++ {
+			rp.rfft(signals[c], sa)
+			for i := range sum {
+				sum[i] += sa[i] * plans[c].kspec[i]
+			}
+		}
+		putComplex(sa)
+	}
+	rp.irfft(sum, dst)
+	putComplex(sum)
 	return dst, nil
 }
 

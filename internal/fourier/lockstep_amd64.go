@@ -10,7 +10,8 @@ package fourier
 //     multiply reads every lane through its own pointers, so groups mixing
 //     kernels take it too: it computes 8-bin blocks lane by lane and
 //     transposes them into bin rows, and gathers (VGATHERQPD) the bins
-//     past the last whole block;
+//     past the last whole block. Its accumulate form adds the rows to the
+//     planes instead of storing them, one channel of a lane group per call;
 //   - SSE2 (lockstep_amd64.s): the same rows in four 2-lane XMM chunks.
 //     SSE2 is the amd64 baseline (GOAMD64=v1), so it is the fallback on
 //     every host without AVX-512F, and final2 and rfftRecomb keep their
@@ -26,8 +27,10 @@ package fourier
 // applies the same correctly-rounded IEEE-754 operation to every 64-bit
 // element, so each lane runs the exact float sequence of the Go loop and
 // only the order between lanes changes. The kernels spell out separate
-// multiplies and adds (no FMA contraction), and the recombination kernels
-// replace the scalar `/2` with a multiply by 0.5: both are
+// multiplies and adds (no FMA contraction; the accumulating multiply adds
+// each finished product to the plane, one channel per call, in channel
+// order), and the recombination kernels replace the scalar `/2` with a
+// multiply by 0.5: both are
 // correctly-rounded scalings by 2^-1, bitwise identical for every input
 // including subnormals.
 
@@ -78,36 +81,36 @@ func irfftRecomb(sre, sim []float64, w []complex128, hm int) {
 }
 
 // gatherMulGroup fills all lw lanes of the bin-major planes dre/dim with
-// the spectrum×kernel products of a full group of lanes.
-func gatherMulGroup(dre, dim []float64, bins int, lanes []ConvLane) {
+// the spectrum×kernel products of channel c of a full group of lanes:
+// channel 0 stores them, later channels add them to the planes.
+func gatherMulGroup(dre, dim []float64, bins int, lanes []ConvLane, c int) {
 	if useAVX512 {
-		gatherMulGroupAVX512(dre, dim, bins, lanes)
+		gatherMulGroupAVX512(dre, dim, bins, lanes, c)
 	} else {
-		gatherMulGroupSSE2(dre, dim, bins, lanes)
+		gatherMulGroupSSE2(dre, dim, bins, lanes, c)
 	}
 }
 
 // gatherMulGroupSSE2 runs the group multiply as four lane-pair kernels.
-func gatherMulGroupSSE2(dre, dim []float64, bins int, lanes []ConvLane) {
+func gatherMulGroupSSE2(dre, dim []float64, bins int, lanes []ConvLane, c int) {
 	for p := 0; p < lw; p += 2 {
-		l0, l1 := &lanes[p], &lanes[p+1]
-		gatherMulPair(dre[p:], dim[p:], bins,
-			l0.SpecRe, l0.SpecIm, l0.Plan.kspec,
-			l1.SpecRe, l1.SpecIm, l1.Plan.kspec)
+		xr0, xi0, k0 := lanes[p].channelPlanes(c, bins)
+		xr1, xi1, k1 := lanes[p+1].channelPlanes(c, bins)
+		gatherMulPair(dre[p:], dim[p:], bins, xr0, xi0, k0, xr1, xi1, k1, c > 0)
 	}
 }
 
-// gatherMulGroupAVX512 hands the lanes' spectrum and kernel planes to
-// gatherMulAVX512 as stack arrays of per-lane pointers (bins >= 1, so
-// element 0 exists).
-func gatherMulGroupAVX512(dre, dim []float64, bins int, lanes []ConvLane) {
+// gatherMulGroupAVX512 hands channel c of the lanes' spectrum and kernel
+// planes to gatherMulAVX512 as stack arrays of per-lane pointers (bins >=
+// 1, so element 0 exists).
+func gatherMulGroupAVX512(dre, dim []float64, bins int, lanes []ConvLane, c int) {
 	var xr, xi [lw]*float64
 	var k [lw]*complex128
 	for s := range xr {
 		l := &lanes[s]
-		xr[s], xi[s], k[s] = &l.SpecRe[0], &l.SpecIm[0], &l.Plan.kspec[0]
+		xr[s], xi[s], k[s] = &l.SpecRe[c*bins], &l.SpecIm[c*bins], &l.Plans[c].kspec[0]
 	}
-	gatherMulAVX512(dre, dim, bins, &xr, &xi, &k)
+	gatherMulAVX512(dre, dim, bins, &xr, &xi, &k, c > 0)
 }
 
 // SSE2 family (lockstep_amd64.s).
@@ -131,7 +134,7 @@ func rfftRecomb(sre, sim []float64, w []complex128, hm int)
 func irfftRecombSSE2(sre, sim []float64, w []complex128, hm int)
 
 //go:noescape
-func gatherMulPair(dre, dim []float64, bins int, xr0, xi0 []float64, k0 []complex128, xr1, xi1 []float64, k1 []complex128)
+func gatherMulPair(dre, dim []float64, bins int, xr0, xi0 []float64, k0 []complex128, xr1, xi1 []float64, k1 []complex128, acc bool)
 
 // AVX-512F family (lockstep_avx512_amd64.s).
 
@@ -148,4 +151,4 @@ func bitrevSwapAVX512(re, im []float64, rev []int)
 func irfftRecombAVX512(sre, sim []float64, w []complex128, hm int)
 
 //go:noescape
-func gatherMulAVX512(dre, dim []float64, bins int, xr, xi *[lw]*float64, k *[lw]*complex128)
+func gatherMulAVX512(dre, dim []float64, bins int, xr, xi *[lw]*float64, k *[lw]*complex128, acc bool)

@@ -750,24 +750,26 @@ irdone:
 	RET
 
 // func gatherMulPair(dre, dim []float64, bins int, xr0, xi0 []float64,
-//	k0 []complex128, xr1, xi1 []float64, k1 []complex128)
+//	k0 []complex128, xr1, xi1 []float64, k1 []complex128, acc bool)
 //
 // Kernel-spectrum multiply for one lane pair: per bin, gathers the two
 // lanes' spectrum and kernel values into XMM pairs (MOVSD low, MOVHPD
 // high) and writes the two adjacent lane entries of the bin-major work
-// rows with one 16-byte store per plane.
-TEXT ·gatherMulPair(SB), NOSPLIT, $0-200
-	MOVQ dre_base+0(FP), SI
-	MOVQ dim_base+24(FP), DI
-	MOVQ bins+48(FP), CX
-	MOVQ xr0_base+56(FP), R8
-	MOVQ xi0_base+80(FP), R9
-	MOVQ k0_base+104(FP), R12
-	MOVQ xr1_base+128(FP), R10
-	MOVQ xi1_base+152(FP), R11
-	MOVQ k1_base+176(FP), R13
-	TESTQ CX, CX
-	JZ   gdone
+// rows with one 16-byte store per plane. With acc set, each product is
+// added to the entries already in the rows before the store.
+TEXT ·gatherMulPair(SB), NOSPLIT, $0-201
+	MOVQ    dre_base+0(FP), SI
+	MOVQ    dim_base+24(FP), DI
+	MOVQ    bins+48(FP), CX
+	MOVQ    xr0_base+56(FP), R8
+	MOVQ    xi0_base+80(FP), R9
+	MOVQ    k0_base+104(FP), R12
+	MOVQ    xr1_base+128(FP), R10
+	MOVQ    xi1_base+152(FP), R11
+	MOVQ    k1_base+176(FP), R13
+	MOVBQZX acc+200(FP), AX
+	TESTQ   CX, CX
+	JZ      gdone
 
 gloop:
 	MOVSD  (R8), X0           // xr pair
@@ -782,12 +784,20 @@ gloop:
 	MULPD  X2, X4             // xr*kr
 	MOVAPD X1, X5
 	MULPD  X3, X5             // xi*ki
-	SUBPD  X5, X4
-	MOVUPD X4, (SI)           // xr*kr - xi*ki
+	SUBPD  X5, X4             // xr*kr - xi*ki
 	MULPD  X3, X0             // xr*ki
 	MULPD  X2, X1             // xi*kr
-	ADDPD  X1, X0
-	MOVUPD X0, (DI)           // xr*ki + xi*kr
+	ADDPD  X1, X0             // xr*ki + xi*kr
+	TESTQ  AX, AX
+	JZ     gstore
+	MOVUPD (SI), X5
+	ADDPD  X5, X4             // row + re product
+	MOVUPD (DI), X1
+	ADDPD  X1, X0             // row + im product
+
+gstore:
+	MOVUPD X4, (SI)
+	MOVUPD X0, (DI)
 	ADDQ   $8, R8
 	ADDQ   $8, R9
 	ADDQ   $8, R10

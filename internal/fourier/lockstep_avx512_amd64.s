@@ -463,10 +463,10 @@ zirdone:
 	VADDPD    Z29, im, im           // xr*ki + xi*kr
 
 // TRANSPOSE8: turns eight lane-major vectors a0..a7 (lane s, bins 0-7 of
-// the block) into the block's eight bin rows and stores row j at j*64(D).
-// Pure data movement (unpack, then two 128-bit-lane shuffles); clobbers
-// a0..a7 and Z16-Z23.
-#define TRANSPOSE8(a0, a1, a2, a3, a4, a5, a6, a7, D) \
+// the block) into the block's eight bin rows, leaving bins 0-7 in Z16,
+// Z20, Z18, Z22, Z17, Z21, Z19, Z23. Pure data movement (unpack, then two
+// 128-bit-lane shuffles); clobbers a0..a7.
+#define TRANSPOSE8(a0, a1, a2, a3, a4, a5, a6, a7) \
 	VUNPCKLPD  a1, a0, Z16          \ // lanes 0,1: bins 0,2,4,6
 	VUNPCKHPD  a1, a0, Z17          \ // lanes 0,1: bins 1,3,5,7
 	VUNPCKLPD  a3, a2, Z18          \
@@ -483,22 +483,38 @@ zirdone:
 	VSHUFF64X2 $0xDD, Z22, Z20, a5  \ // lanes 4-7: bins 2,6
 	VSHUFF64X2 $0x88, Z23, Z21, a6  \ // lanes 4-7: bins 1,5
 	VSHUFF64X2 $0xDD, Z23, Z21, a7  \ // lanes 4-7: bins 3,7
-	VSHUFF64X2 $0x88, a4, a0, Z16   \
-	VMOVUPD    Z16, 0(D)            \ // bin 0
-	VSHUFF64X2 $0xDD, a4, a0, Z16   \
-	VMOVUPD    Z16, 256(D)          \ // bin 4
-	VSHUFF64X2 $0x88, a5, a1, Z16   \
-	VMOVUPD    Z16, 128(D)          \ // bin 2
-	VSHUFF64X2 $0xDD, a5, a1, Z16   \
-	VMOVUPD    Z16, 384(D)          \ // bin 6
-	VSHUFF64X2 $0x88, a6, a2, Z16   \
-	VMOVUPD    Z16, 64(D)           \ // bin 1
-	VSHUFF64X2 $0xDD, a6, a2, Z16   \
-	VMOVUPD    Z16, 320(D)          \ // bin 5
-	VSHUFF64X2 $0x88, a7, a3, Z16   \
-	VMOVUPD    Z16, 192(D)          \ // bin 3
-	VSHUFF64X2 $0xDD, a7, a3, Z16   \
-	VMOVUPD    Z16, 448(D)          // bin 7
+	VSHUFF64X2 $0x88, a4, a0, Z16   \ // bin 0
+	VSHUFF64X2 $0xDD, a4, a0, Z17   \ // bin 4
+	VSHUFF64X2 $0x88, a5, a1, Z18   \ // bin 2
+	VSHUFF64X2 $0xDD, a5, a1, Z19   \ // bin 6
+	VSHUFF64X2 $0x88, a6, a2, Z20   \ // bin 1
+	VSHUFF64X2 $0xDD, a6, a2, Z21   \ // bin 5
+	VSHUFF64X2 $0x88, a7, a3, Z22   \ // bin 3
+	VSHUFF64X2 $0xDD, a7, a3, Z23   // bin 7
+
+// ROWSADD: adds the block's eight bin rows already at D (row j at j*64)
+// into TRANSPOSE8's row registers: the accumulate form's row + product.
+#define ROWSADD(D) \
+	VADDPD 0(D), Z16, Z16   \
+	VADDPD 64(D), Z20, Z20  \
+	VADDPD 128(D), Z18, Z18 \
+	VADDPD 192(D), Z22, Z22 \
+	VADDPD 256(D), Z17, Z17 \
+	VADDPD 320(D), Z21, Z21 \
+	VADDPD 384(D), Z19, Z19 \
+	VADDPD 448(D), Z23, Z23
+
+// ROWSSTORE: stores TRANSPOSE8's row registers as the block's bin rows,
+// row j at j*64(D).
+#define ROWSSTORE(D) \
+	VMOVUPD Z16, 0(D)   \
+	VMOVUPD Z20, 64(D)  \
+	VMOVUPD Z18, 128(D) \
+	VMOVUPD Z22, 192(D) \
+	VMOVUPD Z17, 256(D) \
+	VMOVUPD Z21, 320(D) \
+	VMOVUPD Z19, 384(D) \
+	VMOVUPD Z23, 448(D)
 
 // Qword indices that pick the real (even) and imaginary (odd) parts of
 // eight interleaved complex128 values spread over two ZMM tables.
@@ -522,21 +538,24 @@ DATA deintOdd<>+48(SB)/8, $13
 DATA deintOdd<>+56(SB)/8, $15
 GLOBL deintOdd<>(SB), RODATA|NOPTR, $64
 
-// func gatherMulAVX512(dre, dim []float64, bins int, xr, xi *[8]*float64, k *[8]*complex128)
+// func gatherMulAVX512(dre, dim []float64, bins int, xr, xi *[8]*float64, k *[8]*complex128, acc bool)
 //
 // Kernel-spectrum multiply for a full lockstep group, through per-lane
 // pointers xr/xi (spectrum planes) and k (kernel spectra), so the lanes
 // may mix kernels. Whole 8-bin blocks run lane by lane (MULLANE) and are
 // transposed into bin rows (TRANSPOSE8); the bins past the last whole
 // block (the Nyquist bin, at power-of-two lengths) gather one bin row per
-// step with VGATHERQPD. Both forms run the same per-lane multiply.
-TEXT ·gatherMulAVX512(SB), NOSPLIT, $0-80
+// step with VGATHERQPD. Both forms run the same per-lane multiply. With
+// acc set, every finished product row is added to the row already in
+// dre/dim (VADDPD, never an FMA) before it is stored.
+TEXT ·gatherMulAVX512(SB), NOSPLIT, $0-81
 	MOVQ      dre_base+0(FP), SI
 	MOVQ      dim_base+24(FP), DI
 	MOVQ      bins+48(FP), CX
 	MOVQ      xr+56(FP), R8
 	MOVQ      xi+64(FP), R9
 	MOVQ      k+72(FP), R10
+	MOVBQZX   acc+80(FP), R13
 	VMOVDQU64 deintEven<>(SB), Z30
 	VMOVDQU64 deintOdd<>(SB), Z31
 	XORQ      BX, BX          // block's first bin*8
@@ -553,8 +572,20 @@ zgblock:
 	MULLANE(40, Z5, Z13)
 	MULLANE(48, Z6, Z14)
 	MULLANE(56, Z7, Z15)
-	TRANSPOSE8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, SI)
-	TRANSPOSE8(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15, DI)
+	TRANSPOSE8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	TESTQ     R13, R13
+	JZ        zgstorere
+	ROWSADD(SI)
+
+zgstorere:
+	ROWSSTORE(SI)
+	TRANSPOSE8(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	TESTQ     R13, R13
+	JZ        zgstoreim
+	ROWSADD(DI)
+
+zgstoreim:
+	ROWSSTORE(DI)
 	ADDQ      $64, BX
 	ADDQ      $512, SI
 	ADDQ      $512, DI
@@ -595,12 +626,18 @@ zgloop:
 	VGATHERQPD 8(DX)(Z22*1), K4, Z3 // ki
 	VMULPD     Z2, Z0, Z4           // xr*kr
 	VMULPD     Z3, Z1, Z5           // xi*ki
-	VSUBPD     Z5, Z4, Z4
-	VMOVUPD    Z4, (SI)             // xr*kr - xi*ki
+	VSUBPD     Z5, Z4, Z4           // xr*kr - xi*ki
 	VMULPD     Z3, Z0, Z0           // xr*ki
 	VMULPD     Z2, Z1, Z1           // xi*kr
-	VADDPD     Z1, Z0, Z0
-	VMOVUPD    Z0, (DI)             // xr*ki + xi*kr
+	VADDPD     Z1, Z0, Z0           // xr*ki + xi*kr
+	TESTQ      R13, R13
+	JZ         zgstoretail
+	VADDPD     (SI), Z4, Z4
+	VADDPD     (DI), Z0, Z0
+
+zgstoretail:
+	VMOVUPD    Z4, (SI)
+	VMOVUPD    Z0, (DI)
 	VPADDQ     Z23, Z20, Z20
 	VPADDQ     Z23, Z21, Z21
 	VPADDQ     Z24, Z22, Z22

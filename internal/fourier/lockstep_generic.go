@@ -34,6 +34,6 @@ func irfftRecomb(sre, sim []float64, w []complex128, hm int) {
 	irfftRecombGeneric(sre, sim, w, hm)
 }
 
-func gatherMulGroup(dre, dim []float64, bins int, lanes []ConvLane) {
-	gatherMulGroupGeneric(dre, dim, bins, lanes)
+func gatherMulGroup(dre, dim []float64, bins int, lanes []ConvLane, c int) {
+	gatherMulGroupGeneric(dre, dim, bins, lanes, c)
 }

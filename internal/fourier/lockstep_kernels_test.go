@@ -18,7 +18,7 @@ type kernelFamily struct {
 	final2      func(re, im []float64, tw []complex128, n int)
 	rfftRecomb  func(sre, sim []float64, w []complex128, hm int)
 	irfftRecomb func(sre, sim []float64, w []complex128, hm int)
-	mulGroup    func(dre, dim []float64, bins int, lanes []ConvLane)
+	mulGroup    func(dre, dim []float64, bins int, lanes []ConvLane, c int)
 }
 
 // goKernels is the portable family every packed family must match.
@@ -34,12 +34,15 @@ var goKernels = kernelFamily{
 }
 
 // inverseGroup runs one full lockstep group's inverse on family f, in
-// lockstepTransform's stage order: the group multiply, irfftRecomb and the
-// inner inverse transform (inner length at least 4).
+// lockstepTransform's stage order: the group multiply of every channel
+// (the first stores, later ones accumulate), irfftRecomb and the inner
+// inverse transform (inner length at least 4).
 func inverseGroup(f kernelFamily, rp *RealPlan, sre, sim []float64, lanes []ConvLane) {
 	p := rp.inner
 	hm := rp.hm
-	f.mulGroup(sre, sim, hm+1, lanes)
+	for c := range lanes[0].Plans {
+		f.mulGroup(sre, sim, hm+1, lanes, c)
+	}
 	f.irfftRecomb(sre, sim, rp.w, hm)
 	re, im := sre[:hm*lw], sim[:hm*lw]
 	f.bitrevSwap(re, im, p.rev)
@@ -82,10 +85,11 @@ func randPlane(rng *rand.Rand, n int) []float64 {
 	return p
 }
 
-// randGroup builds a full group of lanes with random bins-bin spectra over
-// two kernel plans of random spectra, the plans interleaved irregularly.
-func randGroup(rng *rand.Rand, bins int) []ConvLane {
-	var plans [2]*ConvPlan
+// randGroup builds a full group of lanes of g channels with random
+// bins-bin spectra over three kernel plans of random spectra, the plans
+// interleaved irregularly across lanes and channels.
+func randGroup(rng *rand.Rand, bins, g int) []ConvLane {
+	var plans [3]*ConvPlan
 	for i := range plans {
 		kspec := make([]complex128, bins)
 		for k := range kspec {
@@ -95,7 +99,11 @@ func randGroup(rng *rand.Rand, bins int) []ConvLane {
 	}
 	lanes := make([]ConvLane, lw)
 	for s := range lanes {
-		lanes[s] = ConvLane{Plan: plans[(s*5/3)%2], SpecRe: randPlane(rng, bins), SpecIm: randPlane(rng, bins)}
+		l := ConvLane{SpecRe: randPlane(rng, g*bins), SpecIm: randPlane(rng, g*bins)}
+		for c := 0; c < g; c++ {
+			l.Plans = append(l.Plans, plans[(s*5/3+c)%3])
+		}
+		lanes[s] = l
 	}
 	return lanes
 }
@@ -105,8 +113,10 @@ func randGroup(rng *rand.Rand, bins int) []ConvLane {
 // planes and requires bitwise equal output, for every shape that takes its
 // own code path: inner lengths 2 to 1024 (fusedPair at sizes 8 to 512,
 // final2 at odd log2 n), both fusedFirst directions, the recombinations at
-// hm 1 to 512, the full-group multiply over two kernel plans, and whole
-// group inverses chaining them.
+// hm 1 to 512, the full-group multiply over mixed kernel plans in its
+// storing form (channel 0) and its accumulating form (later channels, onto
+// random planes), and whole group inverses chaining them over one and over
+// several channels.
 func TestLockstepKernelFamilies(t *testing.T) {
 	var families []kernelFamily
 	for _, f := range packedKernelFamilies() {
@@ -188,10 +198,12 @@ func TestLockstepKernelFamilies(t *testing.T) {
 	}
 
 	for _, bins := range []int{2, 3, 65, 257, 513} {
-		lanes := randGroup(rng, bins)
-		check(fmt.Sprintf("group multiply bins=%d", bins), bins, func(f kernelFamily, re, im []float64) {
-			f.mulGroup(re, im, bins, lanes)
-		})
+		lanes := randGroup(rng, bins, 3)
+		for c := 0; c < 3; c++ {
+			check(fmt.Sprintf("group multiply bins=%d channel=%d", bins, c), bins, func(f kernelFamily, re, im []float64) {
+				f.mulGroup(re, im, bins, lanes, c)
+			})
+		}
 	}
 
 	for _, m := range []int{8, 16, 512, 1024} {
@@ -199,17 +211,19 @@ func TestLockstepKernelFamilies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lanes := randGroup(rng, rp.hm+1)
-		check(fmt.Sprintf("group inverse m=%d", m), rp.hm+1, func(f kernelFamily, re, im []float64) {
-			inverseGroup(f, rp, re, im, lanes)
-		})
+		for _, g := range []int{1, 5} {
+			lanes := randGroup(rng, rp.hm+1, g)
+			check(fmt.Sprintf("group inverse m=%d channels=%d", m, g), rp.hm+1, func(f kernelFamily, re, im []float64) {
+				inverseGroup(f, rp, re, im, lanes)
+			})
+		}
 	}
 }
 
 // BenchmarkLockstepInverse times one full lockstep group's inverse at m =
 // 512, AlexNetS's tiled conv length, on each packed kernel family: the
-// group multiply over two kernel plans, irfftRecomb, bit reversal,
-// fusedFirst and three fusedPair stages.
+// group multiply of one channel over two kernel plans, irfftRecomb, bit
+// reversal, fusedFirst and three fusedPair stages.
 func BenchmarkLockstepInverse(b *testing.B) {
 	rp, err := RealPlanFor(512)
 	if err != nil {
@@ -231,7 +245,7 @@ func BenchmarkLockstepInverse(b *testing.B) {
 	bins := rp.hm + 1
 	lanes := make([]ConvLane, lw)
 	for s := range lanes {
-		l := ConvLane{Plan: plans[s%2], SpecRe: make([]float64, bins), SpecIm: make([]float64, bins)}
+		l := ConvLane{Plans: plans[s%2 : s%2+1], SpecRe: make([]float64, bins), SpecIm: make([]float64, bins)}
 		for k := 0; k < bins; k++ {
 			l.SpecRe[k], l.SpecIm[k] = rng.NormFloat64(), rng.NormFloat64()
 		}

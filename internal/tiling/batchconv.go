@@ -6,7 +6,6 @@ import (
 
 	"photofourier/internal/fourier"
 	"photofourier/internal/jtc"
-	"photofourier/internal/tensor"
 )
 
 // PackedShots returns the packed shot count PlanBatch(n) would schedule,
@@ -45,23 +44,31 @@ func (p *Plan) PackedShots(n int) int {
 	return shots
 }
 
-// BatchConvOperands bundles ONE input channel's operands for a whole batch:
-// the sign-split activation planes of every sample, the kernel plans of
-// both weight signs, and the cross-term accumulators.
+// BatchConvOperands bundles one accumulation group's operands for a whole
+// batch: the sign-split activation planes of every (sample, channel), the
+// kernel plans of both weight signs per (kernel, channel), and the
+// cross-term accumulators.
 type BatchConvOperands struct {
-	// Pos and Neg hold each sample's plane rows for the positive and
-	// negative activation part; a nil sample entry skips that part for
-	// that sample. Either slice may be nil when the part is absent batch-
-	// wide.
+	// Channels is the group's input channel count G (at least 1). Its
+	// channels sum in the frequency domain: one inverse transform per
+	// (cross term, kernel, sample, shot), as the detector sums the group
+	// as charge.
+	Channels int
+	// Pos and Neg hold the plane rows of every (sample, channel) for the
+	// positive and negative activation part: Pos[b*Channels+c] is sample
+	// b's channel c. A sample whose entries are nil skips that part (all G
+	// entries of a sample are nil or none is). Either slice may be nil when
+	// the part is absent batch-wide.
 	Pos, Neg [][][]float64
 	// KPos and KNeg are the kernel plans of the positive and negative
-	// weight parts (nil when that sign is absent). All plans must belong
-	// to the same tiling plan and share transform geometry.
+	// weight parts (nil when that sign is absent): KPos[j*Channels+c] is
+	// kernel j's plan for channel c. All plans must belong to the same
+	// tiling plan and share transform geometry.
 	KPos, KNeg []*KernelPlan
-	// Accs indexes the cross-term accumulators: Accs[0][b*len(KPos)+j] is
-	// (+x,+w) for sample b and kernel j, Accs[1] is (+x,-w) over KNeg,
-	// Accs[2] is (-x,+w) over KPos, Accs[3] is (-x,-w) over KNeg. A nil
-	// accumulator entry is skipped.
+	// Accs indexes the cross-term accumulators: Accs[0][b*nk+j] is (+x,+w)
+	// for sample b and kernel j of the nk = len(KPos)/Channels kernels,
+	// Accs[1] is (+x,-w) over KNeg, Accs[2] is (-x,+w) over KPos, Accs[3]
+	// is (-x,-w) over KNeg. A nil accumulator entry is skipped.
 	Accs [4][][]float64
 }
 
@@ -74,29 +81,38 @@ func (op *BatchConvOperands) kernelSetFor(term int) []*KernelPlan {
 	return op.KNeg
 }
 
-// Conv2DPlannedAccumBatch runs one input channel's plane convolution for a
-// whole batch, and is the one tiled executor of every planned run (a
-// one-sample batch included): each distinct (sample, shot, activation part)
-// signal is transformed to the frequency domain EXACTLY ONCE — into a
-// contiguous SoA spectrum arena — and its spectrum reused against every
-// kernel of both weight signs, in shot → kernel → sample order, the way the
-// hardware streams one activation frame past many latched filters. Each
-// accumulator receives additions in the same (shot) order
-// Conv2DPlannedAccum produces for its (sample, kernel) pair, so the result
-// is bit-identical to per-sample single-kernel planned convolutions.
+// Conv2DPlannedAccumBatch runs one accumulation group's plane convolution
+// for a whole batch, and is the one tiled executor of every planned run (a
+// one-sample batch included). Inside each shot it walks the samples in
+// chunks of LockstepWidth: each distinct (sample, channel, activation part)
+// signal of the chunk is transformed to the frequency domain EXACTLY ONCE —
+// into a chunk-sized SoA spectrum arena — and its spectrum reused against
+// every kernel of both weight signs; each (term, kernel, sample) lane then
+// sums its G channel products into one spectrum and runs one inverse
+// transform and one window add, the way the hardware streams the group's
+// frames past the latched filters and reads the summed charge out once.
+// Each accumulator receives one addition per shot, in the shot order
+// Conv2DPlannedAccum produces for its (sample, kernel) pair over the same
+// group, so the result is bit-identical to per-sample grouped planned
+// convolutions.
 //
-// Shot accounting is PACKED: the modeled hardware executes the batch on the
-// BatchPlan schedule (multiple samples' tiles sharing one aperture, and a
-// sample's short partial-row-tiling passes sharing one too), so jtc.Shots
-// advances by PackedShots of each part's present samples per kernel — the
-// numerical execution stays per-segment, which is what keeps it
+// Shot accounting is PACKED: the modeled hardware still fires one shot per
+// channel, and executes the batch on the BatchPlan schedule (multiple
+// samples' tiles sharing one aperture, and a sample's short
+// partial-row-tiling passes sharing one too), so jtc.Shots advances by
+// PackedShots of each part's present samples per (kernel, channel) pair —
+// the numerical execution stays per-segment, which is what keeps it
 // bit-identical to the per-sample oracle (see the batchplan.go exactness
 // rules).
 func (p *Plan) Conv2DPlannedAccumBatch(op *BatchConvOperands) error {
-	n := len(op.Pos)
-	if len(op.Neg) > n {
-		n = len(op.Neg)
+	g := op.Channels
+	if g < 1 {
+		return fmt.Errorf("tiling: batch group has %d channels", g)
 	}
+	if len(op.Pos)%g != 0 || len(op.Neg)%g != 0 {
+		return fmt.Errorf("tiling: batch planes %d/%d are not whole samples of %d channels", len(op.Pos), len(op.Neg), g)
+	}
+	n := max(len(op.Pos), len(op.Neg)) / g
 	if n == 0 {
 		return nil
 	}
@@ -109,28 +125,20 @@ func (p *Plan) Conv2DPlannedAccumBatch(op *BatchConvOperands) error {
 	}
 	maxSpec := 0
 	for _, cp := range ref.corrs {
-		if sl := cp.SpectrumLen(); sl > maxSpec {
-			maxSpec = sl
-		}
+		maxSpec = max(maxSpec, cp.SpectrumLen())
 	}
+	slots := min(n, fourier.LockstepWidth) * g
 	sc := getBatchScratch()
 	defer putBatchScratch(sc)
-	sc.sigBuf = getFloats(n * p.NConv)
+	sc.sigBuf = getFloats(slots * p.NConv)
 	defer putFloats(sc.sigBuf)
-	if cap(sc.sigs) < n {
-		sc.sigs = make([][]float64, n)
+	if cap(sc.sigs) < slots {
+		sc.sigs = make([][]float64, slots)
 	}
-	sc.sigs = sc.sigs[:n]
-	arenaRe := [2][]float64{getFloats(n * maxSpec), getFloats(n * maxSpec)}
-	arenaIm := [2][]float64{getFloats(n * maxSpec), getFloats(n * maxSpec)}
-	defer func() {
-		for i := 0; i < 2; i++ {
-			putFloats(arenaRe[i])
-			putFloats(arenaIm[i])
-		}
-	}()
+	sc.sigs = sc.sigs[:slots]
 	// One arena view pair per accumulation pass, over the shared pooled
-	// backing (passes run sequentially, so slots are reused between them).
+	// backing of each present part (passes run sequentially, so slots are
+	// reused between them).
 	passes := len(ref.corrs)
 	if cap(sc.arenas) < 2*passes {
 		sc.arenas = make([]fourier.SpectrumArena, 2*passes)
@@ -140,14 +148,46 @@ func (p *Plan) Conv2DPlannedAccumBatch(op *BatchConvOperands) error {
 		sc.passArenas = make([][2]*fourier.SpectrumArena, passes)
 	}
 	sc.passArenas = sc.passArenas[:passes]
-	for pass := range ref.corrs {
-		bins := ref.corrs[pass].SpectrumLen()
-		for i := 0; i < 2; i++ {
-			a := &sc.arenas[2*pass+i]
-			if err := a.Reset(arenaRe[i][:n*bins], arenaIm[i][:n*bins], bins); err != nil {
+	var planes [2][2][]float64 // pooled arena backing per present part
+	defer func() {
+		for _, pp := range planes {
+			for _, b := range pp {
+				if b != nil {
+					putFloats(b)
+				}
+			}
+		}
+	}()
+	for pi := 0; pi < 2; pi++ {
+		if !op.partPresent(pi, n) {
+			for pass := range sc.passArenas {
+				sc.passArenas[pass][pi] = nil
+			}
+			continue
+		}
+		planes[pi] = [2][]float64{getFloats(slots * maxSpec), getFloats(slots * maxSpec)}
+		for pass, cp := range ref.corrs {
+			bins := cp.SpectrumLen()
+			a := &sc.arenas[2*pass+pi]
+			if err := a.Reset(planes[pi][0][:slots*bins], planes[pi][1][:slots*bins], bins); err != nil {
 				panic(err) // sizes are constructed to fit
 			}
-			sc.passArenas[pass][i] = a
+			sc.passArenas[pass][pi] = a
+		}
+	}
+	// Each pass's kernel spectra, in KPos then KNeg order, so a lane's G
+	// channel plans are one contiguous run.
+	nk := len(op.KPos) + len(op.KNeg)
+	if cap(sc.plans) < passes*nk {
+		sc.plans = make([]*fourier.ConvPlan, passes*nk)
+	}
+	sc.plans = sc.plans[:passes*nk]
+	for pass := 0; pass < passes; pass++ {
+		for i, kp := range op.KPos {
+			sc.plans[pass*nk+i] = kp.corrs[pass]
+		}
+		for i, kp := range op.KNeg {
+			sc.plans[pass*nk+len(op.KPos)+i] = kp.corrs[pass]
 		}
 	}
 	switch p.Mode {
@@ -158,6 +198,7 @@ func (p *Plan) Conv2DPlannedAccumBatch(op *BatchConvOperands) error {
 	default:
 		err = p.batchPartitioned(op, ref, n, sc)
 	}
+	clear(sc.plans)
 	if err != nil {
 		return err
 	}
@@ -165,34 +206,51 @@ func (p *Plan) Conv2DPlannedAccumBatch(op *BatchConvOperands) error {
 	return nil
 }
 
+// partPresent reports whether any of the n samples carries activation
+// part pi (0 = pos, 1 = neg).
+func (op *BatchConvOperands) partPresent(pi, n int) bool {
+	for b := 0; b < n; b++ {
+		if op.rowsOf(pi, b*op.Channels) != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // countBatchShots advances the process shot counter by the packed schedule:
 // each activation part's participating samples pack into PackedShots
-// apertures, each illuminated once per latched kernel (both weight signs).
+// apertures, each illuminated once per latched (kernel, channel) pair of
+// both weight signs — one count for the whole batch and group.
 func (p *Plan) countBatchShots(op *BatchConvOperands, n int) {
-	kernels := int64(len(op.KPos) + len(op.KNeg))
-	if kernels == 0 {
+	pairs := int64(len(op.KPos) + len(op.KNeg))
+	if pairs == 0 {
 		return
 	}
 	total := int64(0)
-	for _, part := range [2][][][]float64{op.Pos, op.Neg} {
+	for pi := 0; pi < 2; pi++ {
 		present := 0
-		for _, rows := range part {
-			if rows != nil {
+		for b := 0; b < n; b++ {
+			if op.rowsOf(pi, b*op.Channels) != nil {
 				present++
 			}
 		}
 		if present > 0 {
-			total += int64(p.PackedShots(present)) * kernels
+			total += int64(p.PackedShots(present)) * pairs
 		}
 	}
 	jtc.AddShots(total)
 }
 
-// checkBatchOperands validates geometry and transform sharing, returning a
-// reference kernel plan (nil when no kernel set is present).
+// checkBatchOperands validates geometry, channel grouping and transform
+// sharing, returning a reference kernel plan (nil when no kernel set is
+// present).
 func (p *Plan) checkBatchOperands(op *BatchConvOperands, n int) (*KernelPlan, error) {
+	g := op.Channels
 	var ref *KernelPlan
 	for _, set := range [2][]*KernelPlan{op.KPos, op.KNeg} {
+		if len(set)%g != 0 {
+			return nil, fmt.Errorf("tiling: %d batch kernel plans are not whole kernels of %d channels", len(set), g)
+		}
 		for j, kp := range set {
 			if kp == nil || kp.plan != p {
 				return nil, fmt.Errorf("tiling: batch kernel plan %d does not belong to this plan", j)
@@ -209,17 +267,20 @@ func (p *Plan) checkBatchOperands(op *BatchConvOperands, n int) (*KernelPlan, er
 		}
 	}
 	for _, part := range [2][][][]float64{op.Pos, op.Neg} {
-		for b, rows := range part {
+		for i, rows := range part {
+			if (rows == nil) != (part[i-i%g] == nil) {
+				return nil, fmt.Errorf("tiling: batch sample %d carries the part on some of its %d channels only", i/g, g)
+			}
 			if rows == nil {
 				continue
 			}
 			if err := p.checkInput(rows); err != nil {
-				return nil, fmt.Errorf("tiling: batch sample %d: %w", b, err)
+				return nil, fmt.Errorf("tiling: batch sample %d channel %d: %w", i/g, i%g, err)
 			}
 		}
 	}
 	for term, accs := range op.Accs {
-		nk := len(op.kernelSetFor(term))
+		nk := len(op.kernelSetFor(term)) / g
 		if accs == nil {
 			continue
 		}
@@ -235,28 +296,32 @@ func (p *Plan) checkBatchOperands(op *BatchConvOperands, n int) (*KernelPlan, er
 	return ref, nil
 }
 
-// rowsOf returns sample b's plane rows for part index pi (0 = pos, 1 =
-// neg), or nil.
-func (op *BatchConvOperands) rowsOf(pi, b int) [][]float64 {
+// rowsOf returns the plane rows of (sample, channel) entry i of part pi (0
+// = pos, 1 = neg), or nil.
+func (op *BatchConvOperands) rowsOf(pi, i int) [][]float64 {
 	part := op.Pos
 	if pi == 1 {
 		part = op.Neg
 	}
-	if b >= len(part) {
+	if i >= len(part) {
 		return nil
 	}
-	return part[b]
+	return part[i]
 }
 
 // batchScratch pools every per-call buffer Conv2DPlannedAccumBatch needs
-// beyond the float planes, so a warmed batch executor runs a whole channel
+// beyond the float planes, so a warmed batch executor runs a whole group
 // convolution without heap allocation.
 type batchScratch struct {
-	sigs   [][]float64 // per-sample shot-signal views (nil = sample absent)
-	sigBuf []float64   // backing for sigs: n * NConv
+	sigs   [][]float64 // per-(chunk sample, channel) shot-signal views (nil = absent)
+	sigBuf []float64   // backing for sigs: chunk * G * NConv
 
 	arenas     []fourier.SpectrumArena     // 2*passes reusable arena values
-	passArenas [][2]*fourier.SpectrumArena // per-pass (pos, neg) arena views
+	passArenas [][2]*fourier.SpectrumArena // per-pass (pos, neg) arena views; nil for an absent part
+
+	// plans holds each pass's kernel spectra: pass p's KPos plans, then its
+	// KNeg plans, from p*(len(KPos)+len(KNeg)).
+	plans []*fourier.ConvPlan
 
 	// lanes is convolveShotKernels' pending lockstep group.
 	lanes [fourier.LockstepWidth]fourier.ConvLane
@@ -274,40 +339,81 @@ func getBatchScratch() *batchScratch {
 
 func putBatchScratch(sc *batchScratch) { batchScratchPool.Put(sc) }
 
-// convolveShotKernels completes one shot for every (kernel, part, sample)
-// triple: the shot's arena spectra multiply each kernel spectrum, and the
-// shot's window adds into each accumulator from entry at on. The (term,
-// kernel, sample) scan flattens into lockstep groups of up to
-// LockstepWidth lanes — mixing kernels and samples freely, since every plan
-// of one pass shares transform geometry — and each group runs as ONE
-// batched inverse transform. Lanes add in exactly the scalar scan order;
-// every accumulator sees exactly one addition per shot, so inter-shot order
-// (the caller's) is what fixes bit-identity, and each lane's window is
-// itself bit-identical to the same samples of ConvolveSoAInto.
-func (p *Plan) convolveShotKernels(op *BatchConvOperands, sc *batchScratch, n, pass, sigLen int, ar [2]*fourier.SpectrumArena, at int, win fourier.Window) error {
+// batchShot completes one shot of accumulation pass `pass` for the whole
+// batch, LockstepWidth samples at a time: fill builds the shot's 1D signal
+// from a plane's rows, every present (sample, channel, part) signal of the
+// chunk is transformed once into the pass's arena, and the chunk's lanes
+// convolve and add their window into each accumulator from entry at on.
+func (p *Plan) batchShot(op *BatchConvOperands, ref *KernelPlan, sc *batchScratch, n, pass, at int, win fourier.Window, fill func(g []float64, rows [][]float64)) error {
+	g := op.Channels
+	for b0 := 0; b0 < n; b0 += fourier.LockstepWidth {
+		b1 := min(b0+fourier.LockstepWidth, n)
+		for pi := 0; pi < 2; pi++ {
+			ar := sc.passArenas[pass][pi]
+			if ar == nil {
+				continue
+			}
+			sigs := sc.sigs[:(b1-b0)*g]
+			for i := range sigs {
+				rows := op.rowsOf(pi, b0*g+i)
+				if rows == nil {
+					sigs[i] = nil
+					continue
+				}
+				sig := sc.sigBuf[i*p.NConv : (i+1)*p.NConv]
+				fill(sig, rows)
+				sigs[i] = sig
+			}
+			if err := ref.corrs[pass].TransformSlotsSoA(ar, sigs); err != nil {
+				return err
+			}
+		}
+		if err := p.convolveShotKernels(op, sc, b0, b1, pass, at, win); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// convolveShotKernels completes one shot for every (term, kernel, sample)
+// lane of samples [b0, b1): the lane's G channel spectra in the shot's
+// arenas multiply the kernel's G channel spectra and sum, and the shot's
+// window of the one inverse transform adds into the accumulator from entry
+// at on. The (term, kernel, sample) scan flattens into lockstep groups of
+// up to LockstepWidth lanes — mixing kernels and samples freely, since
+// every plan of one pass shares transform geometry — and each group runs
+// as ONE batched inverse transform. Every accumulator sees exactly one
+// addition per shot, so inter-shot order (the caller's) is what fixes
+// bit-identity, and each lane's window is itself bit-identical to the same
+// samples of ConvolveSumInto on the lane's signals.
+func (p *Plan) convolveShotKernels(op *BatchConvOperands, sc *batchScratch, b0, b1, pass, at int, win fourier.Window) error {
+	g := op.Channels
+	sigLen := p.NConv
+	nk := len(op.KPos) + len(op.KNeg)
 	nl := 0
 	for term := 0; term < 4; term++ {
 		accs := op.Accs[term]
 		if accs == nil {
 			continue
 		}
-		kset := op.kernelSetFor(term)
-		pi := 0
-		if term >= 2 {
-			pi = 1
+		pi := term / 2 // terms 0 and 1 read the positive part, 2 and 3 the negative
+		plans := sc.plans[pass*nk : pass*nk+len(op.KPos)]
+		if term == 1 || term == 3 {
+			plans = sc.plans[pass*nk+len(op.KPos) : (pass+1)*nk]
 		}
-		for j, kp := range kset {
-			cp := kp.corrs[pass]
-			for b := 0; b < n; b++ {
-				if op.rowsOf(pi, b) == nil {
+		kernels := len(plans) / g
+		for j := 0; j < kernels; j++ {
+			jp := plans[j*g : (j+1)*g]
+			for b := b0; b < b1; b++ {
+				if op.rowsOf(pi, b*g) == nil {
 					continue
 				}
-				acc := accs[b*len(kset)+j]
+				acc := accs[b*kernels+j]
 				if acc == nil {
 					continue
 				}
-				re, im := ar[pi].Slot(b)
-				sc.lanes[nl] = fourier.ConvLane{Plan: cp, SpecRe: re, SpecIm: im, Acc: acc[at:], Window: win}
+				re, im := sc.passArenas[pass][pi].SlotRange((b-b0)*g, g)
+				sc.lanes[nl] = fourier.ConvLane{Plans: jp, SpecRe: re, SpecIm: im, Acc: acc[at:], Window: win}
 				nl++
 				if nl == fourier.LockstepWidth {
 					if err := fourier.ConvolveLanesSoA(sigLen, sc.lanes[:nl]); err != nil {
@@ -351,31 +457,14 @@ func (p *Plan) partitionedWindow(r, c0, step int) (int, fourier.Window) {
 }
 
 func (p *Plan) batchRowTiled(op *BatchConvOperands, ref *KernelPlan, n int, sc *batchScratch) error {
-	refCorr := ref.corrs[0]
-	ar := sc.passArenas[0]
-	colOff := p.padL
-	if p.ColumnPad && p.Pad == tensor.Same {
-		colOff = 0
-	}
+	colOff := p.colOff()
 	for shot := 0; shot*p.Nor < p.OutH; shot++ {
 		rOut0 := shot * p.Nor
-		for pi := 0; pi < 2; pi++ {
-			for b := 0; b < n; b++ {
-				rows := op.rowsOf(pi, b)
-				if rows == nil {
-					sc.sigs[b] = nil
-					continue
-				}
-				g := sc.sigBuf[b*p.NConv : (b+1)*p.NConv]
-				p.tileRowsInto(g, rows, rOut0-p.padT, p.RowsPerShot)
-				sc.sigs[b] = g
-			}
-			if err := refCorr.TransformSlotsSoA(ar[pi], sc.sigs); err != nil {
-				return err
-			}
-		}
 		at, win := p.rowTiledWindow(ref.lks[0], rOut0, colOff)
-		if err := p.convolveShotKernels(op, sc, n, 0, p.NConv, ar, at, win); err != nil {
+		err := p.batchShot(op, ref, sc, n, 0, at, win, func(g []float64, rows [][]float64) {
+			p.tileRowsInto(g, rows, rOut0-p.padT, p.RowsPerShot)
+		})
+		if err != nil {
 			return err
 		}
 	}
@@ -383,33 +472,16 @@ func (p *Plan) batchRowTiled(op *BatchConvOperands, ref *KernelPlan, n int, sc *
 }
 
 func (p *Plan) batchPartial(op *BatchConvOperands, ref *KernelPlan, n int, sc *batchScratch) error {
-	colOff := p.padL
-	if p.ColumnPad && p.Pad == tensor.Same {
-		colOff = 0
-	}
+	colOff := p.colOff()
 	for r := 0; r < p.OutH; r++ {
 		for pass := range ref.corrs {
 			j0 := pass * p.RowsPerShot
 			nRows := min(p.RowsPerShot, p.K-j0)
-			refCorr := ref.corrs[pass]
-			ar := sc.passArenas[pass]
-			for pi := 0; pi < 2; pi++ {
-				for b := 0; b < n; b++ {
-					rows := op.rowsOf(pi, b)
-					if rows == nil {
-						sc.sigs[b] = nil
-						continue
-					}
-					g := sc.sigBuf[b*p.NConv : (b+1)*p.NConv]
-					p.tileRowsInto(g, rows, r-p.padT+j0, nRows)
-					sc.sigs[b] = g
-				}
-				if err := refCorr.TransformSlotsSoA(ar[pi], sc.sigs); err != nil {
-					return err
-				}
-			}
 			at, win := p.partialWindow(ref.lks[pass], r, colOff)
-			if err := p.convolveShotKernels(op, sc, n, pass, p.NConv, ar, at, win); err != nil {
+			err := p.batchShot(op, ref, sc, n, pass, at, win, func(g []float64, rows [][]float64) {
+				p.tileRowsInto(g, rows, r-p.padT+j0, nRows)
+			})
+			if err != nil {
 				return err
 			}
 		}
@@ -428,34 +500,12 @@ func (p *Plan) batchPartitioned(op *BatchConvOperands, ref *KernelPlan, n int, s
 			if ri < 0 || ri >= p.H {
 				continue
 			}
-			refCorr := ref.corrs[j]
-			ar := sc.passArenas[j]
 			for c0 := 0; c0 < p.OutW; c0 += step {
-				for pi := 0; pi < 2; pi++ {
-					for b := 0; b < n; b++ {
-						rows := op.rowsOf(pi, b)
-						if rows == nil {
-							sc.sigs[b] = nil
-							continue
-						}
-						in := rows[ri]
-						seg := sc.sigBuf[b*p.NConv : (b+1)*p.NConv]
-						for i := range seg {
-							ix := c0 - p.padL + i
-							if ix < 0 || ix >= p.W {
-								seg[i] = 0
-							} else {
-								seg[i] = in[ix]
-							}
-						}
-						sc.sigs[b] = seg
-					}
-					if err := refCorr.TransformSlotsSoA(ar[pi], sc.sigs); err != nil {
-						return err
-					}
-				}
 				at, win := p.partitionedWindow(r, c0, step)
-				if err := p.convolveShotKernels(op, sc, n, j, p.NConv, ar, at, win); err != nil {
+				err := p.batchShot(op, ref, sc, n, j, at, win, func(seg []float64, rows [][]float64) {
+					p.segmentInto(seg, rows[ri], c0)
+				})
+				if err != nil {
 					return err
 				}
 			}

@@ -1,21 +1,29 @@
 package tiling
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"photofourier/internal/fourier"
 	"photofourier/internal/jtc"
 	"photofourier/internal/tensor"
 )
 
+// fourierWidth is the lockstep chunk the batch executor walks samples in.
+const fourierWidth = fourier.LockstepWidth
+
 // TestConv2DPlannedAccumBatchMatchesSingle runs the packed batch executor in
-// every tiling regime with many kernels of both weight signs over samples
-// that carry different activation parts. Every (term, sample, kernel)
-// accumulator must match a single-kernel Conv2DPlannedAccum into the same
+// every tiling regime with many kernels of both weight signs, over
+// accumulation groups of one and of three channels and samples that carry
+// different activation parts, and over more samples than one lockstep
+// chunk holds. Every (term, sample, kernel) accumulator must match the
+// grouped Conv2DPlannedAccum of that (sample, kernel) pair into the same
 // starting values bit for bit, accumulators of a sample without the term's
-// part must stay untouched, and the shot counter must advance by the packed
-// schedule of each part's present samples times the kernel count.
+// part must stay untouched, and the shot counter must advance by the
+// packed schedule of each part's present samples times the (kernel,
+// channel) pair count.
 func TestConv2DPlannedAccumBatchMatchesSingle(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -32,80 +40,85 @@ func TestConv2DPlannedAccumBatchMatchesSingle(t *testing.T) {
 		// differs from its width.
 		{"row-tiling-colpad", 128, tensor.Same, true, RowTiling},
 	}
-	const h, w, k, n = 14, 14, 3, 3
+	const h, w, k = 14, 14, 3
 	const nPos, nNeg = 5, 3 // kernels per weight sign
 	rng := rand.New(rand.NewSource(21))
-	pos := make([][][]float64, n)
-	neg := make([][][]float64, n)
-	for b := 0; b < n; b++ {
-		pos[b] = randPlane(rng, h, w)
-		if b != 1 { // sample 1 has no negative part
-			neg[b] = randPlane(rng, h, w)
-		}
-	}
-	kernels := make([][][]float64, nPos+nNeg)
-	for j := range kernels {
-		kernels[j] = randPlane(rng, k, k)
-	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := NewPlan(h, w, k, tc.nconv, tc.pad, tc.colpad)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p.Mode != tc.mode {
-				t.Fatalf("plan selected %v, case covers %v", p.Mode, tc.mode)
-			}
-			kps := make([]*KernelPlan, len(kernels))
-			for j := range kernels {
-				if kps[j], err = p.PlanKernel(kernels[j]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			op := &BatchConvOperands{Pos: pos, Neg: neg, KPos: kps[:nPos], KNeg: kps[nPos:]}
-			var want [4][][]float64
-			for term := range op.Accs {
-				kset := op.kernelSetFor(term)
-				op.Accs[term] = make([][]float64, n*len(kset))
-				want[term] = make([][]float64, n*len(kset))
-				for b := 0; b < n; b++ {
-					rows := op.rowsOf(term/2, b)
-					for j, kp := range kset {
-						// Equal nonzero starting values check that the
-						// executor adds into what the accumulator holds.
-						acc := make([]float64, p.OutH*p.OutW)
-						for i := range acc {
-							acc[i] = rng.NormFloat64()
+			for _, shape := range []struct{ n, g int }{{3, 1}, {3, 3}, {fourierWidth + 2, 2}} {
+				t.Run(fmt.Sprintf("n%d-channels%d", shape.n, shape.g), func(t *testing.T) {
+					n, g := shape.n, shape.g
+					p, err := NewPlan(h, w, k, tc.nconv, tc.pad, tc.colpad)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if p.Mode != tc.mode {
+						t.Fatalf("plan selected %v, case covers %v", p.Mode, tc.mode)
+					}
+					pos := make([][][]float64, n*g)
+					neg := make([][][]float64, n*g)
+					for i := range pos {
+						pos[i] = randPlane(rng, h, w)
+						if i/g != 1 { // sample 1 has no negative part
+							neg[i] = randPlane(rng, h, w)
 						}
-						ref := append([]float64(nil), acc...)
-						if rows != nil {
-							if err := p.Conv2DPlannedAccum(rows, kp, ref); err != nil {
-								t.Fatal(err)
+					}
+					kps := make([]*KernelPlan, (nPos+nNeg)*g)
+					for j := range kps {
+						if kps[j], err = p.PlanKernel(randPlane(rng, k, k)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					op := &BatchConvOperands{Channels: g, Pos: pos, Neg: neg, KPos: kps[:nPos*g], KNeg: kps[nPos*g:]}
+					var want [4][][]float64
+					for term := range op.Accs {
+						kset := op.kernelSetFor(term)
+						nk := len(kset) / g
+						op.Accs[term] = make([][]float64, n*nk)
+						want[term] = make([][]float64, n*nk)
+						for b := 0; b < n; b++ {
+							planes := neg[b*g : (b+1)*g]
+							if term < 2 {
+								planes = pos[b*g : (b+1)*g]
+							}
+							for j := 0; j < nk; j++ {
+								// Equal nonzero starting values check that the
+								// executor adds into what the accumulator holds.
+								acc := make([]float64, p.OutH*p.OutW)
+								for i := range acc {
+									acc[i] = rng.NormFloat64()
+								}
+								ref := append([]float64(nil), acc...)
+								if planes[0] != nil {
+									if err := p.Conv2DPlannedAccum(planes, kset[j*g:(j+1)*g], ref); err != nil {
+										t.Fatal(err)
+									}
+								}
+								op.Accs[term][b*nk+j], want[term][b*nk+j] = acc, ref
 							}
 						}
-						op.Accs[term][b*len(kset)+j], want[term][b*len(kset)+j] = acc, ref
 					}
-				}
-			}
-			shots0 := jtc.Shots()
-			if err := p.Conv2DPlannedAccumBatch(op); err != nil {
-				t.Fatal(err)
-			}
-			gotShots := jtc.Shots() - shots0
-			// Pos: all 3 samples; Neg: samples 0 and 2.
-			if wantShots := int64((p.PackedShots(n) + p.PackedShots(n-1)) * (nPos + nNeg)); gotShots != wantShots {
-				t.Errorf("shot delta %d, packed schedule predicts %d", gotShots, wantShots)
-			}
-			for term, accs := range op.Accs {
-				nk := len(op.kernelSetFor(term))
-				for i, acc := range accs {
-					for e := range acc {
-						if math.Float64bits(acc[e]) != math.Float64bits(want[term][i][e]) {
-							t.Fatalf("term %d sample %d kernel %d element %d: batch %v != single %v",
-								term, i/nk, i%nk, e, acc[e], want[term][i][e])
+					shots0 := jtc.Shots()
+					if err := p.Conv2DPlannedAccumBatch(op); err != nil {
+						t.Fatal(err)
+					}
+					gotShots := jtc.Shots() - shots0
+					// Pos: all n samples; Neg: all but sample 1.
+					if wantShots := int64((p.PackedShots(n) + p.PackedShots(n-1)) * (nPos + nNeg) * g); gotShots != wantShots {
+						t.Errorf("shot delta %d, packed schedule predicts %d", gotShots, wantShots)
+					}
+					for term, accs := range op.Accs {
+						nk := len(op.kernelSetFor(term)) / g
+						for i, acc := range accs {
+							for e := range acc {
+								if math.Float64bits(acc[e]) != math.Float64bits(want[term][i][e]) {
+									t.Fatalf("term %d sample %d kernel %d element %d: batch %v != grouped scalar %v",
+										term, i/nk, i%nk, e, acc[e], want[term][i][e])
+								}
+							}
 						}
 					}
-				}
+				})
 			}
 		})
 	}
@@ -140,10 +153,14 @@ func TestConv2DPlannedAccumBatchValidation(t *testing.T) {
 		name string
 		op   BatchConvOperands
 	}{
-		{"foreign kernel plan", BatchConvOperands{Pos: [][][]float64{rows}, KPos: []*KernelPlan{kp, okp}, Accs: [4][][]float64{{acc, acc}}}},
-		{"wrong accumulator count", BatchConvOperands{Pos: [][][]float64{rows}, KPos: []*KernelPlan{kp}, Accs: [4][][]float64{{acc, acc}}}},
-		{"short accumulator", BatchConvOperands{Pos: [][][]float64{rows}, KPos: []*KernelPlan{kp}, Accs: [4][][]float64{{acc[:3]}}}},
-		{"wrong-width input row", BatchConvOperands{Pos: [][][]float64{rows, narrow}, KPos: []*KernelPlan{kp}, Accs: [4][][]float64{{acc, acc}}}},
+		{"foreign kernel plan", BatchConvOperands{Channels: 1, Pos: [][][]float64{rows}, KPos: []*KernelPlan{kp, okp}, Accs: [4][][]float64{{acc, acc}}}},
+		{"wrong accumulator count", BatchConvOperands{Channels: 1, Pos: [][][]float64{rows}, KPos: []*KernelPlan{kp}, Accs: [4][][]float64{{acc, acc}}}},
+		{"short accumulator", BatchConvOperands{Channels: 1, Pos: [][][]float64{rows}, KPos: []*KernelPlan{kp}, Accs: [4][][]float64{{acc[:3]}}}},
+		{"wrong-width input row", BatchConvOperands{Channels: 1, Pos: [][][]float64{rows, narrow}, KPos: []*KernelPlan{kp}, Accs: [4][][]float64{{acc, acc}}}},
+		{"no channels", BatchConvOperands{Pos: [][][]float64{rows}, KPos: []*KernelPlan{kp}, Accs: [4][][]float64{{acc}}}},
+		{"planes not whole samples", BatchConvOperands{Channels: 2, Pos: [][][]float64{rows, rows, rows}, KPos: []*KernelPlan{kp, kp}, Accs: [4][][]float64{{acc, acc}}}},
+		{"kernel plans not whole kernels", BatchConvOperands{Channels: 2, Pos: [][][]float64{rows, rows}, KPos: []*KernelPlan{kp, kp, kp}, Accs: [4][][]float64{{acc}}}},
+		{"part on some channels only", BatchConvOperands{Channels: 2, Pos: [][][]float64{rows, nil}, KPos: []*KernelPlan{kp, kp}, Accs: [4][][]float64{{acc}}}},
 	} {
 		shots0 := jtc.Shots()
 		if err := p.Conv2DPlannedAccumBatch(&tc.op); err == nil {
@@ -154,7 +171,7 @@ func TestConv2DPlannedAccumBatchValidation(t *testing.T) {
 		}
 	}
 	shots0 := jtc.Shots()
-	if err := p.Conv2DPlannedAccumBatch(&BatchConvOperands{KPos: []*KernelPlan{kp}}); err != nil {
+	if err := p.Conv2DPlannedAccumBatch(&BatchConvOperands{Channels: 1, KPos: []*KernelPlan{kp}}); err != nil {
 		t.Errorf("empty batch is a no-op, got %v", err)
 	}
 	if d := jtc.Shots() - shots0; d != 0 {

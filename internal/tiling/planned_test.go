@@ -107,7 +107,7 @@ func TestPlannedAccumAddsIntoExisting(t *testing.T) {
 	for i := range acc {
 		acc[i] = 100
 	}
-	if err := p.Conv2DPlannedAccum(input, kp, acc); err != nil {
+	if err := p.Conv2DPlannedAccum([][][]float64{input}, []*KernelPlan{kp}, acc); err != nil {
 		t.Fatal(err)
 	}
 	once, err := p.Conv2DPlanned(input, kp)
@@ -172,10 +172,13 @@ func TestPlanKernelValidation(t *testing.T) {
 	for r := range input {
 		input[r] = make([]float64, 8)
 	}
-	if err := p.Conv2DPlannedAccum(input, kp, make([]float64, p.OutH*p.OutW)); err == nil {
+	if err := p.Conv2DPlannedAccum([][][]float64{input}, []*KernelPlan{kp}, make([]float64, p.OutH*p.OutW)); err == nil {
 		t.Error("kernel plan from another plan should fail")
 	}
-	if err := p.Conv2DPlannedAccum(input, nil, make([]float64, p.OutH*p.OutW)); err == nil {
+	if err := p.Conv2DPlannedAccum([][][]float64{input}, []*KernelPlan{nil}, make([]float64, p.OutH*p.OutW)); err == nil {
 		t.Error("nil kernel plan should fail")
+	}
+	if err := p.Conv2DPlannedAccum([][][]float64{input, input}, []*KernelPlan{kp}, make([]float64, p.OutH*p.OutW)); err == nil {
+		t.Error("more planes than kernel plans should fail")
 	}
 }

@@ -155,7 +155,7 @@ func TestQuarantineBatchPackingBitIdentical(t *testing.T) {
 		for b := 0; b < tc.n; b++ {
 			for j := 0; j < nk; j++ {
 				want[b*nk+j] = make([]float64, healthy.OutH*healthy.OutW)
-				if err := healthy.Conv2DPlannedAccum(planes[b], hkps[j], want[b*nk+j]); err != nil {
+				if err := healthy.Conv2DPlannedAccum(planes[b:b+1], hkps[j:j+1], want[b*nk+j]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -165,7 +165,7 @@ func TestQuarantineBatchPackingBitIdentical(t *testing.T) {
 		for i := range accs {
 			accs[i] = make([]float64, q.OutH*q.OutW)
 		}
-		op := &BatchConvOperands{Pos: planes, KPos: qkps}
+		op := &BatchConvOperands{Channels: 1, Pos: planes, KPos: qkps}
 		op.Accs[0] = accs
 		shots0 := jtc.Shots()
 		if err := q.Conv2DPlannedAccumBatch(op); err != nil {

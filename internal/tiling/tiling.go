@@ -378,12 +378,14 @@ func TileKernel(kernel [][]float64, rowLen int) ([]float64, error) {
 	return out, nil
 }
 
-// kernelCorr is one 1D correlation stage bound to a fixed kernel tile: fn
-// takes the tiled signal for a shot and returns the full correlation. The
-// signal buffer is reused between shots, so fn must not retain it.
+// kernelCorr is one 1D correlation stage bound to fixed kernel tiles, one
+// per channel of an accumulation group: fn takes the group's tiled signals
+// for a shot (gs[c] for channel c) and returns the full correlation of
+// their channel sum. The signal buffers are reused between shots, so fn
+// must not retain them.
 type kernelCorr struct {
 	lk int // tiled kernel length (sets the zero-lag offset in the result)
-	fn func(g []float64) ([]float64, error)
+	fn func(gs [][]float64) ([]float64, error)
 }
 
 // forEachKernelTile validates the kernel and enumerates, in pass order, the
@@ -429,8 +431,8 @@ func (p *Plan) forEachKernelTile(kernel [][]float64, fn func(tile []float64) err
 func (p *Plan) shotCorrs(kernel [][]float64, corr Correlator) ([]kernelCorr, error) {
 	var out []kernelCorr
 	err := p.forEachKernelTile(kernel, func(tile []float64) error {
-		out = append(out, kernelCorr{lk: len(tile), fn: func(g []float64) ([]float64, error) {
-			return corr(g, tile), nil
+		out = append(out, kernelCorr{lk: len(tile), fn: func(gs [][]float64) ([]float64, error) {
+			return corr(gs[0], tile), nil // one channel
 		}})
 		return nil
 	})
@@ -528,7 +530,7 @@ func (p *Plan) Conv2D(input, kernel [][]float64, corr Correlator) ([][]float64, 
 		return nil, err
 	}
 	acc := make([]float64, p.OutH*p.OutW)
-	if err := p.convAccum(input, kcs, acc); err != nil {
+	if err := p.convAccum([][][]float64{input}, kcs, acc); err != nil {
 		return nil, err
 	}
 	return p.reshape(acc), nil
@@ -538,45 +540,58 @@ func (p *Plan) Conv2D(input, kernel [][]float64, corr Correlator) ([][]float64, 
 // KernelPlan, reusing the kernel spectra across every shot.
 func (p *Plan) Conv2DPlanned(input [][]float64, kp *KernelPlan) ([][]float64, error) {
 	acc := make([]float64, p.OutH*p.OutW)
-	if err := p.Conv2DPlannedAccum(input, kp, acc); err != nil {
+	if err := p.Conv2DPlannedAccum([][][]float64{input}, []*KernelPlan{kp}, acc); err != nil {
 		return nil, err
 	}
 	return p.reshape(acc), nil
 }
 
-// Conv2DPlannedAccum adds the 2D convolution of input against a precomputed
-// KernelPlan into acc, a row-major OutH x OutW buffer. Accumulating in place
-// lets channel sums build up without intermediate planes; all scratch comes
-// from a package pool, so the hot loop performs no per-shot allocation.
-func (p *Plan) Conv2DPlannedAccum(input [][]float64, kp *KernelPlan, acc []float64) error {
-	if kp == nil || kp.plan != p {
-		return fmt.Errorf("tiling: kernel plan does not belong to this plan")
+// Conv2DPlannedAccum adds the 2D convolution of one accumulation group into
+// acc, a row-major OutH x OutW buffer: inputs[c] is channel c's plane and
+// kps[c] its precomputed KernelPlan. Each shot transforms every channel's
+// signal, sums the kernel products in the frequency domain and runs one
+// inverse transform (fourier.ConvolveSumInto), as the detector sums a
+// group's channels as charge and reads out once; with one channel it is the
+// plain planned convolution. It is the scalar oracle of the batch executor
+// (Conv2DPlannedAccumBatch). Accumulating in place lets group sums build up
+// without intermediate planes; all scratch comes from a package pool, so
+// the hot loop performs no per-shot allocation.
+func (p *Plan) Conv2DPlannedAccum(inputs [][][]float64, kps []*KernelPlan, acc []float64) error {
+	if len(inputs) == 0 || len(inputs) != len(kps) {
+		return fmt.Errorf("tiling: %d input planes for %d kernel plans", len(inputs), len(kps))
 	}
-	if err := p.checkInput(input); err != nil {
-		return err
+	for c, kp := range kps {
+		if kp == nil || kp.plan != p {
+			return fmt.Errorf("tiling: kernel plan %d does not belong to this plan", c)
+		}
+		if err := p.checkInput(inputs[c]); err != nil {
+			return err
+		}
 	}
 	if len(acc) != p.OutH*p.OutW {
 		return fmt.Errorf("tiling: accumulator length %d, plan output is %dx%d", len(acc), p.OutH, p.OutW)
 	}
+	ref := kps[0]
 	maxLk := 0
-	for _, lk := range kp.lks {
-		if lk > maxLk {
-			maxLk = lk
-		}
+	for _, lk := range ref.lks {
+		maxLk = max(maxLk, lk)
 	}
 	dst := getFloats(p.NConv + maxLk - 1)
 	defer putFloats(dst)
-	kcs := make([]kernelCorr, len(kp.corrs))
-	for i := range kp.corrs {
-		cp := kp.corrs[i]
-		kcs[i] = kernelCorr{lk: kp.lks[i], fn: func(g []float64) ([]float64, error) {
-			return cp.ConvolveInto(dst, g)
+	kcs := make([]kernelCorr, len(ref.corrs))
+	for pass := range kcs {
+		plans := make([]*fourier.ConvPlan, len(kps))
+		for c, kp := range kps {
+			plans[c] = kp.corrs[pass]
+		}
+		kcs[pass] = kernelCorr{lk: ref.lks[pass], fn: func(gs [][]float64) ([]float64, error) {
+			return fourier.ConvolveSumInto(dst, plans, gs)
 		}}
 	}
-	if err := p.convAccum(input, kcs, acc); err != nil {
+	if err := p.convAccum(inputs, kcs, acc); err != nil {
 		return err
 	}
-	jtc.AddShots(int64(p.executedShots()))
+	jtc.AddShots(int64(len(kps) * p.executedShots()))
 	return nil
 }
 
@@ -619,38 +634,47 @@ func (p *Plan) reshape(acc []float64) [][]float64 {
 	return out
 }
 
-// convAccum dispatches to the mode-specific shot loop, adding results into
-// the row-major accumulator.
-func (p *Plan) convAccum(input [][]float64, kcs []kernelCorr, acc []float64) error {
+// convAccum dispatches to the mode-specific shot loop, adding the results
+// for the group of input planes into the row-major accumulator.
+func (p *Plan) convAccum(inputs [][][]float64, kcs []kernelCorr, acc []float64) error {
+	buf := getFloats(len(inputs) * p.NConv)
+	defer putFloats(buf)
+	gs := make([][]float64, len(inputs))
+	for c := range gs {
+		gs[c] = buf[c*p.NConv : (c+1)*p.NConv]
+	}
 	switch p.Mode {
 	case RowTiling:
-		return p.convRowTiledAcc(input, kcs[0], acc)
+		return p.convRowTiledAcc(inputs, gs, kcs[0], acc)
 	case PartialRowTiling:
-		return p.convPartialAcc(input, kcs, acc)
+		return p.convPartialAcc(inputs, gs, kcs, acc)
 	default:
-		return p.convPartitionedAcc(input, kcs, acc)
+		return p.convPartitionedAcc(inputs, gs, kcs, acc)
 	}
 }
 
-func (p *Plan) convRowTiledAcc(input [][]float64, kc kernelCorr, acc []float64) error {
-	lk := kc.lk
-	colOff := p.padL
+// colOff is the column of the tiled signal that output column 0 aligns
+// with: the left Same padding, or 0 when padded rows already carry the
+// left zeros.
+func (p *Plan) colOff() int {
 	if p.ColumnPad && p.Pad == tensor.Same {
-		// Padded rows already carry the left zeros; output col c aligns
-		// with shift c directly.
-		colOff = 0
+		return 0
 	}
-	g := getFloats(p.NConv)
-	defer putFloats(g)
+	return p.padL
+}
+
+func (p *Plan) convRowTiledAcc(inputs [][][]float64, gs [][]float64, kc kernelCorr, acc []float64) error {
+	colOff := p.colOff()
 	for shot := 0; shot*p.Nor < p.OutH; shot++ {
 		rOut0 := shot * p.Nor
-		firstRow := rOut0 - p.padT
-		p.tileRowsInto(g, input, firstRow, p.RowsPerShot)
-		full, err := kc.fn(g)
+		for c, input := range inputs {
+			p.tileRowsInto(gs[c], input, rOut0-p.padT, p.RowsPerShot)
+		}
+		full, err := kc.fn(gs)
 		if err != nil {
 			return err
 		}
-		p.scatterRowTiledShot(acc, full, lk, rOut0, colOff)
+		p.scatterRowTiledShot(acc, full, kc.lk, rOut0, colOff)
 	}
 	return nil
 }
@@ -671,21 +695,18 @@ func (p *Plan) scatterRowTiledShot(acc, full []float64, lk, rOut0, colOff int) {
 	}
 }
 
-func (p *Plan) convPartialAcc(input [][]float64, kcs []kernelCorr, acc []float64) error {
-	colOff := p.padL
-	if p.ColumnPad && p.Pad == tensor.Same {
-		colOff = 0
-	}
-	g := getFloats(p.NConv)
-	defer putFloats(g)
+func (p *Plan) convPartialAcc(inputs [][][]float64, gs [][]float64, kcs []kernelCorr, acc []float64) error {
+	colOff := p.colOff()
 	for r := 0; r < p.OutH; r++ {
 		row := acc[r*p.OutW : (r+1)*p.OutW]
 		for pass, kc := range kcs {
 			j0 := pass * p.RowsPerShot
 			nRows := min(p.RowsPerShot, p.K-j0)
 			// Tile the nRows input rows feeding kernel rows j0..j0+nRows-1.
-			p.tileRowsInto(g, input, r-p.padT+j0, nRows)
-			full, err := kc.fn(g)
+			for c, input := range inputs {
+				p.tileRowsInto(gs[c], input, r-p.padT+j0, nRows)
+			}
+			full, err := kc.fn(gs)
 			if err != nil {
 				return err
 			}
@@ -724,6 +745,19 @@ func (p *Plan) tileRowsInto(g []float64, input [][]float64, firstRow, nRows int)
 	}
 }
 
+// segmentInto builds the NConv-sample row-partitioning segment of input
+// row in that starts at output column c0, zero outside the row.
+func (p *Plan) segmentInto(seg, in []float64, c0 int) {
+	for i := range seg {
+		ix := c0 - p.padL + i
+		if ix < 0 || ix >= p.W {
+			seg[i] = 0
+		} else {
+			seg[i] = in[ix]
+		}
+	}
+}
+
 func (p *Plan) tileKernelRows(kernel [][]float64, j0, nRows int) []float64 {
 	out := make([]float64, (nRows-1)*p.RowLen+p.K)
 	for t := 0; t < nRows; t++ {
@@ -732,7 +766,7 @@ func (p *Plan) tileKernelRows(kernel [][]float64, j0, nRows int) []float64 {
 	return out
 }
 
-func (p *Plan) convPartitionedAcc(input [][]float64, kcs []kernelCorr, acc []float64) error {
+func (p *Plan) convPartitionedAcc(inputs [][][]float64, gs [][]float64, kcs []kernelCorr, acc []float64) error {
 	// Each (output row, kernel row) pair is a 1D row correlation executed in
 	// segments of NConv samples. Segments overlap by K-1 (halo) so the
 	// assembled result equals an exact row correlation with zero boundaries:
@@ -741,8 +775,6 @@ func (p *Plan) convPartitionedAcc(input [][]float64, kcs []kernelCorr, acc []flo
 	if step < 1 {
 		return fmt.Errorf("tiling: NConv %d cannot fit kernel %d with halo", p.NConv, p.K)
 	}
-	seg := getFloats(p.NConv)
-	defer putFloats(seg)
 	for r := 0; r < p.OutH; r++ {
 		row := acc[r*p.OutW : (r+1)*p.OutW]
 		for j := 0; j < p.K; j++ {
@@ -750,18 +782,12 @@ func (p *Plan) convPartitionedAcc(input [][]float64, kcs []kernelCorr, acc []flo
 			if ri < 0 || ri >= p.H {
 				continue
 			}
-			in := input[ri]
 			kc := kcs[j]
 			for c0 := 0; c0 < p.OutW; c0 += step {
-				for i := range seg {
-					ix := c0 - p.padL + i
-					if ix < 0 || ix >= p.W {
-						seg[i] = 0
-					} else {
-						seg[i] = in[ix]
-					}
+				for c, input := range inputs {
+					p.segmentInto(gs[c], input[ri], c0)
 				}
-				full, err := kc.fn(seg)
+				full, err := kc.fn(gs)
 				if err != nil {
 					return err
 				}
