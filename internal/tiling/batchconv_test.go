@@ -11,9 +11,6 @@ import (
 	"photofourier/internal/tensor"
 )
 
-// fourierWidth is the lockstep chunk the batch executor walks samples in.
-const fourierWidth = fourier.LockstepWidth
-
 // TestConv2DPlannedAccumBatchMatchesSingle runs the packed batch executor in
 // every tiling regime with many kernels of both weight signs, over
 // accumulation groups of one and of three channels and samples that carry
@@ -45,7 +42,7 @@ func TestConv2DPlannedAccumBatchMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, shape := range []struct{ n, g int }{{3, 1}, {3, 3}, {fourierWidth + 2, 2}} {
+			for _, shape := range []struct{ n, g int }{{3, 1}, {3, 3}, {fourier.LockstepWidth + 2, 2}} {
 				t.Run(fmt.Sprintf("n%d-channels%d", shape.n, shape.g), func(t *testing.T) {
 					n, g := shape.n, shape.g
 					p, err := NewPlan(h, w, k, tc.nconv, tc.pad, tc.colpad)
