@@ -512,8 +512,9 @@ func validateConfig(def *Definition, cfg Config) error {
 	if accepted["adc"] && (cfg.ADCBits < 0 || cfg.ADCBits > 32) {
 		return bad("adc bits %d out of range [0,32]", cfg.ADCBits)
 	}
-	if accepted["dac"] && (cfg.DACBits < 0 || cfg.DACBits > 32) {
-		return bad("dac bits %d out of range [0,32]", cfg.DACBits)
+	// A signed DAC needs 2 bits for one positive level (quant.NewLinear).
+	if accepted["dac"] && (cfg.DACBits < 0 || cfg.DACBits == 1 || cfg.DACBits > 32) {
+		return bad("dac bits %d out of range: 0 (full precision) or [2,32]", cfg.DACBits)
 	}
 	if accepted["noise"] && (math.IsNaN(cfg.ReadoutNoise) || math.IsInf(cfg.ReadoutNoise, 0) || cfg.ReadoutNoise < 0) {
 		return bad("noise %g must be finite and >= 0", cfg.ReadoutNoise)

@@ -202,6 +202,9 @@ func TestBadSpecs(t *testing.T) {
 		"reference?workers=4",         // reference takes no options
 		"accelerator?nta=0",           // out of range
 		"accelerator?adc=40",          // out of range
+		"accelerator?dac=1",           // a signed 1-bit DAC has no positive level
+		"accelerator?dac=33",          // out of range
+		"unplanned?dac=1",             // the same check on the unplanned twin
 		"accelerator?nta=4,nta=8",     // duplicate key
 		"rowtiled?aperture=1",         // out of range
 		"accelerator-noisy?noise=-1",  // out of range
@@ -213,6 +216,12 @@ func TestBadSpecs(t *testing.T) {
 		if _, err := Open(spec); !errors.Is(err, ErrBadSpec) {
 			t.Errorf("Open(%q): want ErrBadSpec, got %v", spec, err)
 		}
+	}
+	if _, err := OpenWith("accelerator", WithDACBits(1)); !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), "[2,32]") {
+		t.Errorf("1-bit DAC option: %v, want ErrBadSpec naming the range [2,32]", err)
+	}
+	if _, err := Open("accelerator?dac=2"); err != nil {
+		t.Errorf("2-bit DAC: %v", err)
 	}
 	if _, err := OpenWith("rowtiled", WithNTA(4)); !errors.Is(err, ErrBadSpec) {
 		t.Errorf("inapplicable option: %v", err)

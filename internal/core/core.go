@@ -854,7 +854,7 @@ func convOutHW(h, w, k int, pad tensor.PadMode) (int, int) {
 // fully sort the distribution on every readout-scale calibration.
 func calibScale(data []float64, percentile float64) float64 {
 	if percentile <= 0 || percentile >= 1 {
-		if m := maxAbs(data); m > 0 {
+		if m := quant.MaxAbs(data); m > 0 {
 			return m
 		}
 		return 1
@@ -876,18 +876,4 @@ func calibScale(data []float64, percentile float64) float64 {
 		return 1
 	}
 	return v
-}
-
-// maxAbs returns the largest magnitude in data (0 when empty).
-func maxAbs(data []float64) float64 {
-	m := 0.0
-	for _, v := range data {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }

@@ -305,14 +305,12 @@ func (e *Engine) readoutAccum(psum []float64, scale float64, rng *rand.Rand, sgn
 			return nil
 		}
 		if postIdentity {
-			for i, v := range psum {
-				if v < 0 {
-					v = 0
-				} else if v > scale {
-					v = scale
-				}
-				out[i] += sgn * (math.Round(v/step) * step)
-			}
+			// The ADC's converter loop (a packed kernel on AVX-512F
+			// hosts). Its clamp is Quantize's two ifs over [0, scale];
+			// scale is positive or NaN here, so they leave every value as
+			// the else-if chains above do.
+			adc := quant.Linear{Bits: e.ADCBits, Max: scale, Unsigned: true}
+			adc.QuantizeAccum(out, psum, sgn)
 			return nil
 		}
 		for i, v := range psum {
@@ -338,36 +336,15 @@ func (e *Engine) readoutAccum(psum []float64, scale float64, rng *rand.Rand, sgn
 }
 
 // quantizeSplitInto performs the fused quantize + sign-split pass over src
-// into the pos/neg buffers and reports which signs occurred. The quantizer
-// arithmetic is quant.Linear.Quantize with its per-element Step division
-// hoisted out of the loop — clamp to [-Max, Max], round to the step grid —
-// so the produced values are bit-identical to Quantize while the hot loop
-// pays one division (the rounding's) per element instead of two.
+// into the pos/neg buffers and reports which signs occurred: the DAC's
+// quant.Linear.QuantizeSplit when q is set (bit-identical to Quantize
+// per element), the bare split at full precision otherwise.
 func quantizeSplitInto(posBuf, negBuf, src []float64, q *quant.Linear) (hasPos, hasNeg bool) {
+	if q != nil {
+		return q.QuantizeSplit(posBuf, negBuf, src)
+	}
 	posBuf = posBuf[:len(src)]
 	negBuf = negBuf[:len(src)]
-	if q != nil {
-		step, lo, hi := q.Step(), -q.Max, q.Max
-		for i, v := range src {
-			if v < lo {
-				v = lo
-			}
-			if v > hi {
-				v = hi
-			}
-			v = math.Round(v/step) * step
-			var p, ng float64
-			if v > 0 {
-				p = v
-				hasPos = true
-			} else if v < 0 {
-				ng = -v
-				hasNeg = true
-			}
-			posBuf[i], negBuf[i] = p, ng
-		}
-		return hasPos, hasNeg
-	}
 	for i, v := range src {
 		var p, ng float64
 		if v > 0 {

@@ -99,7 +99,7 @@ func quantizeBatchPadded(x *tensor.Tensor, bits int, g padGeom, whole bool) (*ba
 		lo, hi := u*per, (u+1)*per
 		var q *quant.Linear
 		if bits > 0 {
-			m := maxAbs(x.Data[lo*cin*h*w : hi*cin*h*w])
+			m := quant.MaxAbs(x.Data[lo*cin*h*w : hi*cin*h*w])
 			if m == 0 {
 				m = 1
 			}

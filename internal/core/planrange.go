@@ -22,6 +22,7 @@ import (
 	"fmt"
 
 	"photofourier/internal/nn"
+	"photofourier/internal/quant"
 	"photofourier/internal/tensor"
 )
 
@@ -93,7 +94,7 @@ func (r *convRun) exportMaxima() {
 				unit[gi] = v[b*plane : (b+1)*plane]
 			}
 			e.hardwareGroups(unit[:len(views)], lp.cin, func(c int, charge []float64) {
-				maxima[b*hw+c] = maxAbs(charge)
+				maxima[b*hw+c] = quant.MaxAbs(charge)
 			})
 		}
 		r.mx.Terms[term] = maxima

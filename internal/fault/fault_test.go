@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -194,4 +195,49 @@ func TestGuardZeroCollapse(t *testing.T) {
 	if err := GuardPlane(plane, 1, 0); err != nil {
 		t.Fatalf("expected-zero plane flagged: %v", err)
 	}
+}
+
+// FuzzFaultSpec: Parse never panics, every accepted spec keeps its
+// documented invariants (rates in [0,1], probe interval ≥ 1, retries ≥ 0,
+// stuck bits within [0,31], dead rows sorted and distinct), and String
+// re-parses to the same fields. The seed corpus is in testdata/fuzz.
+func FuzzFaultSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string, seed int64) {
+		inj, err := Parse(spec, seed)
+		if err != nil {
+			if inj != nil {
+				t.Fatalf("Parse(%q) returned an injector with error %v", spec, err)
+			}
+			return
+		}
+		if inj == nil {
+			return // empty or "none"
+		}
+		if !(inj.ShotRate >= 0 && inj.ShotRate <= 1) || !(inj.DriftRate >= 0 && inj.DriftRate <= 1) {
+			t.Fatalf("Parse(%q): rates %v, %v outside [0,1]", spec, inj.ShotRate, inj.DriftRate)
+		}
+		if inj.ProbeInterval < 1 || inj.MaxShotRetries < 0 || inj.StuckBits>>32 != 0 {
+			t.Fatalf("Parse(%q): probe %d, retries %d, stuck mask %#x", spec, inj.ProbeInterval, inj.MaxShotRetries, inj.StuckBits)
+		}
+		for i := 1; i < len(inj.Dead); i++ {
+			if inj.Dead[i-1] >= inj.Dead[i] {
+				t.Fatalf("Parse(%q): dead rows %v not sorted and distinct", spec, inj.Dead)
+			}
+		}
+		again, err := Parse(inj.String(), seed)
+		if err != nil || again == nil {
+			t.Fatalf("Parse(%q) accepted, its String %q re-parses to %v, %v", spec, inj.String(), again, err)
+		}
+		same := again.Seed == inj.Seed &&
+			math.Float64bits(again.ShotRate) == math.Float64bits(inj.ShotRate) &&
+			math.Float64bits(again.DriftRate) == math.Float64bits(inj.DriftRate) &&
+			again.ProbeInterval == inj.ProbeInterval &&
+			again.MaxShotRetries == inj.MaxShotRetries &&
+			again.StuckBits == inj.StuckBits &&
+			again.OutageAt == inj.OutageAt &&
+			slices.Equal(again.Dead, inj.Dead)
+		if !same {
+			t.Fatalf("Parse(%q) = %+v, its String %q re-parses to %+v", spec, inj, inj.String(), again)
+		}
+	})
 }

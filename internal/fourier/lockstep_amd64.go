@@ -2,6 +2,8 @@
 
 package fourier
 
+import "photofourier/internal/cpu"
+
 // Two families of packed lockstep kernels, picked once at package init:
 //
 //   - AVX-512F (lockstep_avx512_amd64.s): one 64-byte bin row of eight
@@ -18,9 +20,9 @@ package fourier
 //     single SSE2 body on every host (final2 never runs at the conv paths'
 //     m = 512, and the forward transform is a small share of the time).
 //
-// cpuHasAVX512F picks the family: CPUID.1:ECX.OSXSAVE, XCR0 & 0xE6 ==
-// 0xE6 (the OS saves the opmask and full ZMM state) and
-// CPUID.7.0:EBX.AVX512F. Nothing overrides that choice.
+// cpu.HasAVX512F picks the family (the module's one CPUID probe, which
+// internal/quant's converter kernels read too). Nothing overrides that
+// choice.
 //
 // Both families are bit-identical to the portable Go loops (the *Generic
 // functions): each MULPD/ADDPD/SUBPD and each EVEX VMULPD/VADDPD/VSUBPD
@@ -35,7 +37,7 @@ package fourier
 // including subnormals.
 
 // useAVX512 is set once, at package init, and never written again.
-var useAVX512 = cpuHasAVX512F()
+var useAVX512 = cpu.HasAVX512F()
 
 // LockstepKernels names the kernel family the lockstep transforms run on:
 // "avx512f", "sse2" or, on non-amd64 builds, "go".
@@ -45,8 +47,6 @@ func LockstepKernels() string {
 	}
 	return "sse2"
 }
-
-func cpuHasAVX512F() bool
 
 func fusedFirst(re, im []float64, n int, inverse bool) {
 	if useAVX512 {

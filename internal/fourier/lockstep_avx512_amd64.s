@@ -6,44 +6,12 @@
 // Multiplies and adds stay separate VMULPD and VADDPD/VSUBPD (never an
 // FMA), /2 stays a multiply by 0.5, and only AVX512F instructions are used
 // (KXNORW for gather masks, VPXORQ for the sign flip), because that is all
-// cpuHasAVX512F checks. Every kernel ends with VZEROUPPER. The group
+// cpu.HasAVX512F checks. Every kernel ends with VZEROUPPER. The group
 // multiply has no SSE2 twin body: it replaces four gatherMulPair calls and
 // runs their per-lane multiply, moving data with shuffles and gathers,
 // which copy bits unchanged.
 
 #include "textflag.h"
-
-// func cpuHasAVX512F() bool
-//
-// Reports whether the CPU has AVX512F and the OS saves its register state:
-// CPUID.1:ECX.OSXSAVE[bit 27], XCR0 enabling the SSE, AVX, opmask and both
-// upper-ZMM state components (XCR0 & 0xE6 == 0xE6), and
-// CPUID.(EAX=7,ECX=0):EBX.AVX512F[bit 16].
-TEXT ·cpuHasAVX512F(SB), NOSPLIT, $0-1
-	MOVB  $0, ret+0(FP)
-	XORL  AX, AX
-	CPUID
-	CMPL  AX, $7
-	JB    nozmm
-	MOVL  $1, AX
-	XORL  CX, CX
-	CPUID
-	BTL   $27, CX
-	JCC   nozmm
-	XORL  CX, CX
-	XGETBV
-	ANDL  $0xE6, AX
-	CMPL  AX, $0xE6
-	JNE   nozmm
-	MOVL  $7, AX
-	XORL  CX, CX
-	CPUID
-	BTL   $16, BX
-	JCC   nozmm
-	MOVB  $1, ret+0(FP)
-
-nozmm:
-	RET
 
 // func fusedFirstAVX512(re, im []float64, n int, inverse bool)
 //

@@ -19,27 +19,32 @@ type Linear struct {
 	Unsigned bool    // quantize [0, Max] instead of [-Max, Max]
 }
 
-// NewLinear builds a signed symmetric quantizer.
+// NewLinear builds a signed symmetric quantizer of 2–32 bits: one bit
+// would leave it no positive level (its step, Max/0, is infinite).
 func NewLinear(bits int, maxAbs float64) (*Linear, error) {
 	return newLinear(bits, maxAbs, false)
 }
 
-// NewUnsigned builds an unsigned quantizer over [0, Max] — the natural model
-// for optical power, which cannot be negative.
+// NewUnsigned builds an unsigned quantizer of 1–32 bits over [0, Max] —
+// the natural model for optical power, which cannot be negative.
 func NewUnsigned(bits int, maxVal float64) (*Linear, error) {
 	return newLinear(bits, maxVal, true)
 }
 
 func newLinear(bits int, maxAbs float64, unsigned bool) (*Linear, error) {
-	if err := validateLinear(bits, maxAbs); err != nil {
+	if err := validateLinear(bits, maxAbs, unsigned); err != nil {
 		return nil, err
 	}
 	return &Linear{Bits: bits, Max: maxAbs, Unsigned: unsigned}, nil
 }
 
-func validateLinear(bits int, maxAbs float64) error {
-	if bits < 1 || bits > 32 {
-		return fmt.Errorf("quant: bits %d out of range [1,32]", bits)
+func validateLinear(bits int, maxAbs float64, unsigned bool) error {
+	minBits := 2
+	if unsigned {
+		minBits = 1
+	}
+	if bits < minBits || bits > 32 {
+		return fmt.Errorf("quant: bits %d out of range [%d,32]", bits, minBits)
 	}
 	if !(maxAbs > 0) || math.IsInf(maxAbs, 1) || math.IsNaN(maxAbs) {
 		return fmt.Errorf("quant: full scale %g must be positive and finite", maxAbs)
@@ -51,7 +56,7 @@ func validateLinear(bits int, maxAbs float64) error {
 // paths that keep a stack-resident quantizer instead of allocating one per
 // call.
 func LinearOf(bits int, maxAbs float64) (Linear, error) {
-	if err := validateLinear(bits, maxAbs); err != nil {
+	if err := validateLinear(bits, maxAbs, false); err != nil {
 		return Linear{}, err
 	}
 	return Linear{Bits: bits, Max: maxAbs}, nil
@@ -62,20 +67,18 @@ func (q *Linear) Levels() int { return 1 << q.Bits }
 
 // Step returns the quantization step size.
 func (q *Linear) Step() float64 {
+	levels := uint64(1) << q.Bits // Levels without int overflow at 32 bits
 	if q.Unsigned {
-		return q.Max / float64(q.Levels()-1)
+		return q.Max / float64(levels-1)
 	}
 	// Signed symmetric: 2^(bits-1)-1 positive levels.
-	return q.Max / float64(q.Levels()/2-1)
+	return q.Max / float64(levels/2-1)
 }
 
 // Quantize returns the nearest representable value to x (clipping to range).
 func (q *Linear) Quantize(x float64) float64 {
 	step := q.Step()
-	lo, hi := -q.Max, q.Max
-	if q.Unsigned {
-		lo = 0
-	}
+	lo, hi := q.bounds()
 	if x < lo {
 		x = lo
 	}
@@ -83,6 +86,14 @@ func (q *Linear) Quantize(x float64) float64 {
 		x = hi
 	}
 	return math.Round(x/step) * step
+}
+
+// bounds returns the clamp range of Quantize.
+func (q *Linear) bounds() (lo, hi float64) {
+	if q.Unsigned {
+		return 0, q.Max
+	}
+	return -q.Max, q.Max
 }
 
 // QuantizeSlice quantizes every element into a new slice.

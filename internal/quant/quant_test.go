@@ -14,6 +14,26 @@ func TestNewLinearValidation(t *testing.T) {
 	if _, err := NewLinear(33, 1); err == nil {
 		t.Error("bits=33 should fail")
 	}
+	// A signed 1-bit quantizer has no positive level: its step would be
+	// Max/0 = +Inf and every Quantize NaN.
+	if _, err := NewLinear(1, 1); err == nil {
+		t.Error("signed bits=1 should fail")
+	}
+	if _, err := LinearOf(1, 1); err == nil {
+		t.Error("LinearOf bits=1 should fail")
+	}
+	if _, err := LinearOf(33, 1); err == nil {
+		t.Error("LinearOf bits=33 should fail")
+	}
+	if q, err := NewLinear(2, 1); err != nil || q.Step() != 1 || q.Quantize(0.7) != 1 {
+		t.Errorf("signed bits=2: %v, %v", q, err)
+	}
+	if u, err := NewUnsigned(1, 1); err != nil || u.Step() != 1 || u.Quantize(0.7) != 1 {
+		t.Errorf("unsigned bits=1: %v, %v", u, err)
+	}
+	if _, err := NewUnsigned(0, 1); err == nil {
+		t.Error("unsigned bits=0 should fail")
+	}
 	if _, err := NewLinear(8, 0); err == nil {
 		t.Error("zero scale should fail")
 	}
