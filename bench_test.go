@@ -28,7 +28,7 @@ func openSpec(b *testing.B, spec string) *backend.Engine {
 // through the experiment harness (see DESIGN.md's per-experiment index).
 // Training-backed experiments (Table I, Fig. 7) run in quick mode under the
 // bench harness; `cmd/photofourier -experiment <id>` produces the
-// full-budget versions recorded in EXPERIMENTS.md.
+// full-budget versions recorded in DESIGN.md's per-experiment index.
 
 func benchExperiment(b *testing.B, id string, quick bool) {
 	b.Helper()

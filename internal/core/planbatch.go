@@ -86,7 +86,15 @@ func quantizeBatchPadded(x *tensor.Tensor, bits int, g padGeom, whole bool) (*ba
 		bp = &batchParts{}
 	}
 	total := n * cin * g.srcPlane
-	posBuf, negBuf := getFloatsZeroed(total), getFloatsZeroed(total)
+	// Without padding each domain's cin*h*w values are one run in both
+	// layouts, which the DAC converts in one call and writes whole; a
+	// padded layout needs its padding zeroed.
+	unpadded := g.srcPlane == h*w
+	get := getFloatsZeroed
+	if unpadded {
+		get = getFloats
+	}
+	posBuf, negBuf := get(total), get(total)
 	bp.posBuf, bp.negBuf = posBuf, negBuf
 	bp.hasPos, bp.hasNeg = boolPool.Get(n), boolPool.Get(n)
 	per, units := 1, n // samples per domain, domains
@@ -111,13 +119,18 @@ func quantizeBatchPadded(x *tensor.Tensor, bits int, g padGeom, whole bool) (*ba
 			q = &ql
 		}
 		hasPos, hasNeg := false, false
-		for p := lo * cin; p < hi*cin; p++ {
-			src := x.Data[p*h*w : (p+1)*h*w]
-			dstBase := p*g.srcPlane + g.padT*g.sd + g.padL
-			for y := 0; y < h; y++ {
-				off := dstBase + y*g.sd
-				hp, hn := quantizeSplitInto(posBuf[off:off+w], negBuf[off:off+w], src[y*w:(y+1)*w], q)
-				hasPos, hasNeg = hasPos || hp, hasNeg || hn
+		if unpadded {
+			r0, r1 := lo*cin*h*w, hi*cin*h*w
+			hasPos, hasNeg = quantizeSplitInto(posBuf[r0:r1], negBuf[r0:r1], x.Data[r0:r1], q)
+		} else {
+			for p := lo * cin; p < hi*cin; p++ {
+				src := x.Data[p*h*w : (p+1)*h*w]
+				dstBase := p*g.srcPlane + g.padT*g.sd + g.padL
+				for y := 0; y < h; y++ {
+					off := dstBase + y*g.sd
+					hp, hn := quantizeSplitInto(posBuf[off:off+w], negBuf[off:off+w], src[y*w:(y+1)*w], q)
+					hasPos, hasNeg = hasPos || hp, hasNeg || hn
+				}
 			}
 		}
 		posPresent, negPresent := partPresence(hasPos, hasNeg)

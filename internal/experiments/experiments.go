@@ -13,7 +13,7 @@ import (
 
 // Options tunes experiment cost. Quick mode shrinks dataset sizes and
 // training epochs so the full suite stays test-friendly; the defaults
-// reproduce the documented EXPERIMENTS.md numbers.
+// reproduce the full-budget numbers in DESIGN.md's per-experiment index.
 type Options struct {
 	Quick bool
 }

@@ -100,7 +100,7 @@ func TestResultStringAlignment(t *testing.T) {
 
 func TestQuickAccuracyExperiments(t *testing.T) {
 	// The trained-model experiments in quick mode: structural checks only
-	// (full-budget numbers live in EXPERIMENTS.md).
+	// (full-budget numbers live in DESIGN.md's per-experiment index).
 	if testing.Short() {
 		t.Skip("trains networks")
 	}

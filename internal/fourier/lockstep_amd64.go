@@ -13,8 +13,12 @@ import "photofourier/internal/cpu"
 //     kernels take it too: it computes 8-bin blocks lane by lane and
 //     transposes them into bin rows, and gathers (VGATHERQPD) the bins
 //     past the last whole block. Its accumulate form adds the rows to the
-//     planes instead of storing them, one channel of a lane group per call;
-//   - SSE2 (lockstep_amd64.s): the same rows in four 2-lane XMM chunks.
+//     planes instead of storing them, one channel of a lane group per call.
+//     The full-chunk multiply broadcasts each kernel bin over its bin row
+//     (VBROADCASTSD) and sums up to chunkBatch channels of an 8-row block
+//     in registers before one store;
+//   - SSE2 (lockstep_amd64.s): the same rows in four 2-lane XMM chunks
+//     (the full-chunk multiply sums one bin row's channels in registers).
 //     SSE2 is the amd64 baseline (GOAMD64=v1), so it is the fallback on
 //     every host without AVX-512F, and final2 and rfftRecomb keep their
 //     single SSE2 body on every host (final2 never runs at the conv paths'
@@ -31,8 +35,9 @@ import "photofourier/internal/cpu"
 // only the order between lanes changes. The kernels spell out separate
 // multiplies and adds (no FMA contraction; the accumulating multiply adds
 // each finished product to the plane, one channel per call, in channel
-// order), and the recombination kernels replace the scalar `/2` with a
-// multiply by 0.5: both are
+// order, and the full-chunk multiply adds it to the running sum in its
+// registers, also as product + sum), and the recombination kernels
+// replace the scalar `/2` with a multiply by 0.5: both are
 // correctly-rounded scalings by 2^-1, bitwise identical for every input
 // including subnormals.
 
@@ -113,6 +118,37 @@ func gatherMulGroupAVX512(dre, dim []float64, bins int, lanes []ConvLane, c int)
 	gatherMulAVX512(dre, dim, bins, &xr, &xi, &k, c > 0)
 }
 
+// chunkBatch is the most channels one packed chunk-multiply call sums in
+// registers: larger groups run in batches of it, each later batch adding
+// onto the planes the earlier one stored (the running sum round-trips
+// through memory unchanged).
+const chunkBatch = 16
+
+// chunkMul fills the bin-major planes dre/dim with the full-chunk
+// multiply of chunkMulGeneric on the CPU's kernel family.
+func chunkMul(dre, dim []float64, bins int, xr, xi []float64, plans []*ConvPlan) {
+	chunkMulPacked(useAVX512, dre, dim, bins, xr, xi, plans)
+}
+
+// chunkMulPacked runs the full-chunk multiply on the AVX-512F kernel (avx)
+// or its SSE2 twin, handing each batch of up to chunkBatch channels'
+// kernel spectra over as a stack table of pointers.
+func chunkMulPacked(avx bool, dre, dim []float64, bins int, xr, xi []float64, plans []*ConvPlan) {
+	var k [chunkBatch]*complex128
+	stride := bins * lw
+	for c0 := 0; c0 < len(plans); c0 += chunkBatch {
+		n := min(chunkBatch, len(plans)-c0)
+		for c := range n {
+			k[c] = &plans[c0+c].kspec[0]
+		}
+		if avx {
+			chunkMulAVX512(dre, dim, bins, xr[c0*stride:], xi[c0*stride:], k[:n], c0 > 0)
+		} else {
+			chunkMulSSE2(dre, dim, bins, xr[c0*stride:], xi[c0*stride:], k[:n], c0 > 0)
+		}
+	}
+}
+
 // SSE2 family (lockstep_amd64.s).
 
 //go:noescape
@@ -134,6 +170,9 @@ func rfftRecomb(sre, sim []float64, w []complex128, hm int)
 func irfftRecombSSE2(sre, sim []float64, w []complex128, hm int)
 
 //go:noescape
+func chunkMulSSE2(dre, dim []float64, bins int, xr, xi []float64, k []*complex128, acc bool)
+
+//go:noescape
 func gatherMulPair(dre, dim []float64, bins int, xr0, xi0 []float64, k0 []complex128, xr1, xi1 []float64, k1 []complex128, acc bool)
 
 // AVX-512F family (lockstep_avx512_amd64.s).
@@ -152,3 +191,6 @@ func irfftRecombAVX512(sre, sim []float64, w []complex128, hm int)
 
 //go:noescape
 func gatherMulAVX512(dre, dim []float64, bins int, xr, xi *[lw]*float64, k *[lw]*complex128, acc bool)
+
+//go:noescape
+func chunkMulAVX512(dre, dim []float64, bins int, xr, xi []float64, k []*complex128, acc bool)

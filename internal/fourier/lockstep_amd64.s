@@ -811,3 +811,125 @@ gstore:
 
 gdone:
 	RET
+
+// CSKERNEL: loads the channel's kernel bin at (DX) and broadcasts it:
+// kr in both halves of X9, ki in both halves of X8.
+#define CSKERNEL \
+	MOVUPD   (DX), X8 \ // kr, ki
+	MOVAPD   X8, X9   \
+	UNPCKLPD X9, X9   \ // kr, kr
+	UNPCKHPD X8, X8   // ki, ki
+
+// CSPAIRSET: the first channel's products for lanes o/8 and o/8+1 of the
+// bin row (xr at o(AX), xi at o(R15)): xr*kr - xi*ki into ar, xr*ki +
+// xi*kr into ai.
+#define CSPAIRSET(o, ar, ai) \
+	MOVUPD o(AX), X10  \ // xr
+	MOVUPD o(R15), X11 \ // xi
+	MOVAPD X10, ar     \
+	MULPD  X9, ar      \ // xr*kr
+	MOVAPD X11, X12    \
+	MULPD  X8, X12     \ // xi*ki
+	SUBPD  X12, ar     \ // xr*kr - xi*ki
+	MULPD  X8, X10     \ // xr*ki
+	MULPD  X9, X11     \ // xi*kr
+	ADDPD  X11, X10    \ // xr*ki + xi*kr
+	MOVAPD X10, ai
+
+// CSPAIRADD: a later channel's products for the same two lanes, added to
+// the running sums ar/ai as product + sum.
+#define CSPAIRADD(o, ar, ai) \
+	MOVUPD o(AX), X10  \ // xr
+	MOVUPD o(R15), X11 \ // xi
+	MOVAPD X10, X12    \
+	MULPD  X9, X12     \ // xr*kr
+	MOVAPD X11, X13    \
+	MULPD  X8, X13     \ // xi*ki
+	SUBPD  X13, X12    \ // xr*kr - xi*ki
+	MULPD  X8, X10     \ // xr*ki
+	MULPD  X9, X11     \ // xi*kr
+	ADDPD  X11, X10    \ // xr*ki + xi*kr
+	ADDPD  ar, X12     \ // product + running sum
+	MOVAPD X12, ar     \
+	ADDPD  ai, X10     \
+	MOVAPD X10, ai
+
+// func chunkMulSSE2(dre, dim []float64, bins int, xr, xi []float64, k []*complex128, acc bool)
+//
+// SSE2 twin of chunkMulAVX512: one bin row at a time, its eight lanes'
+// sums in X0-X3 (re) and X4-X7 (im) across the channels, with the same
+// per-lane op sequence and operand order.
+TEXT ·chunkMulSSE2(SB), NOSPLIT, $0-129
+	MOVQ dre_base+0(FP), SI
+	MOVQ dim_base+24(FP), DI
+	MOVQ bins+48(FP), CX
+	MOVQ xr_base+56(FP), R8
+	MOVQ xi_base+80(FP), R9
+	MOVQ k_base+104(FP), R10
+	MOVQ k_len+112(FP), R11
+	LEAQ (R10)(R11*8), R11    // end of the kernel table
+	MOVQ CX, R12
+	SHLQ $6, R12              // channel stride: bins rows of 64 bytes
+	XORQ BX, BX               // row*64
+	TESTQ CX, CX
+	JZ   csdone
+
+csrow:
+	MOVQ BX, R13
+	SHRQ $2, R13              // kernel bin of the row, *16
+	MOVQ R10, R14             // kernel table entry of the channel
+	MOVQ (R14), DX
+	ADDQ R13, DX
+	LEAQ (R8)(BX*1), AX       // channel's xr row
+	LEAQ (R9)(BX*1), R15      // channel's xi row
+	CMPB acc+128(FP), $0
+	JEQ  csset
+	MOVUPD 0(SI)(BX*1), X0
+	MOVUPD 16(SI)(BX*1), X1
+	MOVUPD 32(SI)(BX*1), X2
+	MOVUPD 48(SI)(BX*1), X3
+	MOVUPD 0(DI)(BX*1), X4
+	MOVUPD 16(DI)(BX*1), X5
+	MOVUPD 32(DI)(BX*1), X6
+	MOVUPD 48(DI)(BX*1), X7
+	JMP  csadd                // channel 0 adds onto the planes' row
+
+csset:
+	CSKERNEL
+	CSPAIRSET(0, X0, X4)
+	CSPAIRSET(16, X1, X5)
+	CSPAIRSET(32, X2, X6)
+	CSPAIRSET(48, X3, X7)
+
+csch:
+	ADDQ $8, R14
+	CMPQ R14, R11
+	JEQ  csstore
+	MOVQ (R14), DX
+	ADDQ R13, DX
+	ADDQ R12, AX
+	ADDQ R12, R15
+
+csadd:
+	CSKERNEL
+	CSPAIRADD(0, X0, X4)
+	CSPAIRADD(16, X1, X5)
+	CSPAIRADD(32, X2, X6)
+	CSPAIRADD(48, X3, X7)
+	JMP  csch
+
+csstore:
+	MOVUPD X0, 0(SI)(BX*1)
+	MOVUPD X1, 16(SI)(BX*1)
+	MOVUPD X2, 32(SI)(BX*1)
+	MOVUPD X3, 48(SI)(BX*1)
+	MOVUPD X4, 0(DI)(BX*1)
+	MOVUPD X5, 16(DI)(BX*1)
+	MOVUPD X6, 32(DI)(BX*1)
+	MOVUPD X7, 48(DI)(BX*1)
+	ADDQ $64, BX
+	DECQ CX
+	JNZ  csrow
+
+csdone:
+	RET

@@ -14,6 +14,9 @@ func packedKernelFamilies() []kernelFamily {
 		rfftRecomb:  rfftRecomb,
 		irfftRecomb: irfftRecombSSE2,
 		mulGroup:    gatherMulGroupSSE2,
+		mulChunk: func(dre, dim []float64, bins int, xr, xi []float64, plans []*ConvPlan) {
+			chunkMulPacked(false, dre, dim, bins, xr, xi, plans)
+		},
 	}
 	avx512 := kernelFamily{
 		name:        "avx512",
@@ -24,6 +27,9 @@ func packedKernelFamilies() []kernelFamily {
 		rfftRecomb:  rfftRecomb,
 		irfftRecomb: irfftRecombAVX512,
 		mulGroup:    gatherMulGroupAVX512,
+		mulChunk: func(dre, dim []float64, bins int, xr, xi []float64, plans []*ConvPlan) {
+			chunkMulPacked(true, dre, dim, bins, xr, xi, plans)
+		},
 	}
 	if !useAVX512 {
 		avx512.missing = "no AVX-512F, or the OS does not save ZMM state"

@@ -9,7 +9,8 @@
 // cpu.HasAVX512F checks. Every kernel ends with VZEROUPPER. The group
 // multiply has no SSE2 twin body: it replaces four gatherMulPair calls and
 // runs their per-lane multiply, moving data with shuffles and gathers,
-// which copy bits unchanged.
+// which copy bits unchanged. The full-chunk multiply's twin is
+// chunkMulSSE2; its broadcasts copy bits unchanged too.
 
 #include "textflag.h"
 
@@ -615,5 +616,192 @@ zgstoretail:
 	JNZ        zgloop
 
 zgdone:
+	VZEROUPPER
+	RET
+
+// CROWSET: the first channel's products for one bin row of a chunk, into
+// the row's accumulators ar/ai: kernel bin (kr at kro(DX), ki at kio(DX))
+// broadcast over the row's eight lanes, xr/xi at xo(AX)/xo(R15). Leaves
+// xr*kr - xi*ki in ar and xr*ki + xi*kr in ai.
+#define CROWSET(kro, kio, xo, ar, ai) \
+	VBROADCASTSD kro(DX), Z16 \ // kr
+	VBROADCASTSD kio(DX), Z17 \ // ki
+	VMOVUPD      xo(AX), Z18  \ // xr
+	VMOVUPD      xo(R15), Z19 \ // xi
+	VMULPD       Z16, Z18, Z20 \ // xr*kr
+	VMULPD       Z17, Z19, Z21 \ // xi*ki
+	VSUBPD       Z21, Z20, ar  \ // xr*kr - xi*ki
+	VMULPD       Z17, Z18, Z22 \ // xr*ki
+	VMULPD       Z16, Z19, Z23 \ // xi*kr
+	VADDPD       Z23, Z22, ai  // xr*ki + xi*kr
+
+// CROWADD: a later channel's products for one bin row, added to the
+// row's running sums as product + sum (gatherMulAVX512's ROWSADD order).
+// Odd and even rows use separate temporaries.
+#define CROWADD(kro, kio, xo, ar, ai, t0, t1, t2, t3, t4, t5, t6, t7) \
+	VBROADCASTSD kro(DX), t0 \ // kr
+	VBROADCASTSD kio(DX), t1 \ // ki
+	VMOVUPD      xo(AX), t2  \ // xr
+	VMOVUPD      xo(R15), t3 \ // xi
+	VMULPD       t0, t2, t4  \ // xr*kr
+	VMULPD       t1, t3, t5  \ // xi*ki
+	VSUBPD       t5, t4, t4  \ // xr*kr - xi*ki
+	VMULPD       t1, t2, t6  \ // xr*ki
+	VMULPD       t0, t3, t7  \ // xi*kr
+	VADDPD       t7, t6, t6  \ // xr*ki + xi*kr
+	VADDPD       ar, t4, ar  \ // product + running sum
+	VADDPD       ai, t6, ai
+
+#define CROWADDA(kro, kio, xo, ar, ai) CROWADD(kro, kio, xo, ar, ai, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23)
+#define CROWADDB(kro, kio, xo, ar, ai) CROWADD(kro, kio, xo, ar, ai, Z24, Z25, Z26, Z27, Z28, Z29, Z30, Z31)
+
+// func chunkMulAVX512(dre, dim []float64, bins int, xr, xi []float64, k []*complex128, acc bool)
+//
+// Full-chunk multiply: bin row r of dre/dim (eight lanes, 64 bytes)
+// receives the sum over the len(k) channels c of channel c's chunk row r
+// (xr/xi, channel c from c*bins*64 bytes) times kernel bin k[c][r],
+// broadcast over the row. 8-row blocks keep their sums in Z0-Z7 (re) and
+// Z8-Z15 (im) across the channels and store once; the rows past the last
+// whole block run one at a time. Channel 0 stores its products, or with
+// acc set adds them to the rows already in dre/dim; later channels add,
+// in channel order, always as product + running sum (VADDPD, never an
+// FMA).
+TEXT ·chunkMulAVX512(SB), NOSPLIT, $0-129
+	MOVQ dre_base+0(FP), SI
+	MOVQ dim_base+24(FP), DI
+	MOVQ bins+48(FP), CX
+	MOVQ xr_base+56(FP), R8
+	MOVQ xi_base+80(FP), R9
+	MOVQ k_base+104(FP), R10
+	MOVQ k_len+112(FP), R11
+	LEAQ (R10)(R11*8), R11    // end of the kernel table
+	MOVQ CX, R12
+	SHLQ $6, R12              // channel stride: bins rows of 64 bytes
+	XORQ BX, BX               // first row of the block, *64
+	SHRQ $3, CX               // whole 8-row blocks
+	JZ   ctail
+
+cblock:
+	MOVQ BX, R13
+	SHRQ $2, R13              // first kernel bin of the block, *16
+	MOVQ R10, R14             // kernel table entry of the channel
+	MOVQ (R14), DX
+	ADDQ R13, DX
+	LEAQ (R8)(BX*1), AX       // channel's xr rows
+	LEAQ (R9)(BX*1), R15      // channel's xi rows
+	CMPB acc+128(FP), $0
+	JEQ  cblockset
+	VMOVUPD 0(SI)(BX*1), Z0
+	VMOVUPD 64(SI)(BX*1), Z1
+	VMOVUPD 128(SI)(BX*1), Z2
+	VMOVUPD 192(SI)(BX*1), Z3
+	VMOVUPD 256(SI)(BX*1), Z4
+	VMOVUPD 320(SI)(BX*1), Z5
+	VMOVUPD 384(SI)(BX*1), Z6
+	VMOVUPD 448(SI)(BX*1), Z7
+	VMOVUPD 0(DI)(BX*1), Z8
+	VMOVUPD 64(DI)(BX*1), Z9
+	VMOVUPD 128(DI)(BX*1), Z10
+	VMOVUPD 192(DI)(BX*1), Z11
+	VMOVUPD 256(DI)(BX*1), Z12
+	VMOVUPD 320(DI)(BX*1), Z13
+	VMOVUPD 384(DI)(BX*1), Z14
+	VMOVUPD 448(DI)(BX*1), Z15
+	JMP  cblockadd            // channel 0 adds onto the planes' rows
+
+cblockset:
+	CROWSET(0, 8, 0, Z0, Z8)
+	CROWSET(16, 24, 64, Z1, Z9)
+	CROWSET(32, 40, 128, Z2, Z10)
+	CROWSET(48, 56, 192, Z3, Z11)
+	CROWSET(64, 72, 256, Z4, Z12)
+	CROWSET(80, 88, 320, Z5, Z13)
+	CROWSET(96, 104, 384, Z6, Z14)
+	CROWSET(112, 120, 448, Z7, Z15)
+
+cblockch:
+	ADDQ $8, R14
+	CMPQ R14, R11
+	JEQ  cblockstore
+	MOVQ (R14), DX
+	ADDQ R13, DX
+	ADDQ R12, AX
+	ADDQ R12, R15
+
+cblockadd:
+	CROWADDA(0, 8, 0, Z0, Z8)
+	CROWADDB(16, 24, 64, Z1, Z9)
+	CROWADDA(32, 40, 128, Z2, Z10)
+	CROWADDB(48, 56, 192, Z3, Z11)
+	CROWADDA(64, 72, 256, Z4, Z12)
+	CROWADDB(80, 88, 320, Z5, Z13)
+	CROWADDA(96, 104, 384, Z6, Z14)
+	CROWADDB(112, 120, 448, Z7, Z15)
+	JMP  cblockch
+
+cblockstore:
+	VMOVUPD Z0, 0(SI)(BX*1)
+	VMOVUPD Z1, 64(SI)(BX*1)
+	VMOVUPD Z2, 128(SI)(BX*1)
+	VMOVUPD Z3, 192(SI)(BX*1)
+	VMOVUPD Z4, 256(SI)(BX*1)
+	VMOVUPD Z5, 320(SI)(BX*1)
+	VMOVUPD Z6, 384(SI)(BX*1)
+	VMOVUPD Z7, 448(SI)(BX*1)
+	VMOVUPD Z8, 0(DI)(BX*1)
+	VMOVUPD Z9, 64(DI)(BX*1)
+	VMOVUPD Z10, 128(DI)(BX*1)
+	VMOVUPD Z11, 192(DI)(BX*1)
+	VMOVUPD Z12, 256(DI)(BX*1)
+	VMOVUPD Z13, 320(DI)(BX*1)
+	VMOVUPD Z14, 384(DI)(BX*1)
+	VMOVUPD Z15, 448(DI)(BX*1)
+	ADDQ $512, BX
+	DECQ CX
+	JNZ  cblock
+
+ctail:
+	MOVQ bins+48(FP), CX
+	ANDQ $7, CX               // rows past the last whole block
+	JZ   cdone
+
+crow:
+	MOVQ BX, R13
+	SHRQ $2, R13
+	MOVQ R10, R14
+	MOVQ (R14), DX
+	ADDQ R13, DX
+	LEAQ (R8)(BX*1), AX
+	LEAQ (R9)(BX*1), R15
+	CMPB acc+128(FP), $0
+	JEQ  crowset
+	VMOVUPD (SI)(BX*1), Z0
+	VMOVUPD (DI)(BX*1), Z8
+	JMP  crowadd
+
+crowset:
+	CROWSET(0, 8, 0, Z0, Z8)
+
+crowch:
+	ADDQ $8, R14
+	CMPQ R14, R11
+	JEQ  crowstore
+	MOVQ (R14), DX
+	ADDQ R13, DX
+	ADDQ R12, AX
+	ADDQ R12, R15
+
+crowadd:
+	CROWADDA(0, 8, 0, Z0, Z8)
+	JMP  crowch
+
+crowstore:
+	VMOVUPD Z0, (SI)(BX*1)
+	VMOVUPD Z8, (DI)(BX*1)
+	ADDQ $64, BX
+	DECQ CX
+	JNZ  crow
+
+cdone:
 	VZEROUPPER
 	RET

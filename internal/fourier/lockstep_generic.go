@@ -37,3 +37,7 @@ func irfftRecomb(sre, sim []float64, w []complex128, hm int) {
 func gatherMulGroup(dre, dim []float64, bins int, lanes []ConvLane, c int) {
 	gatherMulGroupGeneric(dre, dim, bins, lanes, c)
 }
+
+func chunkMul(dre, dim []float64, bins int, xr, xi []float64, plans []*ConvPlan) {
+	chunkMulGeneric(dre, dim, bins, xr, xi, plans)
+}

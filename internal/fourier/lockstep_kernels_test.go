@@ -19,6 +19,7 @@ type kernelFamily struct {
 	rfftRecomb  func(sre, sim []float64, w []complex128, hm int)
 	irfftRecomb func(sre, sim []float64, w []complex128, hm int)
 	mulGroup    func(dre, dim []float64, bins int, lanes []ConvLane, c int)
+	mulChunk    func(dre, dim []float64, bins int, xr, xi []float64, plans []*ConvPlan)
 }
 
 // goKernels is the portable family every packed family must match.
@@ -31,6 +32,7 @@ var goKernels = kernelFamily{
 	rfftRecomb:  rfftRecombGeneric,
 	irfftRecomb: irfftRecombGeneric,
 	mulGroup:    gatherMulGroupGeneric,
+	mulChunk:    chunkMulGeneric,
 }
 
 // inverseGroup runs one full lockstep group's inverse on family f, in
@@ -85,11 +87,10 @@ func randPlane(rng *rand.Rand, n int) []float64 {
 	return p
 }
 
-// randGroup builds a full group of lanes of g channels with random
-// bins-bin spectra over three kernel plans of random spectra, the plans
-// interleaved irregularly across lanes and channels.
-func randGroup(rng *rand.Rand, bins, g int) []ConvLane {
-	var plans [3]*ConvPlan
+// randKernelPlans returns n plans whose bins-bin kernel spectra are
+// random finite values.
+func randKernelPlans(rng *rand.Rand, n, bins int) []*ConvPlan {
+	plans := make([]*ConvPlan, n)
 	for i := range plans {
 		kspec := make([]complex128, bins)
 		for k := range kspec {
@@ -97,6 +98,14 @@ func randGroup(rng *rand.Rand, bins, g int) []ConvLane {
 		}
 		plans[i] = &ConvPlan{kspec: kspec}
 	}
+	return plans
+}
+
+// randGroup builds a full group of lanes of g channels with random
+// bins-bin spectra over three kernel plans of random spectra, the plans
+// interleaved irregularly across lanes and channels.
+func randGroup(rng *rand.Rand, bins, g int) []ConvLane {
+	plans := randKernelPlans(rng, 3, bins)
 	lanes := make([]ConvLane, lw)
 	for s := range lanes {
 		l := ConvLane{SpecRe: randPlane(rng, g*bins), SpecIm: randPlane(rng, g*bins)}
@@ -115,8 +124,10 @@ func randGroup(rng *rand.Rand, bins, g int) []ConvLane {
 // final2 at odd log2 n), both fusedFirst directions, the recombinations at
 // hm 1 to 512, the full-group multiply over mixed kernel plans in its
 // storing form (channel 0) and its accumulating form (later channels, onto
-// random planes), and whole group inverses chaining them over one and over
-// several channels.
+// random planes), the full-chunk multiply over 1 to 16 channels (and over
+// 17 and 40, which take more than one packed call) at bin counts on and
+// off its 8-row register block, and whole group inverses chaining them
+// over one and over several channels.
 func TestLockstepKernelFamilies(t *testing.T) {
 	var families []kernelFamily
 	for _, f := range packedKernelFamilies() {
@@ -202,6 +213,17 @@ func TestLockstepKernelFamilies(t *testing.T) {
 		for c := 0; c < 3; c++ {
 			check(fmt.Sprintf("group multiply bins=%d channel=%d", bins, c), bins, func(f kernelFamily, re, im []float64) {
 				f.mulGroup(re, im, bins, lanes, c)
+			})
+		}
+	}
+
+	chunkChannels := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 40}
+	for _, bins := range []int{1, 2, 3, 7, 8, 9, 17, 65, 257, 513} {
+		for _, g := range chunkChannels {
+			plans := randKernelPlans(rng, g, bins)
+			xr, xi := randPlane(rng, g*bins*lw), randPlane(rng, g*bins*lw)
+			check(fmt.Sprintf("chunk multiply bins=%d channels=%d", bins, g), bins, func(f kernelFamily, re, im []float64) {
+				f.mulChunk(re, im, bins, xr, xi, plans)
 			})
 		}
 	}

@@ -200,11 +200,6 @@ type PFCU struct {
 // Option configures a PFCU at construction.
 type Option func(*PFCU)
 
-// WithDetector replaces the default noiseless linear-power detector.
-func WithDetector(d Detector) Option {
-	return func(p *PFCU) { p.detector = d }
-}
-
 // WithWeightDACs overrides the number of active weight DACs (default 25,
 // the paper's backward-compatibility budget for 5x5 filters).
 func WithWeightDACs(n int) Option {
@@ -350,81 +345,6 @@ func (p *PFCU) checkSignal(signal []float64) error {
 	}
 	return nil
 }
-
-// KernelSpectrum is a kernel tile loaded once into a PFCU's weight DACs with
-// its Fourier spectrum precomputed, modeling the hardware reality that
-// weights stay latched across thousands of shots while only the input
-// changes. It is read-only after construction and safe for concurrent use.
-type KernelSpectrum struct {
-	owner *PFCU // the PFCU whose constraints the tile was validated against
-	tile  []float64
-	corr  *fourier.ConvPlan
-}
-
-// Tile returns a copy of the loaded kernel tile.
-func (ks *KernelSpectrum) Tile() []float64 {
-	out := make([]float64, len(ks.tile))
-	copy(out, ks.tile)
-	return out
-}
-
-// PlanKernel validates a kernel tile against the hardware constraints and
-// precomputes its spectrum for reuse across shots via CorrelatePlanned.
-func (p *PFCU) PlanKernel(kernelTile []float64) (*KernelSpectrum, error) {
-	if err := p.checkKernelTile(kernelTile); err != nil {
-		return nil, err
-	}
-	tile := make([]float64, len(kernelTile))
-	copy(tile, kernelTile)
-	corr, err := fourier.NewCorrPlan(tile, p.InputWaveguides)
-	if err != nil {
-		return nil, err
-	}
-	return &KernelSpectrum{owner: p, tile: tile, corr: corr}, nil
-}
-
-// CorrelatePlanned performs one JTC shot against a preloaded kernel
-// spectrum: only the signal is transformed, halving the per-shot FFT work.
-// The result follows the same contract as Correlate and is bit-identical to
-// it when the signal fills the aperture (len(signal) == InputWaveguides, the
-// case every tiled shot hits); shorter signals run at the plan's larger FFT
-// length and may differ from Correlate in the last floating-point bits.
-func (p *PFCU) CorrelatePlanned(signal []float64, ks *KernelSpectrum) ([]float64, error) {
-	if ks == nil {
-		return nil, fmt.Errorf("jtc: nil kernel spectrum")
-	}
-	if ks.owner != p {
-		// A spectrum validated against another PFCU's waveguide/DAC budget
-		// must not bypass this device's constraints.
-		return nil, fmt.Errorf("jtc: kernel spectrum was planned on a different PFCU")
-	}
-	if err := p.checkSignal(signal); err != nil {
-		return nil, err
-	}
-	p.shots.Add(1)
-	totalShots.Add(1)
-	run := func() ([]float64, error) {
-		out, err := ks.corr.Convolve(signal)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range out {
-			out[i] = p.detector.Detect(v)
-		}
-		return out, nil
-	}
-	out, err := run()
-	if err != nil {
-		return nil, err
-	}
-	if p.faults == nil || p.faults.ShotRate <= 0 {
-		return out, nil
-	}
-	return p.guardShot(out, run)
-}
-
-// Detector returns the PFCU's detector model.
-func (p *PFCU) Detector() Detector { return p.detector }
 
 // TemporalAccumulator accumulates per-sample charge across up to Depth
 // input-channel cycles before a single ADC readout (paper Sec. V-C). The

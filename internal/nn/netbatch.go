@@ -189,13 +189,3 @@ func (p *NetworkPlan) forwardPerSample(x *tensor.Tensor) (*tensor.Tensor, error)
 	}
 	return out, nil
 }
-
-// EvaluateLogitsBatch is EvaluateLogits through the per-sample-exact batch
-// path.
-func (p *NetworkPlan) EvaluateLogitsBatch(x *tensor.Tensor, labels []int, k int) (*EvalStats, error) {
-	logits, err := p.ForwardBatch(x)
-	if err != nil {
-		return nil, err
-	}
-	return StatsFromLogits(logits, labels, k)
-}

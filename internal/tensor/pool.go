@@ -56,11 +56,3 @@ func PutScratch(t *Tensor) {
 	t.Data = nil
 	scratchStructs.Put(t)
 }
-
-// PutScratchData recycles a bare data slice into the scratch pool, for
-// callers that kept the backing after discarding the struct.
-func PutScratchData(d []float64) {
-	if d != nil {
-		scratchData.Put(d)
-	}
-}

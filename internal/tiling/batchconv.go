@@ -36,9 +36,8 @@ func (p *Plan) PackedShots(n int) int {
 		}
 	default:
 		// Row partitioning packs nothing; count what per-sample execution
-		// actually performs (executedShots skips Same-mode kernel rows that
-		// fall outside the input), so batch and per-sample deltas compare.
-		shots = n * p.executedShots()
+		// performs, so batch and per-sample deltas compare.
+		shots = n * p.Shots()
 	}
 	p.storePackedShots(n, shots)
 	return shots
@@ -91,6 +90,9 @@ func (op *BatchConvOperands) kernelSetFor(term int) []*KernelPlan {
 // sums its G channel products into one spectrum and runs one inverse
 // transform and one window add, the way the hardware streams the group's
 // frames past the latched filters and reads the summed charge out once.
+// A chunk of exactly LockstepWidth samples that all carry a part runs
+// that part's lanes as one full-chunk convolution per (term, kernel),
+// the samples being the lanes (see batchShot).
 // Each accumulator receives one addition per shot, in the shot order
 // Conv2DPlannedAccum produces for its (sample, kernel) pair over the same
 // group, so the result is bit-identical to per-sample grouped planned
@@ -323,8 +325,10 @@ type batchScratch struct {
 	// KNeg plans, from p*(len(KPos)+len(KNeg)).
 	plans []*fourier.ConvPlan
 
-	// lanes is convolveShotKernels' pending lockstep group.
+	// lanes is convolveShotKernels' pending lockstep group, and chunk its
+	// full-chunk convolution.
 	lanes [fourier.LockstepWidth]fourier.ConvLane
+	chunk fourier.ConvChunk
 }
 
 var batchScratchPool sync.Pool
@@ -344,13 +348,39 @@ func putBatchScratch(sc *batchScratch) { batchScratchPool.Put(sc) }
 // from a plane's rows, every present (sample, channel, part) signal of the
 // chunk is transformed once into the pass's arena, and the chunk's lanes
 // convolve and add their window into each accumulator from entry at on.
+//
+// A part whose chunk holds exactly LockstepWidth samples that all carry it
+// (and whose plans are Chunkable) is a full chunk: each channel's
+// LockstepWidth signals transform with one TransformChunkSoA straight into
+// the channel's bin-major chunk plane, which is arena slots
+// [c*LockstepWidth, (c+1)*LockstepWidth) read as one plane. Every other
+// part keeps the slot layout of TransformSlotsSoA. The rule reads only the
+// chunk's shape.
 func (p *Plan) batchShot(op *BatchConvOperands, ref *KernelPlan, sc *batchScratch, n, pass, at int, win fourier.Window, fill func(g []float64, rows [][]float64)) error {
 	g := op.Channels
+	cp := ref.corrs[pass]
 	for b0 := 0; b0 < n; b0 += fourier.LockstepWidth {
 		b1 := min(b0+fourier.LockstepWidth, n)
+		var full [2]bool
 		for pi := 0; pi < 2; pi++ {
 			ar := sc.passArenas[pass][pi]
 			if ar == nil {
+				continue
+			}
+			full[pi] = b1-b0 == fourier.LockstepWidth && cp.Chunkable() && op.chunkHasPart(pi, b0, b1)
+			if full[pi] {
+				sigs := sc.sigs[:fourier.LockstepWidth]
+				for c := 0; c < g; c++ {
+					for s := range sigs {
+						sig := sc.sigBuf[s*p.NConv : (s+1)*p.NConv]
+						fill(sig, op.rowsOf(pi, (b0+s)*g+c))
+						sigs[s] = sig
+					}
+					re, im := ar.SlotRange(c*fourier.LockstepWidth, fourier.LockstepWidth)
+					if err := cp.TransformChunkSoA(re, im, sigs); err != nil {
+						return err
+					}
+				}
 				continue
 			}
 			sigs := sc.sigs[:(b1-b0)*g]
@@ -364,29 +394,42 @@ func (p *Plan) batchShot(op *BatchConvOperands, ref *KernelPlan, sc *batchScratc
 				fill(sig, rows)
 				sigs[i] = sig
 			}
-			if err := ref.corrs[pass].TransformSlotsSoA(ar, sigs); err != nil {
+			if err := cp.TransformSlotsSoA(ar, sigs); err != nil {
 				return err
 			}
 		}
-		if err := p.convolveShotKernels(op, sc, b0, b1, pass, at, win); err != nil {
+		if err := p.convolveShotKernels(op, sc, b0, b1, pass, at, win, full); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// chunkHasPart reports whether every sample of [b0, b1) carries
+// activation part pi.
+func (op *BatchConvOperands) chunkHasPart(pi, b0, b1 int) bool {
+	for b := b0; b < b1; b++ {
+		if op.rowsOf(pi, b*op.Channels) == nil {
+			return false
+		}
+	}
+	return true
+}
+
 // convolveShotKernels completes one shot for every (term, kernel, sample)
 // lane of samples [b0, b1): the lane's G channel spectra in the shot's
 // arenas multiply the kernel's G channel spectra and sum, and the shot's
 // window of the one inverse transform adds into the accumulator from entry
-// at on. The (term, kernel, sample) scan flattens into lockstep groups of
-// up to LockstepWidth lanes — mixing kernels and samples freely, since
-// every plan of one pass shares transform geometry — and each group runs
-// as ONE batched inverse transform. Every accumulator sees exactly one
-// addition per shot, so inter-shot order (the caller's) is what fixes
+// at on. A term whose activation part is a full chunk (full[pi]) runs each
+// kernel as one ConvolveChunkSoA over the chunk's samples. The other
+// terms' (term, kernel, sample) scan flattens into lockstep groups of up
+// to LockstepWidth lanes — mixing kernels and samples freely, since every
+// plan of one pass shares transform geometry — and each group runs as ONE
+// batched inverse transform. Every accumulator sees exactly one addition
+// per shot, so inter-shot order (the caller's) is what fixes
 // bit-identity, and each lane's window is itself bit-identical to the same
 // samples of ConvolveSumInto on the lane's signals.
-func (p *Plan) convolveShotKernels(op *BatchConvOperands, sc *batchScratch, b0, b1, pass, at int, win fourier.Window) error {
+func (p *Plan) convolveShotKernels(op *BatchConvOperands, sc *batchScratch, b0, b1, pass, at int, win fourier.Window, full [2]bool) error {
 	g := op.Channels
 	sigLen := p.NConv
 	nk := len(op.KPos) + len(op.KNeg)
@@ -404,6 +447,21 @@ func (p *Plan) convolveShotKernels(op *BatchConvOperands, sc *batchScratch, b0, 
 		kernels := len(plans) / g
 		for j := 0; j < kernels; j++ {
 			jp := plans[j*g : (j+1)*g]
+			if full[pi] {
+				ch := &sc.chunk
+				ch.Plans, ch.Window = jp, win
+				ch.SpecRe, ch.SpecIm = sc.passArenas[pass][pi].SlotRange(0, fourier.LockstepWidth*g)
+				for s := range ch.Accs {
+					ch.Accs[s] = nil
+					if acc := accs[(b0+s)*kernels+j]; acc != nil {
+						ch.Accs[s] = acc[at:]
+					}
+				}
+				if err := fourier.ConvolveChunkSoA(sigLen, ch); err != nil {
+					return err
+				}
+				continue
+			}
 			for b := b0; b < b1; b++ {
 				if op.rowsOf(pi, b*g) == nil {
 					continue

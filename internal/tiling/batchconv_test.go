@@ -15,12 +15,16 @@ import (
 // every tiling regime with many kernels of both weight signs, over
 // accumulation groups of one and of three channels and samples that carry
 // different activation parts, and over more samples than one lockstep
-// chunk holds. Every (term, sample, kernel) accumulator must match the
-// grouped Conv2DPlannedAccum of that (sample, kernel) pair into the same
-// starting values bit for bit, accumulators of a sample without the term's
-// part must stay untouched, and the shot counter must advance by the
-// packed schedule of each part's present samples times the (kernel,
-// channel) pair count.
+// chunk holds. Batches of 8, 9, 16 and 17 samples hold full chunks: in the
+// first chunk sample 1 lacks the negative part, so that part takes the
+// lane path while the positive part takes the full-chunk path, and later
+// full chunks take it for both parts; one of their accumulators is nil.
+// Every (term, sample, kernel) accumulator must match the grouped
+// Conv2DPlannedAccum of that (sample, kernel) pair into the same starting
+// values bit for bit, accumulators of a sample without the term's part
+// must stay untouched, and the shot counter must advance by the packed
+// schedule of each part's present samples times the (kernel, channel)
+// pair count.
 func TestConv2DPlannedAccumBatchMatchesSingle(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -42,7 +46,11 @@ func TestConv2DPlannedAccumBatchMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, shape := range []struct{ n, g int }{{3, 1}, {3, 3}, {fourier.LockstepWidth + 2, 2}} {
+			for _, shape := range []struct{ n, g int }{
+				{3, 1}, {3, 3}, {fourier.LockstepWidth + 2, 2},
+				{fourier.LockstepWidth, 2}, {fourier.LockstepWidth + 1, 1},
+				{2 * fourier.LockstepWidth, 3}, {2*fourier.LockstepWidth + 1, 2},
+			} {
 				t.Run(fmt.Sprintf("n%d-channels%d", shape.n, shape.g), func(t *testing.T) {
 					n, g := shape.n, shape.g
 					p, err := NewPlan(h, w, k, tc.nconv, tc.pad, tc.colpad)
@@ -90,6 +98,9 @@ func TestConv2DPlannedAccumBatchMatchesSingle(t *testing.T) {
 									if err := p.Conv2DPlannedAccum(planes, kset[j*g:(j+1)*g], ref); err != nil {
 										t.Fatal(err)
 									}
+								}
+								if n >= fourier.LockstepWidth && term == 0 && b == 9%n && j == 1 {
+									acc, ref = nil, nil // skipped by the executor
 								}
 								op.Accs[term][b*nk+j], want[term][b*nk+j] = acc, ref
 							}

@@ -291,12 +291,12 @@ func (bp *BatchPlan) Shots() int {
 }
 
 // UnpackedShots returns the shot count N independent single-kernel plane
-// convolutions issue (executedShots per plane and kernel, which
+// convolutions issue (Shots per plane and kernel, which
 // Conv2DPlannedAccum and so the unplanned oracle count): the baseline
 // Shots is measured against. Planned runs count the packed schedule even at
 // N = 1; on a healthy aperture that differs from this only under partial
 // row tiling, where one sample's short passes pack.
-func (bp *BatchPlan) UnpackedShots() int { return bp.N * bp.p.executedShots() }
+func (bp *BatchPlan) UnpackedShots() int { return bp.N * bp.p.Shots() }
 
 // Schedule returns the packed shots (nil for row partitioning, which packs
 // nothing).

@@ -264,16 +264,35 @@ func NewPlanAvoiding(h, w, k, nconv int, pad tensor.PadMode, columnPad bool, dea
 	return p, nil
 }
 
-// Shots returns the number of 1D convolutions needed for one 2D plane,
-// following the paper's cycle formulas (Sec. III-A to III-C).
+// Shots returns the number of 1D correlations one plane convolution
+// against ONE kernel performs: the schedule the executors run, which
+// arch.EvalLayer prices. Under row tiling and partial row tiling it is the
+// paper's cycle formula (Sec. III-A, III-B). Under row partitioning it is
+// the halo-aware schedule: rows split into overlapping segments of
+// NConv-K+1 valid samples, and Same-mode kernel rows that fall entirely
+// outside the input are skipped, where the paper's OutH*K*ceil(W/NConv)
+// (Sec. III-C) counts whole rows of NConv.
 func (p *Plan) Shots() int {
 	switch p.Mode {
 	case RowTiling:
 		return ceilDiv(p.OutH, p.Nor)
 	case PartialRowTiling:
 		return p.OutH * ceilDiv(p.K, p.RowsPerShot)
-	default: // RowPartitioning
-		return p.OutH * p.K * ceilDiv(p.W, p.NConv)
+	default:
+		step := p.NConv - p.K + 1
+		if step < 1 {
+			return 0
+		}
+		segs := ceilDiv(p.OutW, step)
+		rows := 0
+		for r := 0; r < p.OutH; r++ {
+			for j := 0; j < p.K; j++ {
+				if ri := r - p.padT + j; ri >= 0 && ri < p.H {
+					rows++
+				}
+			}
+		}
+		return rows * segs
 	}
 }
 
@@ -591,38 +610,8 @@ func (p *Plan) Conv2DPlannedAccum(inputs [][][]float64, kps []*KernelPlan, acc [
 	if err := p.convAccum(inputs, kcs, acc); err != nil {
 		return err
 	}
-	jtc.AddShots(int64(len(kps) * p.executedShots()))
+	jtc.AddShots(int64(len(kps) * p.Shots()))
 	return nil
-}
-
-// executedShots is the number of 1D correlations one plane convolution
-// against ONE kernel actually performs. It differs from Shots (the paper's
-// cycle formula) only in the row-partitioning regime: Same-mode kernel
-// rows that fall entirely outside the input are skipped, and rows split
-// into overlapping halo segments of NConv-K+1 valid samples rather than
-// the formula's ceil(W/NConv) segments.
-func (p *Plan) executedShots() int {
-	switch p.Mode {
-	case RowTiling:
-		return ceilDiv(p.OutH, p.Nor)
-	case PartialRowTiling:
-		return p.OutH * ceilDiv(p.K, p.RowsPerShot)
-	default:
-		step := p.NConv - p.K + 1
-		if step < 1 {
-			return 0
-		}
-		segs := ceilDiv(p.OutW, step)
-		rows := 0
-		for r := 0; r < p.OutH; r++ {
-			for j := 0; j < p.K; j++ {
-				if ri := r - p.padT + j; ri >= 0 && ri < p.H {
-					rows++
-				}
-			}
-		}
-		return rows * segs
-	}
 }
 
 func (p *Plan) reshape(acc []float64) [][]float64 {

@@ -148,8 +148,11 @@ func TestPaperPartialCycleFormula(t *testing.T) {
 	}
 }
 
+// TestPaperPartitioningCycleFormula keeps the paper's row-partitioning
+// cycle count, Si * Sk * ceil(Si/NConv) (Sec. III-C), next to the
+// halo-aware schedule Shots counts: segments of NConv-K+1 valid samples,
+// with the two Same-mode kernel rows that fall outside the input skipped.
 func TestPaperPartitioningCycleFormula(t *testing.T) {
-	// Row partitioning: cycles = Si * Sk * ceil(Si/NConv) (Sec. III-C).
 	p, err := NewPlan(300, 300, 3, 256, tensor.Same, false)
 	if err != nil {
 		t.Fatal(err)
@@ -157,8 +160,11 @@ func TestPaperPartitioningCycleFormula(t *testing.T) {
 	if p.Mode != RowPartitioning {
 		t.Fatalf("mode = %v", p.Mode)
 	}
-	if got, want := p.Shots(), 300*3*2; got != want {
-		t.Errorf("Shots = %d, want %d", got, want)
+	if got, want := p.OutH*p.K*ceilDiv(p.W, p.NConv), 300*3*2; got != want {
+		t.Errorf("paper formula = %d, want %d", got, want)
+	}
+	if got, want := p.Shots(), (300*3-2)*ceilDiv(300, 256-3+1); got != want {
+		t.Errorf("Shots = %d, want the halo-aware %d", got, want)
 	}
 }
 
