@@ -71,7 +71,7 @@ func zeroLaneTail(p []float64, rows, w int) {
 // stage, fused radix-4-style stage pairs and the final odd radix-2 stage —
 // with each complex operation expanded to the exact float sequence the
 // scalar path executes. An inverse leaves out the 1/n normalization: the
-// caller applies it to the samples it reads (ConvLane.addWindow).
+// caller applies it to the samples it reads (addWindow).
 func (p *Plan) lockstepTransform(re, im []float64, inverse bool) {
 	n := p.n
 	bitrevSwap(re, im, p.rev)
@@ -601,28 +601,39 @@ func convolveLanesGroup(rp *RealPlan, g int, lanes []ConvLane) {
 		zeroLaneTail(sre, bins, w)
 		zeroLaneTail(sim, bins, w)
 	}
-	irfftRecomb(sre, sim, rp.w, hm)
-	rp.inner.lockstepTransform(sre[:hm*lw], sim[:hm*lw], true)
-	c := 1 / float64(hm)
+	c := rp.inverseUnnormalized(sre, sim)
 	for s := range lanes {
-		lanes[s].addWindow(sre, sim, s, c)
+		addWindow(lanes[s].Acc, &lanes[s].Window, sre, sim, s, c)
 	}
 	putLane(sre)
 	putLane(sim)
 }
 
-// addWindow adds lane s's window of the unnormalized inverse planes re/im
-// into Acc. Output sample idx is the real (even idx) or imaginary (odd idx)
-// part of bin idx/2 after RealPlan.irfft's z *= complex(c, 0); each sample
-// is normalized in that multiply's exact two-term form (xr*c - xi*0 or
-// xr*0 + xi*c), whose zero terms fix the sign of a zero result.
-func (l *ConvLane) addWindow(re, im []float64, s int, c float64) {
-	if l.Width == 0 {
+// inverseUnnormalized runs the lockstep inverse real transform of the
+// summed products in the bin-major work planes sre/sim (bins = hm+1 rows):
+// irfftRecomb, then the inner inverse transform without its normalization
+// pass. It returns that pass's scale c = 1/hm, which addWindow applies to
+// each sample it reads.
+func (rp *RealPlan) inverseUnnormalized(sre, sim []float64) (c float64) {
+	hm := rp.hm
+	irfftRecomb(sre, sim, rp.w, hm)
+	rp.inner.lockstepTransform(sre[:hm*lw], sim[:hm*lw], true)
+	return 1 / float64(hm)
+}
+
+// addWindow adds lane s's window w of the unnormalized inverse planes
+// re/im into acc. Output sample idx is the real (even idx) or imaginary
+// (odd idx) part of bin idx/2 after RealPlan.irfft's z *= complex(c, 0);
+// each sample is normalized in that multiply's exact two-term form
+// (xr*c - xi*0 or xr*0 + xi*c), whose zero terms fix the sign of a zero
+// result.
+func addWindow(dst []float64, w *Window, re, im []float64, s int, c float64) {
+	if w.Width == 0 {
 		return // an empty window's strides are unchecked
 	}
-	for t := 0; t < l.Rows; t++ {
-		acc := l.Acc[t*l.AccStride:][:l.Width]
-		idx := l.Off + t*l.SrcStride
+	for t := 0; t < w.Rows; t++ {
+		acc := dst[t*w.AccStride:][:w.Width]
+		idx := w.Off + t*w.SrcStride
 		k := idx>>1*lw + s // plane entry of bin idx/2, lane s
 		i := 0
 		if idx&1 == 1 {

@@ -9,7 +9,7 @@ import "fmt"
 // the kernel multiply broadcasts each kernel bin over its bin row instead
 // of gathering per-lane spectra, summing the group's channels for a block
 // of bin rows before one store. The inverse and the window add are the
-// lane path's (ConvolveLanesSoA).
+// lane path's (inverseUnnormalized, addWindow).
 //
 // Bit-identity with ConvolveLanesSoA and ConvolveSumInto: each lane and bin
 // forms its product as xr*kr - xi*ki, xr*ki + xi*kr; channel 0 stores it
@@ -106,18 +106,13 @@ func ConvolveChunkSoA(sigLen int, ch *ConvChunk) error {
 	if !live {
 		return nil
 	}
-	rp := ref.rp
-	hm := rp.hm
 	sre := getLane(bins * lw)
 	sim := getLane(bins * lw)
 	chunkMul(sre, sim, bins, ch.SpecRe, ch.SpecIm, ch.Plans)
-	irfftRecomb(sre, sim, rp.w, hm)
-	rp.inner.lockstepTransform(sre[:hm*lw], sim[:hm*lw], true)
-	c := 1 / float64(hm)
+	c := ref.rp.inverseUnnormalized(sre, sim)
 	for s, acc := range ch.Accs {
 		if acc != nil {
-			l := ConvLane{Acc: acc, Window: ch.Window}
-			l.addWindow(sre, sim, s, c)
+			addWindow(acc, &ch.Window, sre, sim, s, c)
 		}
 	}
 	putLane(sre)

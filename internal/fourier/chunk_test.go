@@ -202,10 +202,10 @@ func TestConvolveChunkValidation(t *testing.T) {
 }
 
 // BenchmarkChunkMultiply times the full-chunk multiply against the lane
-// multiply (gatherMulGroup, once per channel) on the same chunk: the eight
-// samples of one shot against one kernel of g channels at m = 512, the
-// AlexNetS conv2 (g = 12) and conv3 (g = 16) groups, on the CPU's kernel
-// family.
+// multiply (mulGroup, once per channel) on the same chunk, in every kernel
+// family this CPU runs: the eight samples of one shot against one kernel
+// of g channels at m = 512, the AlexNetS conv2 (g = 12) and conv3 (g = 16)
+// groups.
 func BenchmarkChunkMultiply(b *testing.B) {
 	const bins = 257
 	rng := rand.New(rand.NewSource(17))
@@ -234,17 +234,22 @@ func BenchmarkChunkMultiply(b *testing.B) {
 			lanes[s] = l
 		}
 		dre, dim := make([]float64, bins*lw), make([]float64, bins*lw)
-		b.Run(fmt.Sprintf("channels%d/lanes", g), func(b *testing.B) {
-			for b.Loop() {
-				for c := 0; c < g; c++ {
-					gatherMulGroup(dre, dim, bins, lanes, c)
+		for _, f := range append([]kernelFamily{goKernels}, packedKernelFamilies()...) {
+			if f.missing != "" {
+				continue
+			}
+			b.Run(fmt.Sprintf("channels%d/%s/lanes", g, f.name), func(b *testing.B) {
+				for b.Loop() {
+					for c := 0; c < g; c++ {
+						f.mulGroup(dre, dim, bins, lanes, c)
+					}
 				}
-			}
-		})
-		b.Run(fmt.Sprintf("channels%d/chunk", g), func(b *testing.B) {
-			for b.Loop() {
-				chunkMul(dre, dim, bins, xr, xi, plans)
-			}
-		})
+			})
+			b.Run(fmt.Sprintf("channels%d/%s/chunk", g, f.name), func(b *testing.B) {
+				for b.Loop() {
+					f.mulChunk(dre, dim, bins, xr, xi, plans)
+				}
+			})
+		}
 	}
 }

@@ -453,38 +453,66 @@ func TestConv2DInputValidation(t *testing.T) {
 }
 
 func TestConv2DCustomCorrelatorIsUsed(t *testing.T) {
-	// A correlator that scales results by 2 should scale outputs by 2.
-	p, _ := NewPlan(5, 5, 3, 20, tensor.Valid, false)
-	in := randPlane(rand.New(rand.NewSource(13)), 5, 5)
-	kern := randPlane(rand.New(rand.NewSource(14)), 3, 3)
-	calls := 0
-	double := func(sig, k []float64) []float64 {
-		calls++
-		out := make([]float64, len(sig)+len(k)-1)
-		for m := range out {
-			for j := range k {
-				idx := m - (len(k) - 1) + j
-				if idx >= 0 && idx < len(sig) {
-					out[m] += 2 * sig[idx] * k[j]
+	// A correlator that scales results by 2 should scale outputs by 2, and
+	// run once per shot of Shots(). The row-partitioning case is Same mode
+	// at K = 3, so its segments overlap by K-1 samples and the kernel rows
+	// that fall outside the input are skipped: Shots() must count the
+	// correlations actually run, not the paper's OutH*K*ceil(W/NConv).
+	cases := []struct {
+		name       string
+		h, w       int
+		nconv      int
+		pad        tensor.PadMode
+		mode       Mode
+		seedIn     int64
+		seedKern   int64
+		paperShots int // OutH*K*ceil(W/NConv), row partitioning only
+	}{
+		{"row-tiling", 5, 5, 20, tensor.Valid, RowTiling, 13, 14, 0},
+		{"row-partitioning", 7, 12, 6, tensor.Same, RowPartitioning, 15, 16, 7 * 3 * 2},
+	}
+	for _, tc := range cases {
+		p, err := NewPlan(tc.h, tc.w, 3, tc.nconv, tc.pad, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Mode != tc.mode {
+			t.Fatalf("%s: mode = %v", tc.name, p.Mode)
+		}
+		in := randPlane(rand.New(rand.NewSource(tc.seedIn)), tc.h, tc.w)
+		kern := randPlane(rand.New(rand.NewSource(tc.seedKern)), 3, 3)
+		calls := 0
+		double := func(sig, k []float64) []float64 {
+			calls++
+			out := make([]float64, len(sig)+len(k)-1)
+			for m := range out {
+				for j := range k {
+					idx := m - (len(k) - 1) + j
+					if idx >= 0 && idx < len(sig) {
+						out[m] += 2 * sig[idx] * k[j]
+					}
+				}
+			}
+			return out
+		}
+		got, err := p.Conv2D(in, kern, double)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := tensor.Conv2DSingle(in, kern, tc.pad)
+		for r := range got {
+			for c := range got[r] {
+				if math.Abs(got[r][c]-2*want[r][c]) > 1e-9 {
+					t.Fatalf("%s (%d,%d): custom correlator not honored", tc.name, r, c)
 				}
 			}
 		}
-		return out
-	}
-	got, err := p.Conv2D(in, kern, double)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tensor.Conv2DSingle(in, kern, tensor.Valid)
-	for r := range got {
-		for c := range got[r] {
-			if math.Abs(got[r][c]-2*want[r][c]) > 1e-9 {
-				t.Fatalf("(%d,%d): custom correlator not honored", r, c)
-			}
+		if calls != p.Shots() {
+			t.Errorf("%s: correlator invoked %d times, want Shots()=%d", tc.name, calls, p.Shots())
 		}
-	}
-	if calls != p.Shots() {
-		t.Errorf("correlator invoked %d times, want Shots()=%d", calls, p.Shots())
+		if tc.paperShots != 0 && calls == tc.paperShots {
+			t.Errorf("%s: %d correlations equal the paper's count; the case no longer skips rows or overlaps segments", tc.name, calls)
+		}
 	}
 }
 
