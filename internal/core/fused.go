@@ -26,9 +26,10 @@ type psumSet struct {
 var psumSetPool sync.Pool
 
 // newPsumSet draws size-element buffers for every group of each present
-// term. zeroed clears them for sweeps that accumulate from the start; the
-// store-first direct sweep writes every element it reads first.
-func newPsumSet(present [numTerms]bool, groups, size int, zeroed bool) *psumSet {
+// term, uncleared: both sweeps store before they add (the direct sweep's
+// first-writer taps, the tiled executor's first-writer windows), and
+// beginTiled clears the planes no shot reaches.
+func newPsumSet(present [numTerms]bool, groups, size int) *psumSet {
 	ps, _ := psumSetPool.Get().(*psumSet)
 	if ps == nil {
 		ps = &psumSet{}
@@ -40,11 +41,7 @@ func newPsumSet(present [numTerms]bool, groups, size int, zeroed bool) *psumSet 
 		}
 		bufs := getViews(groups)
 		for g := range bufs {
-			if zeroed {
-				bufs[g] = getFloatsZeroed(size)
-			} else {
-				bufs[g] = getFloats(size)
-			}
+			bufs[g] = getFloats(size)
 		}
 		ps.terms[t] = bufs
 	}

@@ -118,7 +118,7 @@ func (r *convRun) beginDirect(x *tensor.Tensor) error {
 		detGroups = lp.channelGroups()
 	}
 	workers := resolveWorkers(e.Parallelism)
-	ps := newPsumSet(lp.presentTerms(bp), len(detGroups), n*rc*g.dstPlane, false)
+	ps := newPsumSet(lp.presentTerms(bp), len(detGroups), n*rc*g.dstPlane)
 	defer ps.release()
 	if err := lp.sweepBatchDirectRange(bp, g, n, detGroups, ps, workers, r.ocLo, r.ocHi, rc); err != nil {
 		return err
@@ -169,8 +169,22 @@ func (r *convRun) beginTiled(x *tensor.Tensor) error {
 	}
 	groups := lp.cachedGroups(e.NTA)
 	workers := resolveWorkers(e.Parallelism)
-	ps := newPsumSet(lp.presentTerms(bp), len(groups), n*(ocHi-ocLo)*oh*ow, true)
+	per := (ocHi - ocLo) * oh * ow // one sample's planes
+	ps := newPsumSet(lp.presentTerms(bp), len(groups), n*per)
 	r.ps = ps
+	// The executor's first-writer windows store every entry of a sample
+	// that carries the term's activation part; the other samples' planes
+	// see no shot and read as zero.
+	for term, bufs := range ps.terms {
+		has := partFlags(term, bp.hasPos, bp.hasNeg)
+		for _, buf := range bufs {
+			for b := 0; b < n; b++ {
+				if !has[b] {
+					clear(buf[b*per : (b+1)*per])
+				}
+			}
+		}
+	}
 	// Groups are the packed sweep's parallel axis: each group's buffers are
 	// disjoint and the shot→kernel→sample arena reuse stays intact per
 	// group. The serial case loops directly so no closure materializes.

@@ -267,39 +267,60 @@ func final2Generic(re, im []float64, tw []complex128, n int) {
 // lockstepRfft fills bin-major split planes sre/sim ((hm+1)*lw entries)
 // with the half spectra of up to lw real signals (each length <= m; tails
 // are zero-padded; nil and missing lanes transform zeros), running
-// RealPlan.rfft's exact per-lane float sequence: pack, one lockstep inner
-// transform, and the split-float twiddle recombination.
+// RealPlan.rfft's exact per-lane float sequence: pack (packLanes), one
+// lockstep inner transform, and the split-float twiddle recombination.
 func (rp *RealPlan) lockstepRfft(sre, sim []float64, signals [][]float64) {
 	hm := rp.hm
-	w := len(signals)
-	if w > lw {
-		w = lw
-	}
-	for s := 0; s < w; s++ {
-		x := signals[s]
-		n2 := len(x) / 2
-		if len(x) == rp.m {
-			n2 = hm
-		}
-		j := 0
-		for ; j < n2; j++ {
+	packLanes(sre, sim, signals[:min(len(signals), lw)], hm)
+	rp.inner.lockstepTransform(sre[:hm*lw], sim[:hm*lw], false)
+	rfftRecomb(sre, sim, rp.w, hm)
+}
+
+// packGeneric is the portable forward pack of lockstepRfft from bin row
+// j0 on (rows [0, j0) are packed already, and every signal fills them):
+// bin j of lane s receives samples 2j and 2j+1 of signals[s] (an odd
+// length's last sample pairs with 0), and every other entry of rows
+// [j0, hm) is zero, lanes past len(signals) included. The rows past every
+// lane's samples are cleared as whole rows.
+func packGeneric(sre, sim []float64, signals [][]float64, hm, j0 int) {
+	end := j0 // rows [j0, end) hold some lane's samples
+	for s, x := range signals {
+		j := j0
+		for ; j < len(x)/2; j++ {
 			sre[j*lw+s] = x[2*j]
 			sim[j*lw+s] = x[2*j+1]
 		}
-		if len(x) != rp.m && len(x)%2 == 1 {
+		if len(x)%2 == 1 {
 			sre[j*lw+s] = x[len(x)-1]
 			sim[j*lw+s] = 0
-			j++
 		}
-		for ; j < hm; j++ {
+		end = max(end, (len(x)+1)/2)
+	}
+	for s := 0; s < lw; s++ {
+		j := j0
+		if s < len(signals) {
+			j = max(j, (len(signals[s])+1)/2)
+		}
+		for ; j < end; j++ {
 			sre[j*lw+s] = 0
 			sim[j*lw+s] = 0
 		}
 	}
-	zeroLaneTail(sre, hm, w)
-	zeroLaneTail(sim, hm, w)
-	rp.inner.lockstepTransform(sre[:hm*lw], sim[:hm*lw], false)
-	rfftRecomb(sre, sim, rp.w, hm)
+	clear(sre[end*lw : hm*lw])
+	clear(sim[end*lw : hm*lw])
+}
+
+// unpackGeneric is the portable copy of bin rows [k0, bins) of lanes
+// [0, len(re)) out of the bin-major planes: re[s][k] = sre[k*lw+s] and
+// im[s][k] = sim[k*lw+s].
+func unpackGeneric(re, im [][]float64, sre, sim []float64, bins, k0 int) {
+	for s := range re {
+		r, i := re[s][:bins], im[s][:bins]
+		for k := k0; k < bins; k++ {
+			r[k] = sre[k*lw+s]
+			i[k] = sim[k*lw+s]
+		}
+	}
 }
 
 // rfftRecombGeneric is the portable post-transform recombination of the
@@ -409,8 +430,7 @@ func (cp *ConvPlan) TransformSlotsSoA(a *SpectrumArena, signals [][]float64) err
 	}
 	rp := cp.rp
 	bins := rp.hm + 1
-	var lanes [lw][]float64
-	var slots [lw]int
+	var lanes, re, im [lw][]float64
 	nl := 0
 	flush := func() {
 		w := nl
@@ -421,13 +441,7 @@ func (cp *ConvPlan) TransformSlotsSoA(a *SpectrumArena, signals [][]float64) err
 		sre := getLane(bins * lw)
 		sim := getLane(bins * lw)
 		rp.lockstepRfft(sre, sim, lanes[:w])
-		for s := 0; s < w; s++ {
-			re, im := a.Slot(slots[s])
-			for k := 0; k < bins; k++ {
-				re[k] = sre[k*lw+s]
-				im[k] = sim[k*lw+s]
-			}
-		}
+		unpackLanes(re[:w], im[:w], sre, sim, bins)
 		putLane(sre)
 		putLane(sim)
 	}
@@ -436,7 +450,7 @@ func (cp *ConvPlan) TransformSlotsSoA(a *SpectrumArena, signals [][]float64) err
 			continue
 		}
 		lanes[nl] = signal
-		slots[nl] = i
+		re[nl], im[nl] = a.Slot(i)
 		nl++
 		if nl == lw {
 			flush()
@@ -454,6 +468,11 @@ func (cp *ConvPlan) TransformSlotsSoA(a *SpectrumArena, signals [][]float64) err
 type Window struct {
 	Off, Rows, Width     int
 	SrcStride, AccStride int
+	// First makes the window the first writer of its entries: each stores
+	// 0 + y instead of adding y, which is bit for bit what adding y into a
+	// cleared (+0) entry gives (+0 + -0 is +0), so the accumulator needs no
+	// clearing beforehand.
+	First bool
 }
 
 // check reports whether the window reads inside an outLen-sample output and
@@ -547,7 +566,11 @@ func ConvolveLanesSoA(sigLen int, lanes []ConvLane) error {
 				y0 += l.SpecRe[c] * l.Plans[c].k0
 			}
 			for t := 0; t < l.Rows; t++ {
-				l.Acc[t*l.AccStride] += y0
+				if l.First {
+					l.Acc[t*l.AccStride] = 0 + y0
+				} else {
+					l.Acc[t*l.AccStride] += y0
+				}
 			}
 		}
 		return nil
@@ -573,8 +596,7 @@ func convolveLanesGroup(rp *RealPlan, g int, lanes []ConvLane) {
 	w := len(lanes)
 	hm := rp.hm
 	bins := hm + 1
-	sre := getLane(bins * lw)
-	sim := getLane(bins * lw)
+	sre, sim := workPlanes(bins)
 	if w == lw {
 		// Full-width fast path: the lanes stream their spectra and kernel
 		// spectra straight into the bin-major work planes.
@@ -602,11 +624,32 @@ func convolveLanesGroup(rp *RealPlan, g int, lanes []ConvLane) {
 		zeroLaneTail(sim, bins, w)
 	}
 	c := rp.inverseUnnormalized(sre, sim)
+	var accs [lw][]float64
+	shared := true
 	for s := range lanes {
-		addWindow(lanes[s].Acc, &lanes[s].Window, sre, sim, s, c)
+		accs[s] = lanes[s].Acc
+		shared = shared && lanes[s].Window == lanes[0].Window
+	}
+	if shared {
+		addWindows(&accs, &lanes[0].Window, sre, sim, c)
+	} else {
+		for s := range lanes {
+			addWindow(lanes[s].Acc, &lanes[s].Window, sre, sim, s, c)
+		}
 	}
 	putLane(sre)
 	putLane(sim)
+}
+
+// workPlanes draws the bin-major work planes of one lockstep inverse over
+// bins rows, each followed by lw-1 cleared rows: the last 8-row block of
+// addWindows' AVX-512F kernel may read that far past the window.
+func workPlanes(bins int) (sre, sim []float64) {
+	n := (bins + lw - 1) * lw
+	sre, sim = getLane(n), getLane(n)
+	clear(sre[bins*lw:])
+	clear(sim[bins*lw:])
+	return sre, sim
 }
 
 // inverseUnnormalized runs the lockstep inverse real transform of the
@@ -621,18 +664,31 @@ func (rp *RealPlan) inverseUnnormalized(sre, sim []float64) (c float64) {
 	return 1 / float64(hm)
 }
 
+// addWindowsGeneric is the portable window add of every lane: lane s's
+// window w goes into accs[s], a nil entry skipping the lane.
+func addWindowsGeneric(accs *[lw][]float64, w *Window, re, im []float64, c float64) {
+	for s, acc := range accs {
+		if acc != nil {
+			addWindow(acc, w, re, im, s, c)
+		}
+	}
+}
+
 // addWindow adds lane s's window w of the unnormalized inverse planes
 // re/im into acc. Output sample idx is the real (even idx) or imaginary
 // (odd idx) part of bin idx/2 after RealPlan.irfft's z *= complex(c, 0);
 // each sample is normalized in that multiply's exact two-term form
 // (xr*c - xi*0 or xr*0 + xi*c), whose zero terms fix the sign of a zero
-// result.
+// result. A first-writer window clears each row before adding into it.
 func addWindow(dst []float64, w *Window, re, im []float64, s int, c float64) {
 	if w.Width == 0 {
 		return // an empty window's strides are unchecked
 	}
 	for t := 0; t < w.Rows; t++ {
 		acc := dst[t*w.AccStride:][:w.Width]
+		if w.First {
+			clear(acc)
+		}
 		idx := w.Off + t*w.SrcStride
 		k := idx>>1*lw + s // plane entry of bin idx/2, lane s
 		i := 0

@@ -42,8 +42,10 @@ func TestLockstepConvBitIdentity(t *testing.T) {
 // maximum signal length (m up to 1024), signal length, slot count (1 to
 // 2*LockstepWidth+2 samples, one left empty past three, so 1 to
 // 2*LockstepWidth+1 lanes), channels per lane (1 to 16, the kernels mixed
-// per lane and per channel) and each lane's window (even and odd offsets,
-// source strides wider than the width) all derive from the inputs.
+// per lane and per channel) and the windows (one shared by every lane, as
+// a shot's lanes share it, or one per lane; even and odd offsets, source
+// strides wider than the width, first-writer or adding) all derive from
+// the inputs.
 func FuzzConvolveLanesWindow(f *testing.F) {
 	f.Add(uint16(1), uint16(1), uint16(1), uint8(1), uint8(1), int64(1))        // m == 1
 	f.Add(uint16(1), uint16(2), uint16(2), uint8(3), uint8(2), int64(2))        // m == 2
@@ -52,6 +54,7 @@ func FuzzConvolveLanesWindow(f *testing.F) {
 	f.Add(uint16(19), uint16(256), uint16(256), uint8(8), uint8(1), int64(5))   // AlexNetS conv3 per channel, 7 lanes
 	f.Add(uint16(35), uint16(256), uint16(256), uint8(9), uint8(12), int64(6))  // AlexNetS conv2 group, 12 channels
 	f.Add(uint16(19), uint16(256), uint16(256), uint8(8), uint8(16), int64(7))  // AlexNetS conv3 group, 16 channels
+	f.Add(uint16(19), uint16(256), uint16(256), uint8(2), uint8(1), int64(8))   // a two-lane ragged group
 	f.Fuzz(func(t *testing.T, kLen, maxSig, sigLen uint16, slots, channels uint8, seed int64) {
 		const maxM = 1024
 		k := 1 + int(kLen-1)%maxM
@@ -85,10 +88,12 @@ func convPlans(t *testing.T, rng *rand.Rand, kLen, maxSig int) []*ConvPlan {
 // length sigLen each (sample 3 left empty) through TransformSlotsSoA and
 // TransformSignalSoA and requires bitwise equal spectra. It then runs one
 // window lane per filled sample, whose channels each take a random plan of
-// plans, into accumulators holding nonzero values, and requires every
-// accumulator entry to equal, bit for bit, ConvolveSumInto's output on the
-// sample's signals added through the same window. A one-channel lane must
-// also equal ConvolveSoAInto on its slot.
+// plans, into accumulators holding nonzero values (NaN among them under a
+// first-writer window), and requires every accumulator entry to equal, bit
+// for bit, ConvolveSumInto's output on the sample's signals added through
+// the same window (stored as 0 + y by a first writer). Half the calls give
+// every lane one shared window. A one-channel lane must also equal
+// ConvolveSoAInto on its slot.
 func checkLockstepConv(t *testing.T, rng *rand.Rand, plans []*ConvPlan, sigLen, count, channels int) {
 	t.Helper()
 	cp := plans[0]
@@ -97,11 +102,7 @@ func checkLockstepConv(t *testing.T, rng *rand.Rand, plans []*ConvPlan, sigLen, 
 		if count > 3 && i/channels == 3 {
 			continue
 		}
-		sig := make([]float64, sigLen)
-		for j := range sig {
-			sig[j] = rng.NormFloat64()
-		}
-		signals[i] = sig
+		signals[i] = randSignal(rng, sigLen)
 	}
 	want := NewSpectrumArena(len(signals), cp.SpectrumLen())
 	got := NewSpectrumArena(len(signals), cp.SpectrumLen())
@@ -130,6 +131,8 @@ func checkLockstepConv(t *testing.T, rng *rand.Rand, plans []*ConvPlan, sigLen, 
 	var lanes []ConvLane
 	var accWant [][]float64
 	y := make([]float64, outLen)
+	shared := rng.Intn(2) == 0
+	win := randWindow(rng, outLen)
 	for b := 0; b < count; b++ {
 		sigs := signals[b*channels : (b+1)*channels]
 		if sigs[0] == nil {
@@ -139,11 +142,10 @@ func checkLockstepConv(t *testing.T, rng *rand.Rand, plans []*ConvPlan, sigLen, 
 		for c := range lanePlans {
 			lanePlans[c] = plans[rng.Intn(len(plans))]
 		}
-		win := randWindow(rng, outLen)
-		acc := make([]float64, (win.Rows-1)*win.AccStride+win.Width+rng.Intn(3))
-		for i := range acc {
-			acc[i] = rng.NormFloat64()
+		if !shared {
+			win = randWindow(rng, outLen)
 		}
+		acc := garbageAcc(rng, win)
 		full, err := ConvolveSumInto(y, lanePlans, sigs)
 		if err != nil {
 			t.Fatalf("scalar ConvolveSumInto: %v", err)
@@ -159,12 +161,7 @@ func checkLockstepConv(t *testing.T, rng *rand.Rand, plans []*ConvPlan, sigLen, 
 				}
 			}
 		}
-		ref := append([]float64(nil), acc...)
-		for r := 0; r < win.Rows; r++ {
-			for c := 0; c < win.Width; c++ {
-				ref[r*win.AccStride+c] += full[win.Off+r*win.SrcStride+c]
-			}
-		}
+		ref := windowRef(acc, win, full)
 		re, im := got.SlotRange(b*channels, channels)
 		lanes = append(lanes, ConvLane{Plans: lanePlans, SpecRe: re, SpecIm: im, Acc: acc, Window: win})
 		accWant = append(accWant, ref)
@@ -182,12 +179,23 @@ func checkLockstepConv(t *testing.T, rng *rand.Rand, plans []*ConvPlan, sigLen, 
 	}
 }
 
+// randSignal draws a length-n shot signal of N(0,1) samples.
+func randSignal(rng *rand.Rand, n int) []float64 {
+	sig := make([]float64, n)
+	for j := range sig {
+		sig[j] = rng.NormFloat64()
+	}
+	return sig
+}
+
 // randWindow draws a window inside an outLen-sample output: either the
 // whole output as one row, or up to four rows at a random (even or odd)
 // offset whose source stride is at least, and usually more than, the width.
+// Half the windows are first writers.
 func randWindow(rng *rand.Rand, outLen int) Window {
+	first := rng.Intn(2) == 0
 	if rng.Intn(4) == 0 {
-		return Window{Rows: 1, Width: outLen, SrcStride: outLen, AccStride: outLen}
+		return Window{Rows: 1, Width: outLen, SrcStride: outLen, AccStride: outLen, First: first}
 	}
 	rows := 1 + rng.Intn(min(4, outLen))
 	src := outLen / rows
@@ -198,7 +206,38 @@ func randWindow(rng *rand.Rand, outLen int) Window {
 		Width:     width,
 		SrcStride: src,
 		AccStride: width + rng.Intn(3),
+		First:     first,
 	}
+}
+
+// garbageAcc returns an accumulator for window w, up to two entries
+// longer, holding random values, with NaN among them when w is a first
+// writer (which must overwrite every entry it covers).
+func garbageAcc(rng *rand.Rand, w Window) []float64 {
+	acc := make([]float64, (w.Rows-1)*w.AccStride+w.Width+rng.Intn(3))
+	for i := range acc {
+		acc[i] = rng.NormFloat64()
+		if w.First && rng.Intn(3) == 0 {
+			acc[i] = math.NaN()
+		}
+	}
+	return acc
+}
+
+// windowRef returns acc after window w of the output full: each covered
+// entry plus its sample, or 0 plus it when w is a first writer.
+func windowRef(acc []float64, w Window, full []float64) []float64 {
+	ref := append([]float64(nil), acc...)
+	for r := 0; r < w.Rows; r++ {
+		for c := 0; c < w.Width; c++ {
+			i := r*w.AccStride + c
+			if w.First {
+				ref[i] = 0
+			}
+			ref[i] += full[w.Off+r*w.SrcStride+c]
+		}
+	}
+	return ref
 }
 
 // TestConvolveLanesWindowBounds: a window reaching past the output or the
@@ -306,7 +345,13 @@ func (f *windowFixture) lockstep(tb testing.TB) {
 
 // BenchmarkConvolveLanesWindow compares window lanes through the lockstep
 // epilogue against per-slot scalar ConvolveSoAInto plus a window add, one
-// lockstep group of conv1-shaped lanes per iteration.
+// lockstep group of conv1-shaped lanes per iteration; then it times the
+// pass boundaries alone in every kernel family this CPU runs, on the same
+// shape: the window add of the group's 128 samples per lane at odd offset
+// 131, with (window/F/first) and without (window/F/add) the first-writer
+// form, the forward pack of eight 256-sample signals into m = 512 planes
+// (pack/F), and the copy of the eight lanes' 257 bins out to their slots
+// (unpack/F).
 func BenchmarkConvolveLanesWindow(b *testing.B) {
 	f := newWindowFixture(b, LockstepWidth)
 	b.Run("scalar", func(b *testing.B) {
@@ -321,4 +366,47 @@ func BenchmarkConvolveLanesWindow(b *testing.B) {
 			f.lockstep(b)
 		}
 	})
+	const hm, sigLen = 256, 256
+	bins := hm + 1
+	rng := rand.New(rand.NewSource(13))
+	re, im := workPlanes(bins)
+	for i := range bins * lw {
+		re[i], im[i] = rng.NormFloat64(), rng.NormFloat64()
+	}
+	var accs [lw][]float64
+	signals := make([][]float64, lw)
+	slotRe, slotIm := make([][]float64, lw), make([][]float64, lw)
+	for s := range accs {
+		accs[s] = make([]float64, 128)
+		signals[s] = randPlane(rng, sigLen)
+		slotRe[s], slotIm[s] = make([]float64, bins), make([]float64, bins)
+	}
+	for _, fam := range append([]kernelFamily{goKernels}, packedKernelFamilies()...) {
+		if fam.missing != "" {
+			continue
+		}
+		for _, first := range []bool{false, true} {
+			w := Window{Off: 131, Rows: 4, Width: 32, SrcStride: 32, AccStride: 32, First: first}
+			name := "add"
+			if first {
+				name = "first"
+			}
+			b.Run("window/"+fam.name+"/"+name, func(b *testing.B) {
+				for b.Loop() {
+					fam.window(&accs, &w, re, im, 1.0/hm)
+				}
+			})
+		}
+		b.Run("pack/"+fam.name, func(b *testing.B) {
+			sre, sim := workPlanes(bins)
+			for b.Loop() {
+				fam.pack(sre, sim, signals, hm)
+			}
+		})
+		b.Run("unpack/"+fam.name, func(b *testing.B) {
+			for b.Loop() {
+				fam.unpack(slotRe, slotIm, re, im, bins)
+			}
+		})
+	}
 }

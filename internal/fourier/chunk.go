@@ -106,15 +106,10 @@ func ConvolveChunkSoA(sigLen int, ch *ConvChunk) error {
 	if !live {
 		return nil
 	}
-	sre := getLane(bins * lw)
-	sim := getLane(bins * lw)
+	sre, sim := workPlanes(bins)
 	chunkMul(sre, sim, bins, ch.SpecRe, ch.SpecIm, ch.Plans)
 	c := ref.rp.inverseUnnormalized(sre, sim)
-	for s, acc := range ch.Accs {
-		if acc != nil {
-			addWindow(acc, &ch.Window, sre, sim, s, c)
-		}
-	}
+	addWindows(&ch.Accs, &ch.Window, sre, sim, c)
 	putLane(sre)
 	putLane(sim)
 	return nil

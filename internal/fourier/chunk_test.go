@@ -11,10 +11,11 @@ import (
 // grouped convolution over generated geometries: kernel length, maximum
 // signal length (m up to 1024), signal length, channels (1 to 40, each
 // taking one of three kernels), which samples' accumulators are nil and
-// the shared window all derive from the inputs. Every lane of each chunk
-// plane must equal TransformSignalSoA's spectrum of its signal, and every
-// live accumulator entry ConvolveSumInto's output on the sample's signals
-// added through the window, bit for bit; nil accumulators stay nil.
+// the shared window (first-writer or adding) all derive from the inputs.
+// Every lane of each chunk plane must equal TransformSignalSoA's spectrum
+// of its signal, and every live accumulator entry ConvolveSumInto's output
+// on the sample's signals added through the window (stored as 0 + y by a
+// first writer, over garbage), bit for bit; nil accumulators stay nil.
 func FuzzConvolveChunk(f *testing.F) {
 	f.Add(uint16(1), uint16(2), uint16(2), uint8(2), uint8(0), int64(1))          // m == 2
 	f.Add(uint16(3), uint16(6), uint16(5), uint8(1), uint8(0x81), int64(2))       // m == 8
@@ -45,11 +46,7 @@ func checkChunkConv(t *testing.T, rng *rand.Rand, kernels []*ConvPlan, sigLen, g
 	}
 	signals := make([][]float64, g*lw) // sample s's channel c at s*g+c
 	for i := range signals {
-		sig := make([]float64, sigLen)
-		for j := range sig {
-			sig[j] = rng.NormFloat64()
-		}
-		signals[i] = sig
+		signals[i] = randSignal(rng, sigLen)
 	}
 	bins := cp.SpectrumLen()
 	re, im := make([]float64, g*bins*lw), make([]float64, g*bins*lw)
@@ -98,21 +95,12 @@ func checkChunkConv(t *testing.T, rng *rand.Rand, kernels []*ConvPlan, sigLen, g
 		if nilMask>>s&1 == 1 {
 			continue
 		}
-		acc := make([]float64, (win.Rows-1)*win.AccStride+win.Width+rng.Intn(3))
-		for i := range acc {
-			acc[i] = rng.NormFloat64()
-		}
+		acc := garbageAcc(rng, win)
 		full, err := ConvolveSumInto(y, plans, signals[s*g:(s+1)*g])
 		if err != nil {
 			t.Fatalf("scalar ConvolveSumInto: %v", err)
 		}
-		ref := append([]float64(nil), acc...)
-		for r := 0; r < win.Rows; r++ {
-			for c := 0; c < win.Width; c++ {
-				ref[r*win.AccStride+c] += full[win.Off+r*win.SrcStride+c]
-			}
-		}
-		ch.Accs[s], want[s] = acc, ref
+		ch.Accs[s], want[s] = acc, windowRef(acc, win, full)
 	}
 	if err := ConvolveChunkSoA(sigLen, ch); err != nil {
 		t.Fatalf("ConvolveChunkSoA kLen=%d m=%d: %v", cp.kLen, cp.m, err)

@@ -16,13 +16,21 @@ import "photofourier/internal/cpu"
 //     planes instead of storing them, one channel of a lane group per call.
 //     The full-chunk multiply broadcasts each kernel bin over its bin row
 //     (VBROADCASTSD) and sums up to chunkBatch channels of an 8-row block
-//     in registers before one store;
+//     in registers before one store. The pass boundaries move data between
+//     per-lane runs and bin rows with the same 8x8 register transpose: the
+//     forward pack (packAVX512), the copy of lanes out to arena slots
+//     (unpackAVX512) and the window add (addWindowAVX512), which
+//     normalizes 8-row blocks of the inverse and adds or, for a
+//     first-writer window, stores their samples into the lanes'
+//     accumulators;
 //   - SSE2 (lockstep_amd64.s): the same rows in four 2-lane XMM chunks
 //     (the full-chunk multiply sums one bin row's channels in registers).
 //     SSE2 is the amd64 baseline (GOAMD64=v1), so it is the fallback on
 //     every host without AVX-512F, and final2 and rfftRecomb keep their
 //     single SSE2 body on every host (final2 never runs at the conv paths'
 //     m = 512, and the forward transform is a small share of the time).
+//     SSE2 hosts run the Go loops of the pack, the copy-out and the window
+//     add.
 //
 // cpu.HasAVX512F picks the family (the module's one CPUID probe, which
 // internal/quant's converter kernels read too). Nothing overrides that
@@ -149,6 +157,116 @@ func chunkMulPacked(avx bool, dre, dim []float64, bins int, xr, xi []float64, pl
 	}
 }
 
+// packLanes writes the forward pack of packGeneric. On AVX-512F the
+// bins every lane fills are packed in 8-bin blocks by packAVX512 and the
+// Go loop finishes the rows from the last whole block on; SSE2 hosts run
+// the Go loop.
+func packLanes(sre, sim []float64, signals [][]float64, hm int) {
+	if !useAVX512 {
+		packGeneric(sre, sim, signals, hm, 0)
+		return
+	}
+	packLanesAVX512(sre, sim, signals, hm)
+}
+
+// packLanesAVX512 runs packAVX512 over the whole 8-bin blocks every lane
+// fills (a nil lane fills none, and neither do no lanes) and packGeneric
+// from there on.
+func packLanesAVX512(sre, sim []float64, signals [][]float64, hm int) {
+	blocks := 0
+	if len(signals) > 0 {
+		blocks = hm / lw
+	}
+	var x [lw]*float64
+	for s, sig := range signals {
+		blocks = min(blocks, len(sig)/(2*lw))
+		if blocks > 0 {
+			x[s] = &sig[0]
+		}
+	}
+	if blocks > 0 {
+		for s := len(signals); s < lw; s++ {
+			x[s] = x[0] // dead lanes: masked off, never read
+		}
+		packAVX512(sre, sim, &x, len(signals), blocks)
+	}
+	packGeneric(sre, sim, signals, hm, blocks*lw)
+}
+
+// unpackLanes copies lanes [0, len(re)) of the bin-major planes out to
+// re[s]/im[s] as unpackGeneric does; AVX-512F transposes 8-row blocks
+// (unpackAVX512) and the Go loop copies the rows past the last one.
+func unpackLanes(re, im [][]float64, sre, sim []float64, bins int) {
+	if !useAVX512 {
+		unpackGeneric(re, im, sre, sim, bins, 0)
+		return
+	}
+	unpackLanesAVX512(re, im, sre, sim, bins)
+}
+
+func unpackLanesAVX512(re, im [][]float64, sre, sim []float64, bins int) {
+	blocks := 0
+	if len(re) > 0 {
+		blocks = bins / lw
+	}
+	if blocks > 0 {
+		var pr, pi [lw]*float64
+		for s := range pr {
+			l := min(s, len(re)-1) // dead lanes: masked off
+			pr[s], pi[s] = &re[l][0], &im[l][0]
+		}
+		unpackAVX512(sre, sim, &pr, &pi, len(re), blocks)
+	}
+	unpackGeneric(re, im, sre, sim, bins, blocks*lw)
+}
+
+// addWindows adds window w of lanes [0, lw) of the unnormalized inverse
+// planes into accs[s] (nil skips the lane), as addWindow per lane. On
+// AVX-512F every contiguous run of the window (the whole window when its
+// rows abut in both the output and the accumulator, else each row) is one
+// addWindowAVX512 call over all eight lanes, a nil lane writing into a
+// cleared scratch sink. The planes must hold lw-1 rows past the spectrum
+// (workPlanes).
+func addWindows(accs *[lw][]float64, w *Window, re, im []float64, c float64) {
+	if !useAVX512 {
+		addWindowsGeneric(accs, w, re, im, c)
+		return
+	}
+	addWindowsAVX512(accs, w, re, im, c)
+}
+
+func addWindowsAVX512(accs *[lw][]float64, w *Window, re, im []float64, c float64) {
+	if w.Rows == 0 || w.Width == 0 {
+		return // an empty window's strides are unchecked
+	}
+	rows, n := w.Rows, w.Width
+	if w.SrcStride == n && w.AccStride == n {
+		rows, n = 1, w.Rows*w.Width
+	}
+	var base [lw][]float64
+	var sink []float64
+	for s, acc := range accs {
+		if acc == nil {
+			if sink == nil {
+				sink = getLane((w.Rows-1)*w.AccStride + w.Width)
+				clear(sink)
+			}
+			acc = sink
+		}
+		base[s] = acc
+	}
+	var p [lw]*float64
+	for t := 0; t < rows; t++ {
+		for s := range p {
+			p[s] = &base[s][t*w.AccStride]
+		}
+		addWindowAVX512(re, im, w.Off+t*w.SrcStride, n, c, &p, w.First)
+	}
+	if sink != nil {
+		putLane(sink)
+	}
+}
+
 // SSE2 family (lockstep_amd64.s).
 
 //go:noescape
@@ -194,3 +312,12 @@ func gatherMulAVX512(dre, dim []float64, bins int, xr, xi *[lw]*float64, k *[lw]
 
 //go:noescape
 func chunkMulAVX512(dre, dim []float64, bins int, xr, xi []float64, k []*complex128, acc bool)
+
+//go:noescape
+func packAVX512(sre, sim []float64, x *[lw]*float64, w, blocks int)
+
+//go:noescape
+func unpackAVX512(sre, sim []float64, re, im *[lw]*float64, w, blocks int)
+
+//go:noescape
+func addWindowAVX512(re, im []float64, idx, n int, c float64, acc *[lw]*float64, first bool)

@@ -3,7 +3,8 @@
 package fourier
 
 // packedKernelFamilies lists the amd64 kernel families. final2 and
-// rfftRecomb keep their single SSE2 body in both, as in production.
+// rfftRecomb keep their single SSE2 body in both, and SSE2 runs the Go
+// loops of the pack, the unpack and the window add, as in production.
 func packedKernelFamilies() []kernelFamily {
 	sse2 := kernelFamily{
 		name:        "sse2",
@@ -17,6 +18,9 @@ func packedKernelFamilies() []kernelFamily {
 		mulChunk: func(dre, dim []float64, bins int, xr, xi []float64, plans []*ConvPlan) {
 			chunkMulPacked(false, dre, dim, bins, xr, xi, plans)
 		},
+		pack:   packGo,
+		unpack: unpackGo,
+		window: addWindowsGeneric,
 	}
 	avx512 := kernelFamily{
 		name:        "avx512",
@@ -30,6 +34,9 @@ func packedKernelFamilies() []kernelFamily {
 		mulChunk: func(dre, dim []float64, bins int, xr, xi []float64, plans []*ConvPlan) {
 			chunkMulPacked(true, dre, dim, bins, xr, xi, plans)
 		},
+		pack:   packLanesAVX512,
+		unpack: unpackLanesAVX512,
+		window: addWindowsAVX512,
 	}
 	if !useAVX512 {
 		avx512.missing = "no AVX-512F, or the OS does not save ZMM state"

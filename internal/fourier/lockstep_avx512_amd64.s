@@ -10,7 +10,11 @@
 // multiply has no SSE2 twin body: it replaces four gatherMulPair calls and
 // runs their per-lane multiply, moving data with shuffles and gathers,
 // which copy bits unchanged. The full-chunk multiply's twin is
-// chunkMulSSE2; its broadcasts copy bits unchanged too.
+// chunkMulSSE2; its broadcasts copy bits unchanged too. The pack, the
+// copy-out and the window add have no SSE2 twin: their Go loops
+// (packGeneric, unpackGeneric, addWindow) are the oracle and the SSE2
+// hosts' path, and only the window add computes (addWindow's two-term
+// normalization and its add, or 0 + y for a first writer).
 
 #include "textflag.h"
 
@@ -803,5 +807,291 @@ crowstore:
 	JNZ  crow
 
 cdone:
+	VZEROUPPER
+	RET
+
+// LANEMASK sets mask register k to all ones when lane s is live (s < AX,
+// the live lane count) and to zero otherwise; clobbers R11 and R12.
+#define LANEMASK(s, k) \
+	XORQ    R11, R11      \
+	MOVQ    $0xFF, R12    \
+	CMPQ    AX, $s        \
+	CMOVQGT R12, R11      \
+	KMOVW   R11, k
+
+// LANEMASKS fills K1-K7 with the masks of lanes 1-7 (lane 0 is always
+// live).
+#define LANEMASKS \
+	LANEMASK(1, K1) \
+	LANEMASK(2, K2) \
+	LANEMASK(3, K3) \
+	LANEMASK(4, K4) \
+	LANEMASK(5, K5) \
+	LANEMASK(6, K6) \
+	LANEMASK(7, K7)
+
+// PACKLOAD loads eight consecutive samples of every lane (lane s's signal
+// at s*8(R8)), from byte off past BX, into Z0-Z7; dead lanes load zeros.
+#define PACKLOAD(off) \
+	MOVQ      0(R8), R11                 \
+	VMOVUPD   off(R11)(BX*1), Z0         \
+	MOVQ      8(R8), R11                 \
+	VMOVUPD.Z off(R11)(BX*1), K1, Z1     \
+	MOVQ      16(R8), R11                \
+	VMOVUPD.Z off(R11)(BX*1), K2, Z2     \
+	MOVQ      24(R8), R11                \
+	VMOVUPD.Z off(R11)(BX*1), K3, Z3     \
+	MOVQ      32(R8), R11                \
+	VMOVUPD.Z off(R11)(BX*1), K4, Z4     \
+	MOVQ      40(R8), R11                \
+	VMOVUPD.Z off(R11)(BX*1), K5, Z5     \
+	MOVQ      48(R8), R11                \
+	VMOVUPD.Z off(R11)(BX*1), K6, Z6     \
+	MOVQ      56(R8), R11                \
+	VMOVUPD.Z off(R11)(BX*1), K7, Z7
+
+// PACKSTORE stores TRANSPOSE8's sample rows (sample j of every lane) as
+// four bin rows from byte off: even samples to the real plane (SI), odd
+// ones to the imaginary plane (DI).
+#define PACKSTORE(off) \
+	VMOVUPD Z16, off+0(SI)   \ // sample 0: re
+	VMOVUPD Z20, off+0(DI)   \ // sample 1: im
+	VMOVUPD Z18, off+64(SI)  \ // sample 2
+	VMOVUPD Z22, off+64(DI)  \ // sample 3
+	VMOVUPD Z17, off+128(SI) \ // sample 4
+	VMOVUPD Z21, off+128(DI) \ // sample 5
+	VMOVUPD Z19, off+192(SI) \ // sample 6
+	VMOVUPD Z23, off+192(DI) // sample 7
+
+// func packAVX512(sre, sim []float64, x *[8]*float64, w, blocks int)
+//
+// Forward pack of the first blocks*8 bins: bin k of lane s receives
+// x[s][2k] in sre and x[s][2k+1] in sim (row k, element s). Each 8-bin
+// block loads 16 samples of every lane and transposes them (TRANSPOSE8,
+// twice) into sample rows, so the even rows are real bin rows and the odd
+// ones imaginary. Lanes [w, 8) are dead and store zeros (zeroing-masked
+// loads never touch their memory); lane 0 is always live. Pure data
+// movement: every sample is copied bit for bit.
+TEXT ·packAVX512(SB), NOSPLIT, $0-72
+	MOVQ sre_base+0(FP), SI
+	MOVQ sim_base+24(FP), DI
+	MOVQ x+48(FP), R8
+	MOVQ w+56(FP), AX
+	MOVQ blocks+64(FP), CX
+	LANEMASKS
+	XORQ BX, BX               // sample byte offset of the block
+	TESTQ CX, CX
+	JZ   pdone
+
+ploop:
+	PACKLOAD(0)
+	TRANSPOSE8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	PACKSTORE(0)
+	PACKLOAD(64)
+	TRANSPOSE8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	PACKSTORE(256)
+	ADDQ $128, BX
+	ADDQ $512, SI
+	ADDQ $512, DI
+	DECQ CX
+	JNZ  ploop
+
+pdone:
+	VZEROUPPER
+	RET
+
+// UNPACKSTORE stores TRANSPOSE8's lane registers (bins 0-7 of lane s) at
+// byte BX of lane s's slot, whose base is at s*8(R9); dead lanes' stores
+// are masked off.
+#define UNPACKSTORE \
+	MOVQ    0(R9), R11           \
+	VMOVUPD Z16, (R11)(BX*1)     \
+	MOVQ    8(R9), R11           \
+	VMOVUPD Z20, K1, (R11)(BX*1) \
+	MOVQ    16(R9), R11          \
+	VMOVUPD Z18, K2, (R11)(BX*1) \
+	MOVQ    24(R9), R11          \
+	VMOVUPD Z22, K3, (R11)(BX*1) \
+	MOVQ    32(R9), R11          \
+	VMOVUPD Z17, K4, (R11)(BX*1) \
+	MOVQ    40(R9), R11          \
+	VMOVUPD Z21, K5, (R11)(BX*1) \
+	MOVQ    48(R9), R11          \
+	VMOVUPD Z19, K6, (R11)(BX*1) \
+	MOVQ    56(R9), R11          \
+	VMOVUPD Z23, K7, (R11)(BX*1)
+
+// ROWSLOAD loads the eight bin rows of a block from D into Z0-Z7.
+#define ROWSLOAD(D) \
+	VMOVUPD 0(D), Z0   \
+	VMOVUPD 64(D), Z1  \
+	VMOVUPD 128(D), Z2 \
+	VMOVUPD 192(D), Z3 \
+	VMOVUPD 256(D), Z4 \
+	VMOVUPD 320(D), Z5 \
+	VMOVUPD 384(D), Z6 \
+	VMOVUPD 448(D), Z7
+
+// func unpackAVX512(sre, sim []float64, re, im *[8]*float64, w, blocks int)
+//
+// Copies the first blocks*8 bin rows of the bin-major planes out to the
+// lanes' own spectra: re[s][k] = sre[k*8+s], im[s][k] = sim[k*8+s] for
+// the w live lanes (lane 0 always live). Each block transposes its eight
+// rows of each plane into lane vectors. Pure data movement.
+TEXT ·unpackAVX512(SB), NOSPLIT, $0-80
+	MOVQ sre_base+0(FP), SI
+	MOVQ sim_base+24(FP), DI
+	MOVQ w+64(FP), AX
+	MOVQ blocks+72(FP), CX
+	LANEMASKS
+	XORQ BX, BX               // lane byte offset of the block
+	TESTQ CX, CX
+	JZ   udone
+
+uloop:
+	ROWSLOAD(SI)
+	TRANSPOSE8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	MOVQ re+48(FP), R9
+	UNPACKSTORE
+	ROWSLOAD(DI)
+	TRANSPOSE8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	MOVQ im+56(FP), R9
+	UNPACKSTORE
+	ADDQ $64, BX
+	ADDQ $512, SI
+	ADDQ $512, DI
+	DECQ CX
+	JNZ  uloop
+
+udone:
+	VZEROUPPER
+	RET
+
+// NORM reads bin row off of the unnormalized inverse (xr at off(SI)(BX*1),
+// xi at off(DI)(BX*1)) and leaves its two output sample rows, in
+// addWindow's two-term forms: yr = xr*c - xi*0 (the bin's even sample)
+// and yi = xr*0 + xi*c (its odd sample). Z24 = c, Z25 = +0; clobbers
+// Z26-Z28.
+#define NORM(off, yr, yi) \
+	VMOVUPD off(SI)(BX*1), Z26 \ // xr
+	VMOVUPD off(DI)(BX*1), Z27 \ // xi
+	VMULPD  Z24, Z26, yr       \ // xr*c
+	VMULPD  Z25, Z27, Z28      \ // xi*0
+	VSUBPD  Z28, yr, yr        \ // xr*c - xi*0
+	VMULPD  Z25, Z26, yi       \ // xr*0
+	VMULPD  Z24, Z27, Z28      \ // xi*c
+	VADDPD  Z28, yi, yi        // xr*0 + xi*c
+
+// WADD adds lane register y into the lane's accumulator (base at off(R8))
+// at byte DX, as acc + y, under the half-block mask K1 (tmp clobbered).
+#define WADD(off, y, tmp) \
+	MOVQ      off(R8), R11          \
+	VMOVUPD.Z (R11)(DX*1), K1, tmp  \
+	VADDPD    y, tmp, tmp           \
+	VMOVUPD   tmp, K1, (R11)(DX*1)
+
+// WSTORE is WADD's first-writer form: it stores 0 + y (Z25 = +0), the
+// value acc + y takes on a cleared entry, without reading the entry.
+#define WSTORE(off, y, tmp) \
+	MOVQ    off(R8), R11         \
+	VADDPD  y, Z25, tmp          \
+	VMOVUPD tmp, K1, (R11)(DX*1)
+
+// WHALF applies op (WADD or WSTORE) to the eight lane registers
+// TRANSPOSE8 left, with t0-t7 as temporaries.
+#define WHALF(op, t0, t1, t2, t3, t4, t5, t6, t7) \
+	op(0, Z16, t0)  \
+	op(8, Z20, t1)  \
+	op(16, Z18, t2) \
+	op(24, Z22, t3) \
+	op(32, Z17, t4) \
+	op(40, Z21, t5) \
+	op(48, Z19, t6) \
+	op(56, Z23, t7)
+
+DATA laneIota<>+0(SB)/8, $0
+DATA laneIota<>+8(SB)/8, $1
+DATA laneIota<>+16(SB)/8, $2
+DATA laneIota<>+24(SB)/8, $3
+DATA laneIota<>+32(SB)/8, $4
+DATA laneIota<>+40(SB)/8, $5
+DATA laneIota<>+48(SB)/8, $6
+DATA laneIota<>+56(SB)/8, $7
+GLOBL laneIota<>(SB), RODATA|NOPTR, $64
+
+// func addWindowAVX512(re, im []float64, idx, n int, c float64, acc *[8]*float64, first bool)
+//
+// Adds output samples idx .. idx+n-1 of all eight lanes of the
+// unnormalized inverse planes re/im into the lanes' accumulators: sample
+// idx+i of lane s goes to acc[s][i]. Each block reads eight bin rows from
+// row idx/2 on, normalizes them in addWindow's two-term forms (NORM) into
+// sixteen sample rows, and transposes each eight (TRANSPOSE8) into the
+// lanes' eight consecutive samples. An odd idx starts the first block one
+// sample before the window, so entries are masked (K1) to positions
+// [0, n): VPCMPUQ compares each position unsigned, which also drops the
+// position -1. With first set every entry stores 0 + y (WSTORE), else
+// acc + y (WADD); VADDPD and VSUBPD, never an FMA. The last block may
+// read up to seven bin rows past the last sample's row.
+TEXT ·addWindowAVX512(SB), NOSPLIT, $0-81
+	MOVQ         re_base+0(FP), SI
+	MOVQ         im_base+24(FP), DI
+	MOVQ         idx+48(FP), AX
+	MOVQ         n+56(FP), R9
+	VBROADCASTSD c+64(FP), Z24
+	MOVQ         acc+72(FP), R8
+	MOVBQZX      first+80(FP), R13
+	VPXORQ       Z25, Z25, Z25     // +0
+	MOVQ         AX, BX
+	SHRQ         $1, BX
+	SHLQ         $6, BX            // byte offset of the first bin row
+	ANDQ         $1, AX
+	NEGQ         AX                // accumulator position of that row's even sample: 0 or -1
+	VPBROADCASTQ AX, Z30
+	VPADDQ       laneIota<>(SB), Z30, Z30 // positions of the half-block's samples
+	VPBROADCASTQ R9, Z31           // n
+	MOVQ         $8, R10
+	VPBROADCASTQ R10, Z29          // one half-block
+	MOVQ         AX, DX
+	SHLQ         $3, DX            // byte position of the half-block
+	SHLQ         $3, R9            // n*8
+
+wloop:
+	NORM(0, Z0, Z1)
+	NORM(64, Z2, Z3)
+	NORM(128, Z4, Z5)
+	NORM(192, Z6, Z7)
+	NORM(256, Z8, Z9)
+	NORM(320, Z10, Z11)
+	NORM(384, Z12, Z13)
+	NORM(448, Z14, Z15)
+	TRANSPOSE8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	VPCMPUQ $1, Z31, Z30, K1       // 0 <= position < n
+	TESTQ   R13, R13
+	JNZ     wstore0
+	WHALF(WADD, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	JMP     whalf1
+
+wstore0:
+	WHALF(WSTORE, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+
+whalf1:
+	VPADDQ  Z29, Z30, Z30
+	ADDQ    $64, DX
+	TRANSPOSE8(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	VPCMPUQ $1, Z31, Z30, K1
+	TESTQ   R13, R13
+	JNZ     wstore1
+	WHALF(WADD, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	JMP     wnext
+
+wstore1:
+	WHALF(WSTORE, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+
+wnext:
+	VPADDQ Z29, Z30, Z30
+	ADDQ   $64, DX
+	ADDQ   $512, BX
+	CMPQ   DX, R9
+	JLT    wloop
 	VZEROUPPER
 	RET

@@ -41,3 +41,15 @@ func gatherMulGroup(dre, dim []float64, bins int, lanes []ConvLane, c int) {
 func chunkMul(dre, dim []float64, bins int, xr, xi []float64, plans []*ConvPlan) {
 	chunkMulGeneric(dre, dim, bins, xr, xi, plans)
 }
+
+func packLanes(sre, sim []float64, signals [][]float64, hm int) {
+	packGeneric(sre, sim, signals, hm, 0)
+}
+
+func unpackLanes(re, im [][]float64, sre, sim []float64, bins int) {
+	unpackGeneric(re, im, sre, sim, bins, 0)
+}
+
+func addWindows(accs *[lw][]float64, w *Window, re, im []float64, c float64) {
+	addWindowsGeneric(accs, w, re, im, c)
+}

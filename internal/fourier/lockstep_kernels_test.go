@@ -20,6 +20,15 @@ type kernelFamily struct {
 	irfftRecomb func(sre, sim []float64, w []complex128, hm int)
 	mulGroup    func(dre, dim []float64, bins int, lanes []ConvLane, c int)
 	mulChunk    func(dre, dim []float64, bins int, xr, xi []float64, plans []*ConvPlan)
+	pack        func(sre, sim []float64, signals [][]float64, hm int)
+	unpack      func(re, im [][]float64, sre, sim []float64, bins int)
+	window      func(accs *[lw][]float64, w *Window, re, im []float64, c float64)
+}
+
+func packGo(sre, sim []float64, signals [][]float64, hm int) { packGeneric(sre, sim, signals, hm, 0) }
+
+func unpackGo(re, im [][]float64, sre, sim []float64, bins int) {
+	unpackGeneric(re, im, sre, sim, bins, 0)
 }
 
 // goKernels is the portable family every packed family must match.
@@ -33,6 +42,9 @@ var goKernels = kernelFamily{
 	irfftRecomb: irfftRecombGeneric,
 	mulGroup:    gatherMulGroupGeneric,
 	mulChunk:    chunkMulGeneric,
+	pack:        packGo,
+	unpack:      unpackGo,
+	window:      addWindowsGeneric,
 }
 
 // inverseGroup runs one full lockstep group's inverse on family f, in
@@ -126,8 +138,11 @@ func randGroup(rng *rand.Rand, bins, g int) []ConvLane {
 // storing form (channel 0) and its accumulating form (later channels, onto
 // random planes), the full-chunk multiply over 1 to 16 channels (and over
 // 17 and 40, which take more than one packed call) at bin counts on and
-// off its 8-row register block, and whole group inverses chaining them
-// over one and over several channels.
+// off its 8-row register block, whole group inverses chaining them over
+// one and over several channels, and the pass boundaries: the forward
+// pack of 0 to 8 signals of equal, mixed, odd and nil lengths, the copy
+// of 1 to 8 lanes out to their slots, and the window add (see
+// checkWindowFamilies).
 func TestLockstepKernelFamilies(t *testing.T) {
 	var families []kernelFamily
 	for _, f := range packedKernelFamilies() {
@@ -238,6 +253,153 @@ func TestLockstepKernelFamilies(t *testing.T) {
 			check(fmt.Sprintf("group inverse m=%d channels=%d", m, g), rp.hm+1, func(f kernelFamily, re, im []float64) {
 				inverseGroup(f, rp, re, im, lanes)
 			})
+		}
+	}
+
+	// The pack writes rows [0, hm) and leaves row hm's garbage alone.
+	for _, hm := range []int{1, 2, 4, 8, 16, 64, 256, 512} {
+		for w := 0; w <= lw; w++ {
+			for _, shape := range []string{"equal", "mixed", "nil"} {
+				signals := make([][]float64, w)
+				for s := range signals {
+					n := 2 * hm
+					switch {
+					case shape == "mixed":
+						n = 1 + rng.Intn(2*hm)
+					case shape == "nil" && s == w-1:
+						n = 0
+					case s > 0:
+						n = len(signals[0])
+					default:
+						n = 1 + rng.Intn(2*hm)
+					}
+					if n > 0 {
+						signals[s] = randPlane(rng, n)
+					}
+				}
+				check(fmt.Sprintf("pack hm=%d lanes=%d %s", hm, w, shape), hm+1, func(f kernelFamily, re, im []float64) {
+					f.pack(re, im, signals, hm)
+				})
+			}
+		}
+	}
+
+	// The unpack writes bins entries of each live lane's slot; the slots
+	// start out as garbage two entries longer, which must survive.
+	for _, bins := range []int{1, 2, 7, 8, 9, 17, 65, 257, 513} {
+		for w := 1; w <= lw; w++ {
+			sre, sim := randPlane(rng, bins*lw), randPlane(rng, bins*lw)
+			garbage := randPlane(rng, 2*w*(bins+2))
+			var want [2][]float64
+			for i, f := range append([]kernelFamily{goKernels}, families...) {
+				slots := append([]float64(nil), garbage...)
+				re, im := make([][]float64, w), make([][]float64, w)
+				for s := range re {
+					re[s] = slots[(2*s)*(bins+2) : (2*s+1)*(bins+2)][:bins]
+					im[s] = slots[(2*s+1)*(bins+2) : (2*s+2)*(bins+2)][:bins]
+				}
+				f.unpack(re, im, sre, sim, bins)
+				if i == 0 {
+					want[0] = slots
+					continue
+				}
+				if d := firstBitDiff(slots, want[0]); d >= 0 {
+					t.Errorf("unpack bins=%d lanes=%d: %s entry %d = %v, go %v", bins, w, f.name, d, slots[d], want[0][d])
+				}
+			}
+		}
+	}
+
+	checkWindowFamilies(t, rng, families)
+}
+
+// firstBitDiff returns the first index where a and b differ bitwise, or -1.
+func firstBitDiff(a, b []float64) int {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkWindowFamilies runs the window add of every family on the same
+// random unnormalized planes (hm = 64, so 128 output samples, with
+// workPlanes' lw-1 rows of slack) over every shape that takes its own
+// path: even and odd offsets, windows that end on the last output sample
+// (their last block reads the slack rows), every width from 0 to 17, rows
+// 0 to 3, source and accumulator strides equal to and wider than the
+// width, nil accumulators, and first-writer windows. Accumulators start
+// out as random garbage two entries longer than the window, NaN among it
+// in first-writer windows, and must match the Go family's bit for bit.
+func checkWindowFamilies(t *testing.T, rng *rand.Rand, families []kernelFamily) {
+	t.Helper()
+	const hm = 64
+	const outLen = 2 * hm
+	re := randPlane(rng, (hm+1+lw-1)*lw)
+	im := randPlane(rng, (hm+1+lw-1)*lw)
+	c := 1 / float64(hm)
+	for width := 0; width <= 17; width++ {
+		for rows := 0; rows <= 3; rows++ {
+			for _, wide := range []int{0, 3} {
+				src := width + wide
+				for _, off := range []int{0, 1, 6, 33, -1} {
+					if off < 0 { // the window ends on the last sample
+						off = max(0, outLen-max(rows-1, 0)*src-width)
+					}
+					for _, first := range []bool{false, true} {
+						w := Window{Off: off, Rows: rows, Width: width, SrcStride: src, AccStride: width + wide%2, First: first}
+						if w.check(outLen, (max(rows, 1)-1)*w.AccStride+width) != nil {
+							t.Fatalf("test window %+v does not fit", w)
+						}
+						nilMask := rng.Intn(256)
+						if rng.Intn(2) == 0 {
+							nilMask = 0
+						}
+						checkWindow(t, rng, families, w, nilMask, re, im, c)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkWindow runs one window add on every family over the same garbage
+// accumulators (nil where nilMask has the lane's bit) and compares them.
+func checkWindow(t *testing.T, rng *rand.Rand, families []kernelFamily, w Window, nilMask int, re, im []float64, c float64) {
+	t.Helper()
+	span := (max(w.Rows, 1)-1)*w.AccStride + w.Width + 2
+	var garbage [lw][]float64
+	for s := range garbage {
+		if nilMask>>s&1 == 0 {
+			garbage[s] = randPlane(rng, span)
+			if w.First {
+				for i := range garbage[s] {
+					if rng.Intn(4) == 0 {
+						garbage[s][i] = math.NaN()
+					}
+				}
+			}
+		}
+	}
+	var want [lw][]float64
+	for i, f := range append([]kernelFamily{goKernels}, families...) {
+		var accs [lw][]float64
+		for s, g := range garbage {
+			if g != nil {
+				accs[s] = append([]float64(nil), g...)
+			}
+		}
+		f.window(&accs, &w, re, im, c)
+		if i == 0 {
+			want = accs
+			continue
+		}
+		for s := range accs {
+			if d := firstBitDiff(accs[s], want[s]); d >= 0 {
+				t.Errorf("window %+v: %s lane %d entry %d = %v, go %v", w, f.name, s, d, accs[s][d], want[s][d])
+				return
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -529,11 +530,30 @@ func reluSample(x, out *tensor.Tensor, b, per int) {
 	src := x.Data[b*per : (b+1)*per]
 	dst := out.Data[b*per : (b+1)*per]
 	for i, v := range src {
-		if v < 0 {
-			v = 0
-		}
-		dst[i] = v
+		dst[i] = relu(v)
 	}
+}
+
+// relu is `if v < 0 { v = 0 }` without the branch that random signs
+// mispredict. v < 0 exactly when v's bits lie in [0x8000000000000001,
+// 0xfff0000000000000] (negative subnormals through -Inf): one unsigned
+// range test, whose borrow clears the bits to +0. -0, positive values and
+// every NaN lie outside the range and pass unchanged.
+func relu(v float64) float64 {
+	u := math.Float64bits(v)
+	_, neg := bits.Sub64(u-(1<<63+1), 0x7ff0000000000000, 0)
+	return math.Float64frombits(u &^ -neg)
+}
+
+// maxSel is `if a > v { v = a }; return v` as a select on the bits, which
+// compiles to a conditional move instead of a branch that post-ReLU data
+// mispredicts.
+func maxSel(v, a float64) float64 {
+	m := uint64(0)
+	if a > v {
+		m = ^uint64(0)
+	}
+	return math.Float64frombits(math.Float64bits(v)&^m | math.Float64bits(a)&m)
 }
 
 // maxPoolStep mirrors MaxPool.Forward's inference loops per sample.
@@ -597,20 +617,10 @@ func (s *maxPoolStep) sample(x, out *tensor.Tensor, b, c, h, w, oh, ow int) {
 				r1 := x.Data[inBase+(2*oy+1)*w:][:w]
 				dst := out.Data[outBase+oy*ow:][:ow]
 				for ox := range dst {
-					v := math.Inf(-1)
-					if r0[2*ox] > v {
-						v = r0[2*ox]
-					}
-					if r0[2*ox+1] > v {
-						v = r0[2*ox+1]
-					}
-					if r1[2*ox] > v {
-						v = r1[2*ox]
-					}
-					if r1[2*ox+1] > v {
-						v = r1[2*ox+1]
-					}
-					dst[ox] = v
+					v := maxSel(math.Inf(-1), r0[2*ox])
+					v = maxSel(v, r0[2*ox+1])
+					v = maxSel(v, r1[2*ox])
+					dst[ox] = maxSel(v, r1[2*ox+1])
 				}
 			}
 			continue

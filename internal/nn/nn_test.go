@@ -287,3 +287,53 @@ func TestNetworkBuildersForwardShapes(t *testing.T) {
 		}
 	}
 }
+
+// TestReluMatchesBranch checks the branch-free relu against `if v < 0 {
+// v = 0 }`, and the max-pool's maxSel against `if a > v { v = a }`, bit
+// for bit on the edges of the float64 line: both zeros, both infinities,
+// quiet and signalling NaNs of either sign and several payloads, the
+// subnormal and normal boundaries on both sides, and random bit patterns.
+func TestReluMatchesBranch(t *testing.T) {
+	ref := func(v float64) float64 {
+		if v < 0 {
+			v = 0
+		}
+		return v
+	}
+	edges := []uint64{
+		0, 1 << 63, // +0, -0
+		0x7ff0000000000000, 0xfff0000000000000, // ±Inf
+		0x7ff8000000000000, 0xfff8000000000000, 0x7ff0000000000001, 0xfff0000000000001,
+		0x7fffffffffffffff, 0xffffffffffffffff, 0x7ff4000000000abc, 0xfff4000000000abc, // NaNs
+		1, 1<<63 | 1, 0x000fffffffffffff, 0x800fffffffffffff, // subnormals
+		0x0010000000000000, 0x8010000000000000, 0x7fefffffffffffff, 0xffefffffffffffff, // normal limits
+		0x3ff0000000000000, 0xbff0000000000000, // ±1
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 10000; i++ {
+		edges = append(edges, rng.Uint64())
+	}
+	for _, u := range edges {
+		v := math.Float64frombits(u)
+		if got, want := math.Float64bits(relu(v)), math.Float64bits(ref(v)); got != want {
+			t.Errorf("relu(%#016x) = %#016x, branch gives %#016x", u, got, want)
+		}
+	}
+	// maxSel against `if a > v { v = a }` over every ordered pair of the
+	// edge values (the random tail thinned to keep the pairs few).
+	maxRef := func(v, a float64) float64 {
+		if a > v {
+			v = a
+		}
+		return v
+	}
+	pairs := edges[:len(edges)-10000+200]
+	for _, uv := range pairs {
+		for _, ua := range pairs {
+			v, a := math.Float64frombits(uv), math.Float64frombits(ua)
+			if got, want := math.Float64bits(maxSel(v, a)), math.Float64bits(maxRef(v, a)); got != want {
+				t.Errorf("maxSel(%#016x, %#016x) = %#016x, branch gives %#016x", uv, ua, got, want)
+			}
+		}
+	}
+}

@@ -67,7 +67,10 @@ type BatchConvOperands struct {
 	// Accs indexes the cross-term accumulators: Accs[0][b*nk+j] is (+x,+w)
 	// for sample b and kernel j of the nk = len(KPos)/Channels kernels,
 	// Accs[1] is (+x,-w) over KNeg, Accs[2] is (-x,+w) over KPos, Accs[3]
-	// is (-x,-w) over KNeg. A nil accumulator entry is skipped.
+	// is (-x,-w) over KNeg. Each receives its convolution in place of what
+	// it held, except that a sample without the term's activation part
+	// leaves its accumulators untouched; a nil accumulator entry is
+	// skipped.
 	Accs [4][][]float64
 }
 
@@ -93,10 +96,12 @@ func (op *BatchConvOperands) kernelSetFor(term int) []*KernelPlan {
 // A chunk of exactly LockstepWidth samples that all carry a part runs
 // that part's lanes as one full-chunk convolution per (term, kernel),
 // the samples being the lanes (see batchShot).
-// Each accumulator receives one addition per shot, in the shot order
-// Conv2DPlannedAccum produces for its (sample, kernel) pair over the same
-// group, so the result is bit-identical to per-sample grouped planned
-// convolutions.
+// Each accumulator receives the group's convolution, whatever it held:
+// the first shot to reach an entry stores it (a first-writer Window) and
+// every later shot adds, in the shot order Conv2DPlannedAccum produces for
+// its (sample, kernel) pair over the same group, so the result is
+// bit-identical to per-sample grouped planned convolutions into a zeroed
+// accumulator.
 //
 // Shot accounting is PACKED: the modeled hardware still fires one shot per
 // channel, and executes the batch on the BatchPlan schedule (multiple
@@ -420,13 +425,13 @@ func (op *BatchConvOperands) chunkHasPart(pi, b0, b1 int) bool {
 // lane of samples [b0, b1): the lane's G channel spectra in the shot's
 // arenas multiply the kernel's G channel spectra and sum, and the shot's
 // window of the one inverse transform adds into the accumulator from entry
-// at on. A term whose activation part is a full chunk (full[pi]) runs each
+// at on (or stores, when the window is the entries' first writer). A term whose activation part is a full chunk (full[pi]) runs each
 // kernel as one ConvolveChunkSoA over the chunk's samples. The other
 // terms' (term, kernel, sample) scan flattens into lockstep groups of up
 // to LockstepWidth lanes — mixing kernels and samples freely, since every
 // plan of one pass shares transform geometry — and each group runs as ONE
-// batched inverse transform. Every accumulator sees exactly one addition
-// per shot, so inter-shot order (the caller's) is what fixes
+// batched inverse transform. Every accumulator sees exactly one write per
+// shot, so inter-shot order (the caller's) is what fixes
 // bit-identity, and each lane's window is itself bit-identical to the same
 // samples of ConvolveSumInto on the lane's signals.
 func (p *Plan) convolveShotKernels(op *BatchConvOperands, sc *batchScratch, b0, b1, pass, at int, win fourier.Window, full [2]bool) error {
@@ -494,24 +499,27 @@ func (p *Plan) convolveShotKernels(op *BatchConvOperands, sc *batchScratch, b0, 
 // tiled kernel of length lk. The window skips the halo between rows. Every
 // kernel plan of one Plan shares lk per pass, so one window serves a whole
 // shot; these windows replace the scalar path's per-element bounds tests,
-// which they never trip (ConvolveLanesSoA checks each window once).
+// which they never trip (ConvolveLanesSoA checks each window once). Each
+// output row belongs to exactly one shot, so every window is its rows'
+// first writer.
 func (p *Plan) rowTiledWindow(lk, rOut0, colOff int) (int, fourier.Window) {
 	return rOut0 * p.OutW, fourier.Window{
 		Off: lk - 1 - colOff, Rows: min(p.Nor, p.OutH-rOut0), Width: p.OutW,
-		SrcStride: p.RowLen, AccStride: p.OutW,
+		SrcStride: p.RowLen, AccStride: p.OutW, First: true,
 	}
 }
 
 // partialWindow locates the one output row r that a partial-row-tiling pass
-// against a tile of length lk contributes to.
-func (p *Plan) partialWindow(lk, r, colOff int) (int, fourier.Window) {
-	return r * p.OutW, fourier.Window{Off: lk - 1 - colOff, Rows: 1, Width: p.OutW}
+// against a tile of length lk contributes to; pass 0 writes the row first.
+func (p *Plan) partialWindow(lk, r, colOff, pass int) (int, fourier.Window) {
+	return r * p.OutW, fourier.Window{Off: lk - 1 - colOff, Rows: 1, Width: p.OutW, First: pass == 0}
 }
 
 // partitionedWindow locates the valid columns [c0, c0+step) of output row r
-// that one row-partitioning segment contributes.
-func (p *Plan) partitionedWindow(r, c0, step int) (int, fourier.Window) {
-	return r*p.OutW + c0, fourier.Window{Off: p.K - 1, Rows: 1, Width: min(c0+step, p.OutW) - c0}
+// that one row-partitioning segment contributes; first marks the row's
+// first in-range kernel row.
+func (p *Plan) partitionedWindow(r, c0, step int, first bool) (int, fourier.Window) {
+	return r*p.OutW + c0, fourier.Window{Off: p.K - 1, Rows: 1, Width: min(c0+step, p.OutW) - c0, First: first}
 }
 
 func (p *Plan) batchRowTiled(op *BatchConvOperands, ref *KernelPlan, n int, sc *batchScratch) error {
@@ -535,7 +543,7 @@ func (p *Plan) batchPartial(op *BatchConvOperands, ref *KernelPlan, n int, sc *b
 		for pass := range ref.corrs {
 			j0 := pass * p.RowsPerShot
 			nRows := min(p.RowsPerShot, p.K-j0)
-			at, win := p.partialWindow(ref.lks[pass], r, colOff)
+			at, win := p.partialWindow(ref.lks[pass], r, colOff, pass)
 			err := p.batchShot(op, ref, sc, n, pass, at, win, func(g []float64, rows [][]float64) {
 				p.tileRowsInto(g, rows, r-p.padT+j0, nRows)
 			})
@@ -553,13 +561,14 @@ func (p *Plan) batchPartitioned(op *BatchConvOperands, ref *KernelPlan, n int, s
 		return fmt.Errorf("tiling: NConv %d cannot fit kernel %d with halo", p.NConv, p.K)
 	}
 	for r := 0; r < p.OutH; r++ {
+		first := true // Same padding is less than K, so some kernel row is in range
 		for j := 0; j < p.K; j++ {
 			ri := r - p.padT + j
 			if ri < 0 || ri >= p.H {
 				continue
 			}
 			for c0 := 0; c0 < p.OutW; c0 += step {
-				at, win := p.partitionedWindow(r, c0, step)
+				at, win := p.partitionedWindow(r, c0, step, first)
 				err := p.batchShot(op, ref, sc, n, j, at, win, func(seg []float64, rows [][]float64) {
 					p.segmentInto(seg, rows[ri], c0)
 				})
@@ -567,6 +576,7 @@ func (p *Plan) batchPartitioned(op *BatchConvOperands, ref *KernelPlan, n int, s
 					return err
 				}
 			}
+			first = false
 		}
 	}
 	return nil

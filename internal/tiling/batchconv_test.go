@@ -19,10 +19,12 @@ import (
 // first chunk sample 1 lacks the negative part, so that part takes the
 // lane path while the positive part takes the full-chunk path, and later
 // full chunks take it for both parts; one of their accumulators is nil.
-// Every (term, sample, kernel) accumulator must match the grouped
-// Conv2DPlannedAccum of that (sample, kernel) pair into the same starting
-// values bit for bit, accumulators of a sample without the term's part
-// must stay untouched, and the shot counter must advance by the packed
+// Every (term, sample, kernel) accumulator starts out holding garbage
+// (NaN among it) and must end equal, bit for bit, to the grouped
+// Conv2DPlannedAccum of that (sample, kernel) pair into a zeroed
+// accumulator: the executor's first-writer windows store each entry before
+// later shots add. Accumulators of a sample without the term's part must
+// stay untouched, and the shot counter must advance by the packed
 // schedule of each part's present samples times the (kernel, channel)
 // pair count.
 func TestConv2DPlannedAccumBatchMatchesSingle(t *testing.T) {
@@ -87,14 +89,16 @@ func TestConv2DPlannedAccumBatchMatchesSingle(t *testing.T) {
 								planes = pos[b*g : (b+1)*g]
 							}
 							for j := 0; j < nk; j++ {
-								// Equal nonzero starting values check that the
-								// executor adds into what the accumulator holds.
 								acc := make([]float64, p.OutH*p.OutW)
 								for i := range acc {
 									acc[i] = rng.NormFloat64()
+									if i%7 == 3 {
+										acc[i] = math.NaN()
+									}
 								}
 								ref := append([]float64(nil), acc...)
 								if planes[0] != nil {
+									clear(ref)
 									if err := p.Conv2DPlannedAccum(planes, kset[j*g:(j+1)*g], ref); err != nil {
 										t.Fatal(err)
 									}

@@ -31,62 +31,31 @@ func TestNewPlanAvoidingNilIsNewPlan(t *testing.T) {
 	}
 }
 
+// quarantineCases are TestQuarantineSchedulesAroundDeadSlots' geometries
+// and dead slots, which also seed FuzzBatchPlan.
+var quarantineCases = []struct {
+	h, w, k, nconv int
+	pad            tensor.PadMode
+	n              int
+	dead           []int
+}{
+	{8, 8, 3, 256, tensor.Same, 5, []int{1, 2}},
+	{8, 8, 3, 256, tensor.Same, 5, []int{0}},
+	{12, 12, 3, 128, tensor.Valid, 4, []int{3}},
+	{16, 16, 3, 512, tensor.Same, 8, []int{4, 5, 6}},
+}
+
 // TestQuarantineSchedulesAroundDeadSlots: with dead slots quarantined, no
 // scheduled segment touches them, every output row is still covered, and
-// the shot count never drops below the healthy aperture's.
+// the shot count never drops below the healthy aperture's
+// (checkBatchSchedule).
 func TestQuarantineSchedulesAroundDeadSlots(t *testing.T) {
-	cases := []struct {
-		h, w, k, nconv int
-		pad            tensor.PadMode
-		n              int
-		dead           []int
-	}{
-		{8, 8, 3, 256, tensor.Same, 5, []int{1, 2}},
-		{8, 8, 3, 256, tensor.Same, 5, []int{0}},
-		{12, 12, 3, 128, tensor.Valid, 4, []int{3}},
-		{16, 16, 3, 512, tensor.Same, 8, []int{4, 5, 6}},
-	}
-	for _, tc := range cases {
-		healthy, err := NewPlan(tc.h, tc.w, tc.k, tc.nconv, tc.pad, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, tc := range quarantineCases {
 		p, err := NewPlanAvoiding(tc.h, tc.w, tc.k, tc.nconv, tc.pad, false, tc.dead)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
-		bp, err := p.PlanBatch(tc.n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bp.Shots() < healthy.PackedShots(tc.n) {
-			t.Errorf("%+v: quarantined aperture packs %d shots, below healthy %d",
-				tc, bp.Shots(), healthy.PackedShots(tc.n))
-		}
-		deadSet := map[int]bool{}
-		for _, d := range tc.dead {
-			deadSet[d] = true
-		}
-		covered := map[int]int{}
-		for _, sh := range bp.Schedule() {
-			for _, seg := range sh.Segments {
-				for s := seg.Slot; s < seg.Slot+seg.Slots; s++ {
-					if deadSet[s] {
-						t.Fatalf("%+v: segment %+v lands on dead slot %d", tc, seg, s)
-					}
-				}
-				covered[seg.Sample] += seg.Rows
-			}
-		}
-		wantRows := p.OutH
-		if p.Mode == PartialRowTiling {
-			wantRows = p.OutH * ceilDiv(p.K, p.RowsPerShot)
-		}
-		for s := 0; s < tc.n; s++ {
-			if covered[s] != wantRows {
-				t.Errorf("%+v: sample %d covers %d of %d output rows", tc, s, covered[s], wantRows)
-			}
-		}
+		checkBatchSchedule(t, p, tc.n)
 	}
 }
 
