@@ -95,7 +95,7 @@ func (e *RowTiledEngine) plan(h, w, k int, pad tensor.PadMode) (*tiling.Plan, er
 // its input channels in a fixed order into a disjoint output region, so the
 // result is bit-identical at any worker count.
 func (e *RowTiledEngine) Conv2D(input, weight *tensor.Tensor, bias []float64, stride int, pad tensor.PadMode) (*tensor.Tensor, error) {
-	return e.conv2D(input, weight, bias, stride, pad, resolveWorkers(e.Parallelism))
+	return e.conv2D(input, weight, bias, stride, pad, tensor.Workers(e.Parallelism))
 }
 
 // conv2D is Conv2D with an explicit worker count, so callers embedding a
@@ -129,7 +129,7 @@ func (e *RowTiledEngine) conv2D(input, weight *tensor.Tensor, bias []float64, st
 		}
 	}
 	full := tensor.New(n, cout, p.OutH, p.OutW)
-	err = parallelFor(n*cout, workers, func(item int) error {
+	err = tensor.ParallelFor(n*cout, workers, func(item int) error {
 		b, oc := item/cout, item%cout
 		// All cin channels are one accumulation group: each shot sums
 		// their kernel products in the frequency domain.
@@ -422,7 +422,7 @@ func (e *Engine) groupPsums(x, wt *tensor.Tensor, groups [][2]int, pad tensor.Pa
 		cin := x.Shape[1]
 		detectGranularity = groupRanges(cin, 1)
 	}
-	per, err := groupedConv2D(x, wt, detectGranularity, pad, resolveWorkers(e.Parallelism))
+	per, err := groupedConv2D(x, wt, detectGranularity, pad, tensor.Workers(e.Parallelism))
 	if err != nil {
 		return nil, err
 	}
@@ -457,7 +457,7 @@ func (e *Engine) groupPsumsTiled(x, wt *tensor.Tensor, groups [][2]int, pad tens
 	// output-channel) sweep; groups stay serial so Detect consumes detector
 	// noise in the same order as a fully serial run.
 	rt := e.tiledEngine()
-	workers := resolveWorkers(e.Parallelism)
+	workers := tensor.Workers(e.Parallelism)
 	out := make([]*tensor.Tensor, len(groups))
 	for gi, g := range groups {
 		xs, err := sliceChannels(x, g[0], g[1])
@@ -510,7 +510,7 @@ func groupedConv2D(x, wt *tensor.Tensor, groups [][2]int, pad tensor.PadMode, wo
 	// scaled copy of the input plane. The inner loops are long contiguous
 	// rows with no per-element bounds checks, which is what keeps narrow
 	// temporal-accumulation groups from paying per-pixel overhead.
-	err := parallelFor(n*cout, workers, func(item int) error {
+	err := tensor.ParallelFor(n*cout, workers, func(item int) error {
 		b, oc := item/cout, item%cout
 		for gi, g := range groups {
 			dst := out[gi].Data[(b*cout+oc)*oh*ow : (b*cout+oc+1)*oh*ow]

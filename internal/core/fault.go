@@ -37,9 +37,10 @@ import (
 )
 
 // ErrDeviceFault marks an unrecoverable device-level failure: a shot
-// misfire that exhausted its retry budget, or a full device outage. It is
-// an alias of fault.ErrDeviceFault (the canonical sentinel, defined below
-// core's imports so internal/jtc can wrap it too); test with errors.Is.
+// misfire that exhausted its retry budget, a full device outage, or an
+// aperture quarantine too fragmented to schedule. It is an alias of
+// fault.ErrDeviceFault (the canonical sentinel, defined below core's
+// imports so internal/tiling can wrap it too); test with errors.Is.
 var ErrDeviceFault = fault.ErrDeviceFault
 
 // FaultInjector returns the engine's fault injector (nil when fault-free).

@@ -88,6 +88,33 @@ func TestShotFaultsRecoverBitIdentical(t *testing.T) {
 	}
 }
 
+// TestShotRetryExhaustion: a device that misfires on every attempt burns
+// its retry budget and surfaces ErrDeviceFault, on the unplanned engine
+// call and on the planned layer alike — 3 faults and 2 retries for a
+// budget of 2.
+func TestShotRetryExhaustion(t *testing.T) {
+	in, w, bias := faultConvOperands()
+	for _, planned := range []bool{false, true} {
+		e := faultEngine(t, "shot:1;retries:2", 3)
+		var err error
+		if planned {
+			plan, perr := e.PlanConv(w, bias, 1, tensor.Same)
+			if perr != nil {
+				t.Fatal(perr)
+			}
+			_, err = plan.Conv2D(in)
+		} else {
+			_, err = e.Conv2D(in, w, bias, 1, tensor.Same)
+		}
+		if !errors.Is(err, ErrDeviceFault) {
+			t.Fatalf("planned=%v: err %v, want ErrDeviceFault after an exhausted budget", planned, err)
+		}
+		if c := e.Faults.Counters(); c.ShotFaults != 3 || c.ShotRetries != 2 {
+			t.Fatalf("planned=%v: counters %+v, want 3 faults / 2 retries for budget 2", planned, c)
+		}
+	}
+}
+
 // TestShotFaultsPlannedMatchesUnplanned: the fault draw is keyed by call
 // coordinates, not execution path, so the planned path under faults stays
 // bit-identical to the unplanned path under the same injector config.

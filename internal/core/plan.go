@@ -233,7 +233,7 @@ func (e *Engine) detectBuffers(bufs [][]float64, workers int) error {
 		return nil
 	}
 	if detectorNoiseFree(det) {
-		return parallelFor(len(bufs), workers, func(gi int) error {
+		return tensor.ParallelFor(len(bufs), workers, func(gi int) error {
 			b := bufs[gi]
 			for i, v := range b {
 				b[i] = det.Detect(v)

@@ -234,7 +234,7 @@ func compactPlanes(dst, src []float64, planes, rows, sd, ow int) {
 // independent, so a range produces exactly the full sweep's stripes.
 func (lp *LayerPlan) sweepBatchDirectRange(bp *batchParts, g padGeom, n int, groups [][2]int, ps *psumSet, workers, ocLo, ocHi, dstCout int) error {
 	cin, k := lp.cin, lp.k
-	return parallelFor(ocHi-ocLo, workers, func(item int) error {
+	return tensor.ParallelFor(ocHi-ocLo, workers, func(item int) error {
 		oc := ocLo + item
 		dstOC := oc - ocLo
 		// Tap scratch is per work item: workers must not share it.

@@ -117,7 +117,7 @@ func (r *convRun) beginDirect(x *tensor.Tensor) error {
 		// One sweep group per channel so Detect sees each channel.
 		detGroups = lp.channelGroups()
 	}
-	workers := resolveWorkers(e.Parallelism)
+	workers := tensor.Workers(e.Parallelism)
 	ps := newPsumSet(lp.presentTerms(bp), len(detGroups), n*rc*g.dstPlane)
 	defer ps.release()
 	if err := lp.sweepBatchDirectRange(bp, g, n, detGroups, ps, workers, r.ocLo, r.ocHi, rc); err != nil {
@@ -168,7 +168,7 @@ func (r *convRun) beginTiled(x *tensor.Tensor) error {
 		return err
 	}
 	groups := lp.cachedGroups(e.NTA)
-	workers := resolveWorkers(e.Parallelism)
+	workers := tensor.Workers(e.Parallelism)
 	per := (ocHi - ocLo) * oh * ow // one sample's planes
 	ps := newPsumSet(lp.presentTerms(bp), len(groups), n*per)
 	r.ps = ps
@@ -196,7 +196,7 @@ func (r *convRun) beginTiled(x *tensor.Tensor) error {
 			}
 		}
 	default:
-		if err := parallelFor(len(groups), workers, func(gi int) error {
+		if err := tensor.ParallelFor(len(groups), workers, func(gi int) error {
 			return lp.tiledBatchGroupRange(bp, geo, ps, groups[gi], gi, n, cin, h, w, oh, ow, ocLo, ocHi)
 		}); err != nil {
 			return err

@@ -2,7 +2,7 @@
 // PhotoFourier substrate model. The paper's accelerator is real analog
 // hardware — detectors misfire, laser power drifts between calibration
 // probes, ADC channels stick, aperture rows die, whole devices go down —
-// and the serving stack above it (internal/core, internal/jtc,
+// and the serving stack above it (internal/core, internal/tiling,
 // internal/serve) carries recovery machinery for exactly those modes. This
 // package supplies the misbehavior: an Injector parsed from a compact spec
 // string (carried by the backend registry's "fault"/"faultseed" keys, so
@@ -48,7 +48,7 @@ import (
 // misfire that persisted through the retry budget, a full device outage, or
 // a quarantine that leaves no usable aperture. It is the canonical sentinel
 // of the whole stack — internal/core re-exports it, and the root facade
-// re-exports that — defined here so internal/jtc (which internal/core
+// re-exports that — defined here so internal/tiling (which internal/core
 // imports) can wrap it without an import cycle. Test with errors.Is.
 var ErrDeviceFault = errors.New("device fault")
 

@@ -224,24 +224,6 @@ func FFTReal(x []float64) []complex128 {
 	return c
 }
 
-// Real extracts the real parts of a complex slice.
-func Real(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = real(v)
-	}
-	return out
-}
-
-// Magnitude returns |x[i]| for each element.
-func Magnitude(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = cmplx.Abs(v)
-	}
-	return out
-}
-
 // Intensity returns |x[i]|^2 for each element — the quantity a square-law
 // photodetector records.
 func Intensity(x []complex128) []float64 {
@@ -305,43 +287,6 @@ func DFTDirect(x []complex128) []complex128 {
 			sum += x[t] * cmplx.Exp(complex(0, theta))
 		}
 		out[k] = sum
-	}
-	return out
-}
-
-// FFT2D computes the forward 2D DFT of a row-major matrix, transforming rows
-// then columns. All rows must share the same length.
-func FFT2D(x [][]complex128) [][]complex128 {
-	return fft2d(x, false)
-}
-
-// IFFT2D computes the inverse 2D DFT (normalized).
-func IFFT2D(x [][]complex128) [][]complex128 {
-	return fft2d(x, true)
-}
-
-func fft2d(x [][]complex128, inverse bool) [][]complex128 {
-	rows := len(x)
-	if rows == 0 {
-		return nil
-	}
-	cols := len(x[0])
-	out := make([][]complex128, rows)
-	for r := range x {
-		row := make([]complex128, cols)
-		copy(row, x[r])
-		fftInPlaceAny(row, inverse)
-		out[r] = row
-	}
-	col := make([]complex128, rows)
-	for c := 0; c < cols; c++ {
-		for r := 0; r < rows; r++ {
-			col[r] = out[r][c]
-		}
-		fftInPlaceAny(col, inverse)
-		for r := 0; r < rows; r++ {
-			out[r][c] = col[r]
-		}
 	}
 	return out
 }

@@ -345,86 +345,14 @@ func TestCrossCorrelateMatchesDefinition(t *testing.T) {
 	}
 }
 
-func TestIntensityAndMagnitude(t *testing.T) {
+func TestIntensity(t *testing.T) {
 	x := []complex128{3 + 4i, 0, -2}
 	inten := Intensity(x)
-	mag := Magnitude(x)
-	wantI := []float64{25, 0, 4}
-	wantM := []float64{5, 0, 2}
+	want := []float64{25, 0, 4}
 	for i := range x {
-		if math.Abs(inten[i]-wantI[i]) > eps {
-			t.Errorf("intensity %d: got %g want %g", i, inten[i], wantI[i])
+		if math.Abs(inten[i]-want[i]) > eps {
+			t.Errorf("intensity %d: got %g want %g", i, inten[i], want[i])
 		}
-		if math.Abs(mag[i]-wantM[i]) > eps {
-			t.Errorf("magnitude %d: got %g want %g", i, mag[i], wantM[i])
-		}
-	}
-}
-
-func TestReal(t *testing.T) {
-	x := []complex128{1 + 2i, -3 + 4i}
-	got := Real(x)
-	if got[0] != 1 || got[1] != -3 {
-		t.Errorf("Real = %v", got)
-	}
-}
-
-func TestFFT2DImpulse(t *testing.T) {
-	rows, cols := 4, 8
-	x := make([][]complex128, rows)
-	for r := range x {
-		x[r] = make([]complex128, cols)
-	}
-	x[0][0] = 1
-	got := FFT2D(x)
-	for r := range got {
-		for c := range got[r] {
-			if !complexClose(got[r][c], 1, eps) {
-				t.Fatalf("(%d,%d): got %v want 1", r, c, got[r][c])
-			}
-		}
-	}
-}
-
-func TestFFT2DRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	rows, cols := 5, 6 // non-power-of-two on purpose
-	x := make([][]complex128, rows)
-	for r := range x {
-		x[r] = randComplex(rng, cols)
-	}
-	got := IFFT2D(FFT2D(x))
-	for r := range x {
-		slicesClose(t, got[r], x[r], 1e-8)
-	}
-}
-
-func TestFFT2DSeparability(t *testing.T) {
-	// FFT2D of an outer product is the outer product of the FFTs.
-	rng := rand.New(rand.NewSource(13))
-	u := randComplex(rng, 8)
-	v := randComplex(rng, 4)
-	x := make([][]complex128, len(u))
-	for r := range x {
-		x[r] = make([]complex128, len(v))
-		for c := range x[r] {
-			x[r][c] = u[r] * v[c]
-		}
-	}
-	got := FFT2D(x)
-	fu, fv := FFT(u), FFT(v)
-	for r := range got {
-		for c := range got[r] {
-			if !complexClose(got[r][c], fu[r]*fv[c], 1e-7) {
-				t.Fatalf("(%d,%d): got %v want %v", r, c, got[r][c], fu[r]*fv[c])
-			}
-		}
-	}
-}
-
-func TestFFT2DEmpty(t *testing.T) {
-	if got := FFT2D(nil); got != nil {
-		t.Errorf("FFT2D(nil) = %v, want nil", got)
 	}
 }
 

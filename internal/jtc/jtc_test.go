@@ -2,179 +2,10 @@ package jtc_test
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
-	"photofourier/internal/fourier"
 	"photofourier/internal/jtc"
-	"photofourier/internal/quant"
-	"photofourier/internal/tensor"
-	"photofourier/internal/tiling"
 )
-
-func nonNeg(rng *rand.Rand, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = rng.Float64()
-	}
-	return out
-}
-
-func TestCorrelate1DMatchesFourier(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := nonNeg(rng, 40)
-	b := nonNeg(rng, 9)
-	got := jtc.Correlate1D(a, b)
-	want := fourier.CrossCorrelate(a, b)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("idx %d differs", i)
-		}
-	}
-}
-
-func TestNewPFCUValidation(t *testing.T) {
-	if _, err := jtc.NewPFCU(1); err == nil {
-		t.Error("1 waveguide should fail")
-	}
-	if _, err := jtc.NewPFCU(256, jtc.WithWeightDACs(0)); err == nil {
-		t.Error("0 weight DACs should fail")
-	}
-	p, err := jtc.NewPFCU(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.WeightDACs != 25 {
-		t.Errorf("default weight DACs = %d, want 25 (Sec. IV-B)", p.WeightDACs)
-	}
-	if p.PipelineDepth != 2 {
-		t.Errorf("pipeline depth = %d, want 2 (Sec. IV-A)", p.PipelineDepth)
-	}
-	if p.MaxConv() != 256 {
-		t.Errorf("MaxConv = %d", p.MaxConv())
-	}
-}
-
-func TestPFCUCorrelateMatchesIdeal(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	p, _ := jtc.NewPFCU(256)
-	sig := nonNeg(rng, 256)
-	kern := make([]float64, 31) // tiled 3x3 on a 14-wide row: 9 non-zeros
-	for _, idx := range []int{0, 1, 2, 14, 15, 16, 28, 29, 30} {
-		kern[idx] = rng.Float64()
-	}
-	got, err := p.Correlate(sig, kern)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := jtc.Correlate1D(sig, kern)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("idx %d differs", i)
-		}
-	}
-	if p.Shots() != 1 {
-		t.Errorf("Shots = %d, want 1", p.Shots())
-	}
-}
-
-func TestPFCUConstraints(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	p, _ := jtc.NewPFCU(64)
-	if _, err := p.Correlate(nonNeg(rng, 65), nonNeg(rng, 9)); err == nil {
-		t.Error("oversized signal should fail")
-	}
-	if _, err := p.Correlate(nonNeg(rng, 64), nonNeg(rng, 65)); err == nil {
-		t.Error("oversized kernel tile should fail")
-	}
-	if _, err := p.Correlate(nil, nonNeg(rng, 9)); err == nil {
-		t.Error("empty signal should fail")
-	}
-	if _, err := p.Correlate(nonNeg(rng, 64), nil); err == nil {
-		t.Error("empty kernel should fail")
-	}
-	// 26 non-zero weights exceed the 25 active DACs.
-	dense := nonNeg(rng, 26)
-	for i := range dense {
-		dense[i] += 0.1
-	}
-	if _, err := p.Correlate(nonNeg(rng, 64), dense); err == nil {
-		t.Error("26 non-zero weights should exceed 25 DACs")
-	}
-	neg := nonNeg(rng, 9)
-	neg[3] = -0.5
-	if _, err := p.Correlate(nonNeg(rng, 64), neg); err == nil {
-		t.Error("negative weight should fail")
-	}
-	sigNeg := nonNeg(rng, 64)
-	sigNeg[10] = -1
-	if _, err := p.Correlate(sigNeg, nonNeg(rng, 9)); err == nil {
-		t.Error("negative signal should fail")
-	}
-}
-
-func TestPFCU5x5KernelFitsExactly(t *testing.T) {
-	// 25 DACs accommodate a full 5x5 filter (paper: "PFCU keeps 25 active
-	// waveguides ... for backward compatibility").
-	rng := rand.New(rand.NewSource(4))
-	p, _ := jtc.NewPFCU(256)
-	kern2d := make([][]float64, 5)
-	for r := range kern2d {
-		kern2d[r] = make([]float64, 5)
-		for c := range kern2d[r] {
-			kern2d[r][c] = rng.Float64() + 0.01
-		}
-	}
-	tile, err := tiling.TileKernel(kern2d, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Correlate(nonNeg(rng, 256), tile); err != nil {
-		t.Errorf("5x5 kernel should fit 25 DACs: %v", err)
-	}
-}
-
-func TestPFCUWithTilingBackendMatches2DConv(t *testing.T) {
-	// End-to-end: row tiling with the PFCU as correlator equals the 2D
-	// reference convolution in valid mode for non-negative operands.
-	rng := rand.New(rand.NewSource(5))
-	h, w, k := 10, 12, 3
-	in := make([][]float64, h)
-	for r := range in {
-		in[r] = nonNeg(rng, w)
-	}
-	kern := make([][]float64, k)
-	for r := range kern {
-		kern[r] = nonNeg(rng, k)
-	}
-	p, _ := jtc.NewPFCU(256)
-	corr := func(sig, kt []float64) []float64 {
-		out, err := p.Correlate(sig, kt)
-		if err != nil {
-			t.Fatalf("PFCU correlate: %v", err)
-		}
-		return out
-	}
-	plan, err := tiling.NewPlan(h, w, k, p.MaxConv(), tensor.Valid, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := plan.Conv2D(in, kern, corr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tensor.Conv2DSingle(in, kern, tensor.Valid)
-	for r := range got {
-		for c := range got[r] {
-			if math.Abs(got[r][c]-want[r][c]) > 1e-9 {
-				t.Fatalf("(%d,%d): got %g want %g", r, c, got[r][c], want[r][c])
-			}
-		}
-	}
-	if p.Shots() != int64(plan.Shots()) {
-		t.Errorf("PFCU shots %d != plan shots %d", p.Shots(), plan.Shots())
-	}
-}
 
 func TestLinearPowerDetectorNoiseless(t *testing.T) {
 	d := jtc.NewLinearPowerDetector(0, 0, 0)
@@ -242,150 +73,17 @@ func TestSquareLawDetector(t *testing.T) {
 	}
 }
 
-func TestTemporalAccumulatorBasics(t *testing.T) {
-	if _, err := jtc.NewTemporalAccumulator(0, 4); err == nil {
-		t.Error("depth 0 should fail")
+// TestShotRetryAccounting: a retry is a real illumination, so every
+// guard-triggered re-execution the engine records advances jtc.Shots
+// alongside jtc.RetriedShots.
+func TestShotRetryAccounting(t *testing.T) {
+	shots0, retried0 := jtc.Shots(), jtc.RetriedShots()
+	jtc.AddShots(5)
+	jtc.AddRetriedShots(2)
+	if d := jtc.RetriedShots() - retried0; d != 2 {
+		t.Fatalf("retried-shot delta %d, want 2", d)
 	}
-	if _, err := jtc.NewTemporalAccumulator(4, 0); err == nil {
-		t.Error("width 0 should fail")
-	}
-	acc, err := jtc.NewTemporalAccumulator(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := acc.Add([]float64{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if acc.Full() || acc.Pending() != 1 {
-		t.Error("accumulator state after one add")
-	}
-	if err := acc.Add([]float64{10, 20, 30}); err != nil {
-		t.Fatal(err)
-	}
-	if !acc.Full() {
-		t.Error("should be full at depth")
-	}
-	if err := acc.Add([]float64{1, 1, 1}); err == nil {
-		t.Error("adding past depth should fail")
-	}
-	out, err := acc.ReadOut(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{11, 22, 33}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("readout %v, want %v", out, want)
-		}
-	}
-	if acc.Pending() != 0 {
-		t.Error("readout should reset")
-	}
-	if _, err := acc.ReadOut(nil, nil); err == nil {
-		t.Error("empty readout should fail")
-	}
-	if err := acc.Add([]float64{1, 2}); err == nil {
-		t.Error("width mismatch should fail")
-	}
-}
-
-func TestTemporalAccumulationReducesQuantizationError(t *testing.T) {
-	// The paper's Fig. 7 mechanism in miniature: accumulating 16 channels
-	// before one 8-bit quantization loses less than quantizing each
-	// channel separately and summing digitally.
-	rng := rand.New(rand.NewSource(6))
-	channels := 16
-	width := 64
-	trials := 50
-
-	var errAccum, errPerChannel float64
-	for trial := 0; trial < trials; trial++ {
-		data := make([][]float64, channels)
-		exact := make([]float64, width)
-		for c := range data {
-			data[c] = nonNeg(rng, width)
-			for i, v := range data[c] {
-				exact[i] += v
-			}
-		}
-		// Full-depth temporal accumulation, one ADC conversion at the end.
-		adc1, _ := quant.NewADC(8, float64(channels), 625e6, 0.93e-3)
-		acc, _ := jtc.NewTemporalAccumulator(channels, width)
-		for c := range data {
-			if err := acc.Add(data[c]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got1, _ := acc.ReadOut(adc1, nil)
-		// Depth-1: quantize every channel, sum digitally.
-		adc2, _ := quant.NewADC(8, float64(channels), 10e9, 14.9e-3)
-		got2 := make([]float64, width)
-		for c := range data {
-			accum1, _ := jtc.NewTemporalAccumulator(1, width)
-			if err := accum1.Add(data[c]); err != nil {
-				t.Fatal(err)
-			}
-			q, _ := accum1.ReadOut(adc2, nil)
-			for i, v := range q {
-				got2[i] += v
-			}
-		}
-		for i := range exact {
-			d1 := got1[i] - exact[i]
-			d2 := got2[i] - exact[i]
-			errAccum += d1 * d1
-			errPerChannel += d2 * d2
-		}
-	}
-	if errAccum >= errPerChannel {
-		t.Errorf("temporal accumulation error %g should beat per-channel %g", errAccum, errPerChannel)
-	}
-	// The ADC read count drops by the accumulation depth.
-}
-
-func TestReadOutADCCountsConversions(t *testing.T) {
-	adc, _ := quant.NewADC(8, 16, 625e6, 0.93e-3)
-	acc, _ := jtc.NewTemporalAccumulator(4, 10)
-	for c := 0; c < 4; c++ {
-		if err := acc.Add(make([]float64, 10)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := acc.ReadOut(adc, nil); err != nil {
-		t.Fatal(err)
-	}
-	if adc.Reads != 10 {
-		t.Errorf("ADC reads = %d, want one per sample = 10", adc.Reads)
-	}
-}
-
-func TestReadOutSquareLawPostprocessing(t *testing.T) {
-	det := jtc.NewSquareLawDetector(0, 0)
-	acc, _ := jtc.NewTemporalAccumulator(1, 2)
-	if err := acc.Add([]float64{det.Detect(3), det.Detect(4)}); err != nil {
-		t.Fatal(err)
-	}
-	out, err := acc.ReadOut(nil, det)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(out[0]-3) > 1e-12 || math.Abs(out[1]-4) > 1e-12 {
-		t.Errorf("square-law depth-1 round trip: %v", out)
-	}
-}
-
-func BenchmarkPFCUCorrelate256(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	p, _ := jtc.NewPFCU(256)
-	sig := nonNeg(rng, 256)
-	kern := make([]float64, 31)
-	for _, idx := range []int{0, 1, 2, 14, 15, 16, 28, 29, 30} {
-		kern[idx] = rng.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Correlate(sig, kern); err != nil {
-			b.Fatal(err)
-		}
+	if d := jtc.Shots() - shots0; d != 7 {
+		t.Fatalf("shot delta %d, want 5 shots + 2 retries = 7", d)
 	}
 }

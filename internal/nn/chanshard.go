@@ -153,8 +153,7 @@ func (s ChannelStep) Run(x *tensor.Tensor) (*tensor.Tensor, error) { return s.ru
 // explains why it cannot be sharded by output channel: every convolution
 // must be an engine-planned step whose plan batches exactly, implements
 // ChannelRangePlan and passes its CheckChannelRange, and the chain must be
-// linear — residual or opaque steps would need activations no single range
-// holds.
+// linear — residual steps would need activations no single range holds.
 func (p *NetworkPlan) ChannelShardSteps() ([]ChannelStep, error) {
 	out := make([]ChannelStep, 0, len(p.steps))
 	for _, s := range p.steps {
@@ -177,7 +176,7 @@ func (p *NetworkPlan) ChannelShardSteps() ([]ChannelStep, error) {
 		case reluStep, *maxPoolStep, gapStep, *denseStep:
 			step := s
 			out = append(out, ChannelStep{Name: s.name(), run: func(x *tensor.Tensor) (*tensor.Tensor, error) {
-				return step.run(p, x, false)
+				return step.run(p, x, false, nil)
 			}})
 		default:
 			return nil, fmt.Errorf("nn: step %s is not channel-shardable", s.name())

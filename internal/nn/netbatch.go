@@ -38,15 +38,18 @@ func (p *NetworkPlan) ForwardBatch(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if _, err := p.StepShapes(x.Shape[1], x.Shape[2], x.Shape[3]); err != nil {
 		return nil, err
 	}
-	if n == 1 || p.batchMajor() {
-		// A single sample IS the per-sample path; a batch-major-safe plan
-		// reserves the call-index block a per-sample loop would consume.
+	if n == 1 {
+		// A single sample IS the per-sample path.
+		return p.runChain(p.steps, x, nil)
+	}
+	if p.batchMajor() {
+		// A batch-major-safe plan reserves the call-index block a
+		// per-sample loop would consume.
 		bc := &batchCtx{stride: uint64(len(p.batchPlans))}
-		if n > 1 && len(p.batchPlans) > 0 {
+		if len(p.batchPlans) > 0 {
 			bc.base = p.batchPlans[0].ReserveCalls(uint64(n) * bc.stride)
 		}
-		out, _, err := p.runStepsBatch(p.steps, x, false, n > 1, bc)
-		return out, err
+		return p.runChain(p.steps, x, bc)
 	}
 	return p.forwardPerSample(x)
 }
@@ -61,8 +64,7 @@ type batchCtx struct {
 
 // batchMajor reports whether every compiled step can run batch-major with
 // per-sample semantics: planned layers must batch exactly (keyed noise
-// substreams), engine steps must be batch-invariant substrates, and opaque
-// fallback modules disqualify the plan (their batch semantics are unknown).
+// substreams) and engine steps must be batch-invariant substrates.
 func (p *NetworkPlan) batchMajor() bool {
 	if !stepsBatchMajor(p.steps) {
 		return false
@@ -91,76 +93,9 @@ func stepsBatchMajor(steps []planStep) bool {
 			if !stepsBatchMajor(st.body) || !stepsBatchMajor(st.shortcut) {
 				return false
 			}
-		case *forwardStep:
-			return false
 		}
 	}
 	return true
-}
-
-// runStepsBatch is runSteps with planned-layer steps routed through their
-// batch fast path (when batch is true) and residual chains recursed with
-// the shared call context; all other steps already execute per sample.
-func (p *NetworkPlan) runStepsBatch(steps []planStep, x *tensor.Tensor, own, batch bool, bc *batchCtx) (*tensor.Tensor, bool, error) {
-	cur, curOwn := x, own
-	for _, s := range steps {
-		var out *tensor.Tensor
-		var err error
-		owns := s.ownsOutput()
-		switch st := s.(type) {
-		case *convPlanStep:
-			if batch {
-				l := bc.next
-				bc.next++
-				out, err = st.batch.ForwardBatchCalls(cur, bc.base+l+1, bc.stride)
-			} else {
-				out, err = st.run(p, cur, curOwn)
-			}
-		case *residualStep:
-			out, err = st.runBatch(p, cur, batch, bc)
-		default:
-			out, err = s.run(p, cur, curOwn)
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		if out != cur {
-			if curOwn && owns {
-				tensor.PutScratch(cur)
-			}
-			curOwn = owns
-		}
-		cur = out
-	}
-	return cur, curOwn, nil
-}
-
-// runBatch mirrors residualStep.run with batch-aware sub-chains: body fully
-// executes before the shortcut, matching the planned-layer ordinal order a
-// per-sample pass produces.
-func (s *residualStep) runBatch(p *NetworkPlan, x *tensor.Tensor, batch bool, bc *batchCtx) (*tensor.Tensor, error) {
-	main, mainOwn, err := p.runStepsBatch(s.body, x, false, batch, bc)
-	if err != nil {
-		return nil, err
-	}
-	side, sideOwn := x, false
-	if s.hasShortcut {
-		if side, sideOwn, err = p.runStepsBatch(s.shortcut, x, false, batch, bc); err != nil {
-			return nil, err
-		}
-	}
-	if !mainOwn {
-		clone := p.newTensor(main.Shape...)
-		copy(clone.Data, main.Data)
-		main = clone
-	}
-	if err := main.AddInPlace(side); err != nil {
-		return nil, fmt.Errorf("nn: residual shapes %v vs %v: %w", main.Shape, side.Shape, err)
-	}
-	if sideOwn {
-		tensor.PutScratch(side)
-	}
-	return main, nil
 }
 
 // forwardPerSample is the unconditional-contract fallback: each sample runs
@@ -173,7 +108,7 @@ func (p *NetworkPlan) forwardPerSample(x *tensor.Tensor) (*tensor.Tensor, error)
 	var out *tensor.Tensor
 	for b := 0; b < n; b++ {
 		sample := &tensor.Tensor{Shape: []int{1, c, h, w}, Data: x.Data[b*per : (b+1)*per]}
-		res, resOwn, err := p.runSteps(p.steps, sample, false)
+		res, err := p.runChain(p.steps, sample, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -183,7 +118,7 @@ func (p *NetworkPlan) forwardPerSample(x *tensor.Tensor) (*tensor.Tensor, error)
 		}
 		rowLen := res.Size()
 		copy(out.Data[b*rowLen:(b+1)*rowLen], res.Data)
-		if resOwn {
+		if res != sample {
 			tensor.PutScratch(res)
 		}
 	}

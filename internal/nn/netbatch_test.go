@@ -7,13 +7,16 @@ import (
 	"testing"
 
 	"photofourier/internal/core"
+	"photofourier/internal/jtc"
 	"photofourier/internal/nn"
 	"photofourier/internal/tensor"
 )
 
 // batchEngines is the golden ForwardBatch matrix's engine axis: the exact
 // substrates, the quantized accelerator, its noisy-readout operating point,
-// and the tiled (packed-shot) accelerator.
+// the tiled (packed-shot) accelerator, and the two engines whose batches
+// take the per-sample fallback: the unplanned accelerator (quantized engine
+// steps) and a noisy detector (plans that are not BatchExact).
 func batchEngines() []engineFactory {
 	return []engineFactory{
 		{"reference", true, func(int) nn.ConvEngine { return nil }},
@@ -46,6 +49,17 @@ func batchEngines() []engineFactory {
 			e.UseTiledPath = true
 			e.NConv = 64
 			e.ReadoutNoise = 0.01
+			e.Parallelism = w
+			return e
+		}},
+		{"unplanned", true, func(w int) nn.ConvEngine {
+			e := core.NewEngine()
+			e.Parallelism = w
+			return e.Unplanned()
+		}},
+		{"accelerator-noisy-detector", false, func(w int) nn.ConvEngine {
+			e := core.NewEngine()
+			e.Detector = jtc.NewLinearPowerDetector(0.01, 0.005, 7)
 			e.Parallelism = w
 			return e
 		}},

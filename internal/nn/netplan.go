@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"photofourier/internal/tensor"
 )
@@ -100,7 +98,7 @@ type geoKey struct{ c, h, w int }
 // inference under the given engine (nil = exact reference path). Engines
 // implementing LayerPlanner have every convolution layer's LayerPlan
 // compiled eagerly, so the first Forward already runs the fully latched
-// path.
+// path. A module type the compiler has no step for is an error.
 func (n *Network) Compile(engine ConvEngine) (*NetworkPlan, error) {
 	p := &NetworkPlan{Name: n.Name, engine: engine, src: n}
 	steps, err := p.compile(n.Root)
@@ -152,8 +150,7 @@ func (p *NetworkPlan) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if _, err := p.StepShapes(x.Shape[1], x.Shape[2], x.Shape[3]); err != nil {
 		return nil, err
 	}
-	out, _, err := p.runSteps(p.steps, x, false)
-	return out, err
+	return p.runChain(p.steps, x, nil)
 }
 
 // EvaluateLogits runs one compiled forward pass and derives predictions,
@@ -170,8 +167,7 @@ func (p *NetworkPlan) EvaluateLogits(x *tensor.Tensor, labels []int, k int) (*Ev
 type StepShape struct {
 	Step string
 	// Out is the per-sample output shape (e.g. [C H W], or [C] after
-	// pooling/dense steps); nil when the step's geometry cannot be
-	// inferred statically (opaque fallback modules).
+	// pooling/dense steps).
 	Out []int
 }
 
@@ -202,31 +198,25 @@ func (p *NetworkPlan) StepShapes(c, h, w int) ([]StepShape, error) {
 	return shapes, nil
 }
 
-// runSteps executes a step chain. own reports whether the plan owns x (may
-// mutate it in place and recycle its buffer once consumed); the returned
-// ownership flag means the same for the final tensor. Buffers of owned
-// intermediates return to the pool as soon as the next step has consumed
-// them.
-func (p *NetworkPlan) runSteps(steps []planStep, x *tensor.Tensor, own bool) (*tensor.Tensor, bool, error) {
-	cur, curOwn := x, own
+// runChain executes a step chain over x, which the caller keeps: every
+// step's output is a plan-owned buffer, so each intermediate returns to the
+// pool as soon as the next step has consumed it, and the result is x itself
+// only for an empty chain. A nil bc runs planned layers through
+// LayerPlan.Conv2D; a batch context routes them through their batch-major
+// path with its reserved call indices.
+func (p *NetworkPlan) runChain(steps []planStep, x *tensor.Tensor, bc *batchCtx) (*tensor.Tensor, error) {
+	cur := x
 	for _, s := range steps {
-		out, err := s.run(p, cur, curOwn)
+		out, err := s.run(p, cur, cur != x, bc)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		if out != cur {
-			// Opaque fallback steps may return views aliasing their input,
-			// so their inputs are never recycled and their outputs never
-			// treated as plan-owned (mutable/poolable). Compiled steps only
-			// alias their input when running in place on an owned buffer.
-			if curOwn && s.ownsOutput() {
-				tensor.PutScratch(cur)
-			}
-			curOwn = s.ownsOutput()
+		if out != cur && cur != x {
+			tensor.PutScratch(cur)
 		}
 		cur = out
 	}
-	return cur, curOwn, nil
+	return cur, nil
 }
 
 // newTensor returns a pooled tensor with unspecified contents; every step
@@ -237,67 +227,19 @@ func (p *NetworkPlan) newTensor(shape ...int) *tensor.Tensor {
 	return tensor.GetScratch(shape...)
 }
 
-func (p *NetworkPlan) workers() int {
-	if p.Parallelism > 0 {
-		return p.Parallelism
-	}
-	return runtime.NumCPU()
-}
-
 // serial reports whether per-sample work will run inline on the caller's
 // goroutine. Hot steps branch on it to call their sample body in a plain
 // loop — the forSamples dispatch closure never materializes, keeping the
 // single-worker steady state allocation-free.
 func (p *NetworkPlan) serial(n int) bool {
-	return n <= 1 || p.workers() <= 1
+	return n <= 1 || tensor.Workers(p.Parallelism) <= 1
 }
 
 // forSamples runs fn(b) for every sample index on the plan's worker pool.
 // Callers keep items independent (disjoint output regions), so parallel
 // output is bit-identical to serial.
 func (p *NetworkPlan) forSamples(n int, fn func(b int) error) error {
-	workers := p.workers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					stop.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
+	return tensor.ParallelFor(n, tensor.Workers(p.Parallelism), fn)
 }
 
 // compile lowers one module into plan steps, flattening Sequential chains.
@@ -353,8 +295,7 @@ func (p *NetworkPlan) compile(m Module) ([]planStep, error) {
 	case *DenseLayer:
 		return []planStep{&denseStep{d: v}}, nil
 	default:
-		// Unknown module: fall back to its own (inference) Forward.
-		return []planStep{&forwardStep{m: v}}, nil
+		return nil, fmt.Errorf("no compiled step for module type %T", m)
 	}
 }
 
@@ -362,23 +303,14 @@ func (p *NetworkPlan) compile(m Module) ([]planStep, error) {
 type planStep interface {
 	name() string
 	// outShape maps a per-sample input shape to the step's per-sample
-	// output shape (nil in → nil out for dynamically-shaped chains).
+	// output shape.
 	outShape(in []int) ([]int, error)
 	// run executes the step. own reports whether the plan owns x; a step
-	// may return x itself only when own is true and it ran in place.
-	run(p *NetworkPlan, x *tensor.Tensor, own bool) (*tensor.Tensor, error)
-	// ownsOutput reports whether a distinct returned tensor is exclusively
-	// the plan's (disjoint from the input, safe to mutate in place and
-	// recycle). False only for opaque fallback steps, whose modules may
-	// return input-aliasing views.
-	ownsOutput() bool
+	// may return x itself only when own is true and it ran in place, and
+	// any other result is a plan-owned buffer disjoint from x. bc is the
+	// batch context of a batch-major pass (nil runs per sample).
+	run(p *NetworkPlan, x *tensor.Tensor, own bool, bc *batchCtx) (*tensor.Tensor, error)
 }
-
-// ownedOutput is the embedded default for compiled steps, whose distinct
-// outputs are always disjoint plan-owned buffers.
-type ownedOutput struct{}
-
-func (ownedOutput) ownsOutput() bool { return true }
 
 // convRefOut returns the reference convolution's output size per spatial
 // dimension (Same pads k-1 total, matching tensor.Im2Col/Conv2D).
@@ -395,16 +327,12 @@ func convRefOut(in, k, stride int, pad tensor.PadMode) int {
 // bit-identical to the module because each sample's arithmetic is
 // unchanged and samples are independent.
 type convRefStep struct {
-	ownedOutput
 	c *Conv
 }
 
 func (s *convRefStep) name() string { return "conv(reference)" }
 
 func (s *convRefStep) outShape(in []int) ([]int, error) {
-	if in == nil {
-		return nil, nil
-	}
 	if len(in) != 3 {
 		return nil, fmt.Errorf("conv wants a CHW sample, got %v", in)
 	}
@@ -421,7 +349,7 @@ func (s *convRefStep) outShape(in []int) ([]int, error) {
 	return []int{cout, oh, ow}, nil
 }
 
-func (s *convRefStep) run(p *NetworkPlan, x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
+func (s *convRefStep) run(p *NetworkPlan, x *tensor.Tensor, _ bool, _ *batchCtx) (*tensor.Tensor, error) {
 	c := s.c
 	if x.Rank() != 4 {
 		return nil, fmt.Errorf("nn: compiled conv wants NCHW input, got %v", x.Shape)
@@ -466,7 +394,6 @@ func (s *convRefStep) run(p *NetworkPlan, x *tensor.Tensor, _ bool) (*tensor.Ten
 // cache lookup. batch is the plan's batch-major extension when it offers
 // one (ForwardBatch routes through it).
 type convPlanStep struct {
-	ownedOutput
 	c     *Conv
 	plan  LayerPlan
 	batch BatchLayerPlan
@@ -476,14 +403,18 @@ func (s *convPlanStep) name() string { return "conv(planned)" }
 
 func (s *convPlanStep) outShape(in []int) ([]int, error) { return (&convRefStep{c: s.c}).outShape(in) }
 
-func (s *convPlanStep) run(_ *NetworkPlan, x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
-	return s.plan.Conv2D(x)
+func (s *convPlanStep) run(_ *NetworkPlan, x *tensor.Tensor, _ bool, bc *batchCtx) (*tensor.Tensor, error) {
+	if bc == nil {
+		return s.plan.Conv2D(x)
+	}
+	first := bc.base + bc.next + 1
+	bc.next++
+	return s.batch.ForwardBatchCalls(x, first, bc.stride)
 }
 
 // convEngineStep runs a convolution through a non-planning engine, exactly
 // as Conv.Forward does for engines without PlanConv.
 type convEngineStep struct {
-	ownedOutput
 	c      *Conv
 	engine ConvEngine
 }
@@ -494,20 +425,20 @@ func (s *convEngineStep) outShape(in []int) ([]int, error) {
 	return (&convRefStep{c: s.c}).outShape(in)
 }
 
-func (s *convEngineStep) run(_ *NetworkPlan, x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
+func (s *convEngineStep) run(_ *NetworkPlan, x *tensor.Tensor, _ bool, _ *batchCtx) (*tensor.Tensor, error) {
 	c := s.c
 	return s.engine.Conv2D(x, c.Weight.W, c.Bias.W.Data, c.Stride, c.Pad)
 }
 
 // reluStep clamps negatives — in place when the plan owns the buffer,
 // otherwise streaming into a pooled copy.
-type reluStep struct{ ownedOutput }
+type reluStep struct{}
 
 func (reluStep) name() string { return "relu" }
 
 func (reluStep) outShape(in []int) ([]int, error) { return in, nil }
 
-func (reluStep) run(p *NetworkPlan, x *tensor.Tensor, own bool) (*tensor.Tensor, error) {
+func (reluStep) run(p *NetworkPlan, x *tensor.Tensor, own bool, _ *batchCtx) (*tensor.Tensor, error) {
 	out := x
 	if !own {
 		out = p.newTensor(x.Shape...)
@@ -558,16 +489,12 @@ func maxSel(v, a float64) float64 {
 
 // maxPoolStep mirrors MaxPool.Forward's inference loops per sample.
 type maxPoolStep struct {
-	ownedOutput
 	k, stride int
 }
 
 func (s *maxPoolStep) name() string { return "maxpool" }
 
 func (s *maxPoolStep) outShape(in []int) ([]int, error) {
-	if in == nil {
-		return nil, nil
-	}
 	if len(in) != 3 {
 		return nil, fmt.Errorf("maxpool wants a CHW sample, got %v", in)
 	}
@@ -579,7 +506,7 @@ func (s *maxPoolStep) outShape(in []int) ([]int, error) {
 	return []int{in[0], oh, ow}, nil
 }
 
-func (s *maxPoolStep) run(p *NetworkPlan, x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
+func (s *maxPoolStep) run(p *NetworkPlan, x *tensor.Tensor, _ bool, _ *batchCtx) (*tensor.Tensor, error) {
 	if x.Rank() != 4 {
 		return nil, fmt.Errorf("nn: compiled maxpool wants NCHW, got %v", x.Shape)
 	}
@@ -643,21 +570,18 @@ func (s *maxPoolStep) sample(x, out *tensor.Tensor, b, c, h, w, oh, ow int) {
 }
 
 // gapStep mirrors tensor.GlobalAvgPool2D per sample.
-type gapStep struct{ ownedOutput }
+type gapStep struct{}
 
 func (gapStep) name() string { return "globalavgpool" }
 
 func (gapStep) outShape(in []int) ([]int, error) {
-	if in == nil {
-		return nil, nil
-	}
 	if len(in) != 3 {
 		return nil, fmt.Errorf("globalavgpool wants a CHW sample, got %v", in)
 	}
 	return []int{in[0]}, nil
 }
 
-func (gapStep) run(p *NetworkPlan, x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
+func (gapStep) run(p *NetworkPlan, x *tensor.Tensor, _ bool, _ *batchCtx) (*tensor.Tensor, error) {
 	if x.Rank() != 4 {
 		return nil, fmt.Errorf("nn: compiled globalavgpool wants NCHW, got %v", x.Shape)
 	}
@@ -690,16 +614,12 @@ func gapSample(x, out *tensor.Tensor, b, c, h, w int, area float64) {
 // denseStep mirrors DenseLayer.Forward (flatten + tensor.Dense arithmetic)
 // per sample row.
 type denseStep struct {
-	ownedOutput
 	d *DenseLayer
 }
 
 func (s *denseStep) name() string { return "dense" }
 
 func (s *denseStep) outShape(in []int) ([]int, error) {
-	if in == nil {
-		return nil, nil
-	}
 	size := 1
 	for _, d := range in {
 		size *= d
@@ -711,7 +631,7 @@ func (s *denseStep) outShape(in []int) ([]int, error) {
 	return []int{outDim}, nil
 }
 
-func (s *denseStep) run(p *NetworkPlan, x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
+func (s *denseStep) run(p *NetworkPlan, x *tensor.Tensor, _ bool, _ *batchCtx) (*tensor.Tensor, error) {
 	n := x.Shape[0]
 	in := x.Size() / n
 	outDim, inW := s.d.Weight.W.Shape[0], s.d.Weight.W.Shape[1]
@@ -748,7 +668,6 @@ func denseSample(x, out, weight *tensor.Tensor, bias []float64, b, in, outDim in
 // input and sums them in place into the body output — the compiled form of
 // Residual.Forward.
 type residualStep struct {
-	ownedOutput
 	body        []planStep
 	shortcut    []planStep
 	hasShortcut bool
@@ -767,20 +686,21 @@ func (s *residualStep) outShape(in []int) ([]int, error) {
 	return cur, nil
 }
 
-func (s *residualStep) run(p *NetworkPlan, x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
+func (s *residualStep) run(p *NetworkPlan, x *tensor.Tensor, _ bool, bc *batchCtx) (*tensor.Tensor, error) {
 	// Both chains read x, so neither may own it here; the outer runner
-	// releases x after this step returns.
-	main, mainOwn, err := p.runSteps(s.body, x, false)
+	// releases x after this step returns. The body runs before the
+	// shortcut, the planned-layer order a per-sample pass keys its calls in.
+	main, err := p.runChain(s.body, x, bc)
 	if err != nil {
 		return nil, err
 	}
-	side, sideOwn := x, false
+	side := x
 	if s.hasShortcut {
-		if side, sideOwn, err = p.runSteps(s.shortcut, x, false); err != nil {
+		if side, err = p.runChain(s.shortcut, x, bc); err != nil {
 			return nil, err
 		}
 	}
-	if !mainOwn {
+	if main == x {
 		clone := p.newTensor(main.Shape...)
 		copy(clone.Data, main.Data)
 		main = clone
@@ -788,22 +708,8 @@ func (s *residualStep) run(p *NetworkPlan, x *tensor.Tensor, _ bool) (*tensor.Te
 	if err := main.AddInPlace(side); err != nil {
 		return nil, fmt.Errorf("nn: residual shapes %v vs %v: %w", main.Shape, side.Shape, err)
 	}
-	if sideOwn {
+	if side != x {
 		tensor.PutScratch(side)
 	}
 	return main, nil
 }
-
-// forwardStep is the fallback for module types the compiler does not know:
-// it delegates to the module's own inference Forward.
-type forwardStep struct{ m Module }
-
-func (s *forwardStep) name() string { return fmt.Sprintf("module(%T)", s.m) }
-
-func (s *forwardStep) outShape([]int) ([]int, error) { return nil, nil }
-
-func (s *forwardStep) run(_ *NetworkPlan, x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
-	return s.m.Forward(x, false)
-}
-
-func (s *forwardStep) ownsOutput() bool { return false }

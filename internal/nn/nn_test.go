@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"photofourier/internal/tensor"
@@ -261,6 +262,20 @@ type identity struct{}
 func (identity) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) { return x, nil }
 func (identity) Backward(g *tensor.Tensor) (*tensor.Tensor, error)            { return g, nil }
 func (identity) Params() []*Param                                             { return nil }
+
+// TestCompileRejectsUnknownModule: Compile lowers only the module types it
+// knows and refuses any other, naming its type, instead of running it
+// through the module's own Forward.
+func TestCompileRejectsUnknownModule(t *testing.T) {
+	net := &Network{Name: "opaque", Root: &Sequential{Modules: []Module{&identity{}}}}
+	_, err := net.Compile(nil)
+	if err == nil {
+		t.Fatal("compiling a network that holds an unknown module type succeeded")
+	}
+	if !strings.Contains(err.Error(), "nn.identity") {
+		t.Errorf("error %q does not name the module type", err)
+	}
+}
 
 func TestNumParams(t *testing.T) {
 	net := SmallCNN([2]int{4, 8}, 10, 3)

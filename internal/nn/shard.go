@@ -42,15 +42,12 @@ func AlignerOf(e ConvEngine) CallAligner {
 }
 
 // KeyedCallsPerSample reports how many engine call indices one sample
-// consumes through this compiled plan — the sharding stride. ok=false
-// means the plan cannot be call-aligned for sharding: it contains an
-// opaque fallback module (whose engine usage is unknowable), so a
-// scheduler must not assume call-keyed substreams line up across devices.
-// A plan whose engine has no call counter at all returns (0, true): there
-// is nothing to align and sharding is trivially exact.
-func (p *NetworkPlan) KeyedCallsPerSample() (stride uint64, ok bool) {
+// consumes through this compiled plan — the sharding stride. A plan whose
+// engine has no call counter at all returns 0: there is nothing to align
+// and sharding is trivially exact.
+func (p *NetworkPlan) KeyedCallsPerSample() uint64 {
 	if AlignerOf(p.engine) == nil {
-		return 0, !hasOpaqueStep(p.steps)
+		return 0
 	}
 	return countKeyedSteps(p.steps)
 }
@@ -67,50 +64,20 @@ func (p *NetworkPlan) AlignEngineCalls(next uint64) bool {
 	return true
 }
 
-// EngineCalls reads the plan's engine call frontier (0, false when the
-// engine has no counter).
-func (p *NetworkPlan) EngineCalls() (uint64, bool) {
-	a := AlignerOf(p.engine)
-	if a == nil {
-		return 0, false
-	}
-	return a.Calls(), true
-}
-
 // countKeyedSteps counts the steps that consume one engine call index per
 // sample: planned convolutions and direct engine convolutions. Both the
 // batch-major path (explicit reservation) and the per-sample fallback
 // (counter increments inside Conv2D / LayerPlan.Forward) consume exactly
 // this many indices per sample, in the same order.
-func countKeyedSteps(steps []planStep) (n uint64, ok bool) {
+func countKeyedSteps(steps []planStep) uint64 {
+	var n uint64
 	for _, s := range steps {
 		switch st := s.(type) {
 		case *convPlanStep, *convEngineStep:
 			n++
 		case *residualStep:
-			body, bok := countKeyedSteps(st.body)
-			short, sok := countKeyedSteps(st.shortcut)
-			if !bok || !sok {
-				return 0, false
-			}
-			n += body + short
-		case *forwardStep:
-			return 0, false
+			n += countKeyedSteps(st.body) + countKeyedSteps(st.shortcut)
 		}
 	}
-	return n, true
-}
-
-func hasOpaqueStep(steps []planStep) bool {
-	for _, s := range steps {
-		switch st := s.(type) {
-		case *residualStep:
-			if hasOpaqueStep(st.body) || hasOpaqueStep(st.shortcut) {
-				return true
-			}
-		case *forwardStep:
-			return true
-		}
-	}
-	return false
+	return n
 }

@@ -38,8 +38,7 @@ type StepMeta struct {
 
 // StepMetas walks the plan once for a (c, h, w) input sample and returns
 // per-step metadata: keyed call consumption, convolution geometry where the
-// step is a convolution, and output shapes. It fails on opaque fallback
-// steps, whose shapes and engine usage cannot be derived statically.
+// step is a convolution, and output shapes.
 func (p *NetworkPlan) StepMetas(c, h, w int) ([]StepMeta, error) {
 	out := make([]StepMeta, 0, len(p.steps))
 	in := []int{c, h, w}
@@ -48,14 +47,7 @@ func (p *NetworkPlan) StepMetas(c, h, w int) ([]StepMeta, error) {
 		if err != nil {
 			return nil, fmt.Errorf("nn: %s step on %v: %w", s.name(), in, err)
 		}
-		if shape == nil {
-			return nil, fmt.Errorf("nn: step %s has no static geometry", s.name())
-		}
-		keyed, ok := countKeyedSteps([]planStep{s})
-		if !ok {
-			return nil, fmt.Errorf("nn: step %s hides engine usage", s.name())
-		}
-		m := StepMeta{Name: s.name(), Keyed: keyed, Out: shape}
+		m := StepMeta{Name: s.name(), Keyed: countKeyedSteps([]planStep{s}), Out: shape}
 		if conv := stepConv(s); conv != nil && len(in) == 3 {
 			w := conv.Weight.W
 			m.Conv = &ConvGeom{
@@ -99,11 +91,11 @@ func (p *NetworkPlan) ForwardSteps(x *tensor.Tensor, from, to int) (*tensor.Tens
 	if from < 0 || to > len(p.steps) || from > to {
 		return nil, fmt.Errorf("nn: step range [%d,%d) out of bounds (plan has %d steps)", from, to, len(p.steps))
 	}
-	out, own, err := p.runSteps(p.steps[from:to], x, false)
+	out, err := p.runChain(p.steps[from:to], x, nil)
 	if err != nil {
 		return nil, err
 	}
-	if !own {
+	if out == x {
 		clone := p.newTensor(out.Shape...)
 		copy(clone.Data, out.Data)
 		out = clone

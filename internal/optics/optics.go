@@ -93,7 +93,7 @@ func (s *System) Simulate(signal, kernel []float64, offset int) (*Result, error)
 	}
 	for i, v := range kernel {
 		if v < 0 {
-			return nil, fmt.Errorf("optics: kernel[%d] = %g is negative; use quant.PseudoNegative first", i, v)
+			return nil, fmt.Errorf("optics: kernel[%d] = %g is negative; split signed kernels into pseudo-negative parts first", i, v)
 		}
 	}
 	if offset <= 0 {

@@ -176,18 +176,14 @@ func New(net *nn.Network, opts Options) (*DevicePool, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: device %d spec %q: compile: %v", ErrBadPool, i, spec, err)
 		}
-		stride, ok := plan.KeyedCallsPerSample()
-		noisy := nn.CapabilitiesOf(plan.Engine()).Noisy
-		if !ok && noisy {
-			return nil, fmt.Errorf("%w: device %d spec %q: plan contains an opaque module, cannot shard a noisy substrate bit-identically", ErrBadPool, i, spec)
-		}
+		stride := plan.KeyedCallsPerSample()
 		if stride > 0 {
 			if p.stride > 0 && stride != p.stride {
 				return nil, fmt.Errorf("%w: device %d spec %q: call stride %d differs from pool stride %d", ErrBadPool, i, spec, stride, p.stride)
 			}
 			p.stride = stride
 		}
-		if noisy {
+		if nn.CapabilitiesOf(plan.Engine()).Noisy {
 			p.batchInvariant = false
 		}
 		p.devs = append(p.devs, &device{id: i, spec: eng.String(), plan: plan})

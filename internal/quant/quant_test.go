@@ -156,102 +156,6 @@ func TestMoreBitsLessError(t *testing.T) {
 	}
 }
 
-func TestADCConvertCountsReads(t *testing.T) {
-	a, err := NewADC(8, 1, 625e6, 0.93e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Convert(0.5)
-	a.Convert(0.7)
-	if a.Reads != 2 {
-		t.Errorf("Reads = %d, want 2", a.Reads)
-	}
-	if e := a.EnergyPerRead(); math.Abs(e-0.93e-3/625e6) > 1e-18 {
-		t.Errorf("EnergyPerRead = %g", e)
-	}
-}
-
-func TestADCValidation(t *testing.T) {
-	if _, err := NewADC(8, 1, 0, 1e-3); err == nil {
-		t.Error("zero frequency should fail")
-	}
-	if _, err := NewADC(8, 1, 1e9, -1); err == nil {
-		t.Error("negative power should fail")
-	}
-	if _, err := NewADC(0, 1, 1e9, 1e-3); err == nil {
-		t.Error("zero bits should fail")
-	}
-}
-
-func TestCalibrateFullScale(t *testing.T) {
-	a, _ := NewADC(8, 1, 625e6, 0.93e-3)
-	data := make([]float64, 1000)
-	for i := range data {
-		data[i] = float64(i) / 100 // 0 .. 9.99
-	}
-	if err := a.CalibrateFullScale(data, 0.999); err != nil {
-		t.Fatal(err)
-	}
-	if a.Max < 9.5 || a.Max > 10 {
-		t.Errorf("calibrated scale %g, want near p99.9 of data", a.Max)
-	}
-	if err := a.CalibrateFullScale(nil, 0.999); err == nil {
-		t.Error("empty data should fail")
-	}
-	if err := a.CalibrateFullScale(data, 0); err == nil {
-		t.Error("zero percentile should fail")
-	}
-	if err := a.CalibrateFullScale(data, 1.5); err == nil {
-		t.Error("percentile > 1 should fail")
-	}
-	zero := make([]float64, 10)
-	if err := a.CalibrateFullScale(zero, 1); err != nil {
-		t.Fatal(err)
-	}
-	if a.Max <= 0 {
-		t.Error("degenerate calibration should keep a positive scale")
-	}
-}
-
-func TestPseudoNegativeReconstruction(t *testing.T) {
-	f := func(xs []float64) bool {
-		p, n := PseudoNegative(xs)
-		for i := range xs {
-			if p[i] < 0 || n[i] < 0 {
-				return false
-			}
-			if math.Abs((p[i]-n[i])-xs[i]) > 1e-15 {
-				return false
-			}
-			// At most one of p, n is nonzero.
-			if p[i] != 0 && n[i] != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPseudoNegative2D(t *testing.T) {
-	x := [][]float64{{1, -2}, {-3, 4}}
-	p, n := PseudoNegative2D(x)
-	if p[0][0] != 1 || p[0][1] != 0 || n[0][1] != 2 || n[1][0] != 3 || p[1][1] != 4 {
-		t.Errorf("p=%v n=%v", p, n)
-	}
-}
-
-func TestHasNegative(t *testing.T) {
-	if HasNegative([][]float64{{0, 1}, {2, 3}}) {
-		t.Error("all non-negative")
-	}
-	if !HasNegative([][]float64{{0, 1}, {2, -0.001}}) {
-		t.Error("has a negative")
-	}
-}
-
 func TestSQNR(t *testing.T) {
 	ref := []float64{1, 2, 3, 4}
 	if !math.IsInf(SQNR(ref, ref), 1) {

@@ -1,4 +1,4 @@
-package core
+package tensor
 
 import (
 	"runtime"
@@ -6,22 +6,22 @@ import (
 	"sync/atomic"
 )
 
-// resolveWorkers maps the Parallelism knob to a worker count: values <= 0
-// select runtime.NumCPU().
-func resolveWorkers(parallelism int) int {
+// Workers maps a Parallelism knob to a worker count: values <= 0 select
+// runtime.NumCPU().
+func Workers(parallelism int) int {
 	if parallelism > 0 {
 		return parallelism
 	}
 	return runtime.NumCPU()
 }
 
-// parallelFor runs fn(i) for every i in [0, n) on up to workers goroutines.
+// ParallelFor runs fn(i) for every i in [0, n) on up to workers goroutines.
 // Items are claimed from a shared atomic counter, so each runs exactly once;
 // callers guarantee determinism by making items independent (disjoint output
 // regions, sequential accumulation inside an item), which keeps parallel
 // output bit-identical to serial. The first error stops further item claims
 // and is returned. workers <= 1 runs inline with no goroutines.
-func parallelFor(n, workers int, fn func(i int) error) error {
+func ParallelFor(n, workers int, fn func(i int) error) error {
 	if workers > n {
 		workers = n
 	}

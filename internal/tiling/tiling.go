@@ -62,8 +62,7 @@ func (m Mode) String() string {
 // Correlator computes the full 1D cross-correlation of a signal with a
 // kernel: the result has length len(signal)+len(kernel)-1, and shift m
 // (kernel start aligned with signal index m) lives at index m+len(kernel)-1.
-// fourier.CrossCorrelate satisfies this contract; internal/jtc provides a
-// physical JTC-backed implementation.
+// fourier.CrossCorrelate satisfies this contract.
 //
 // The signal slice is a pooled buffer the plan rewrites between shots: a
 // Correlator must read it during the call and not retain it afterwards.
@@ -283,17 +282,24 @@ func (p *Plan) Shots() int {
 		if step < 1 {
 			return 0
 		}
-		segs := ceilDiv(p.OutW, step)
-		rows := 0
-		for r := 0; r < p.OutH; r++ {
-			for j := 0; j < p.K; j++ {
-				if ri := r - p.padT + j; ri >= 0 && ri < p.H {
-					rows++
-				}
+		return p.rowPairs() * ceilDiv(p.OutW, step)
+	}
+}
+
+// rowPairs counts the (output row, kernel row) pairs whose input row lies
+// inside the input: the row correlations row partitioning runs per plane.
+// Same mode skips the kernel rows that fall above or below the input, so
+// only Valid mode reaches OutH*K.
+func (p *Plan) rowPairs() int {
+	pairs := 0
+	for r := 0; r < p.OutH; r++ {
+		for j := 0; j < p.K; j++ {
+			if ri := r - p.padT + j; ri >= 0 && ri < p.H {
+				pairs++
 			}
 		}
-		return rows * segs
 	}
+	return pairs
 }
 
 // Efficiency returns the fraction of 1D output samples that are valid 2D
@@ -350,8 +356,9 @@ func (p *Plan) shotsOfPass(pass int) int {
 }
 
 // efficiencyFor computes valid / sum_pass(shots(pass) * shotOutputLen(pass))
-// with the row-partitioning K-fold credit (each 2D output needs K row
-// correlations).
+// with the row-partitioning credit: each output row sums one row
+// correlation per in-range kernel row (rowPairs / OutH of them on average,
+// K in Valid mode), and each of those outputs counts as valid.
 func (p *Plan) efficiencyFor(shotsOf func(pass int) int, valid float64) float64 {
 	total := 0.0
 	for pass := 0; pass < p.passes(); pass++ {
@@ -362,7 +369,7 @@ func (p *Plan) efficiencyFor(shotsOf func(pass int) int, valid float64) float64 
 	}
 	eff := valid / total
 	if p.Mode == RowPartitioning {
-		eff *= float64(p.K)
+		eff *= float64(p.rowPairs()) / float64(p.OutH)
 	}
 	return eff
 }
